@@ -16,41 +16,24 @@ unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AllMassZero, NonPositiveTemperature, ShapeMismatch
+from .errors import AllMassZero, ShapeMismatch
 
 DEFAULT_LOGP_FLOOR = -30.0
 DEFAULT_TEMPERATURE = 0.9
 
-ArrayLike = Sequence[float] | np.ndarray
-
-
-def logsumexp(x: np.ndarray) -> float:
-    """Stable log(sum(exp(x))) for a 1-D array; tolerates -inf entries."""
-    m = float(np.max(x))
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(float(np.sum(np.exp(x - m))))
-
-
-def _as_logits(values) -> np.ndarray:
-    arr = np.asarray(getattr(values, "logp", values), dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ShapeMismatch(f"expected a 1-D vector with K >= 1, got shape {arr.shape}")
-    return arr
-
 
 def normalize_logits(logits: np.ndarray) -> np.ndarray:
-    """Array core of `normalize`: subtract logsumexp, validating the input.
+    """Subtract logsumexp from a 1-D float64 log vector, validating the input.
 
-    One max pass covers all three input checks: NaN poisons the max, +inf
-    dominates it, and an all--inf vector leaves it at -inf. The reductions are
-    ndarray methods: the np.max and np.sum wrappers cost more than the sums of
-    the short vectors this runs on.
+    Raises AllMassZero when no finite entry remains (all -inf, or NaN
+    present). The argmax is preserved. One max pass covers all three input
+    checks: NaN poisons the max, +inf dominates it, and an all--inf vector
+    leaves it at -inf. The reductions are ndarray methods: the np.max and
+    np.sum wrappers cost more than the sums of the short vectors this runs on.
     """
     m = float(logits.max())
     if math.isnan(m):
@@ -62,75 +45,22 @@ def normalize_logits(logits: np.ndarray) -> np.ndarray:
     return logits - (m + math.log(float(np.exp(logits - m).sum())))
 
 
-@dataclass(frozen=True)
-class LogProbVector:
-    """Normalized log-probabilities over K categories (nats).
-
-    After construction via `normalize`, logsumexp(logp) == 0 within 1e-12.
-    Entries may be -inf until floor-clamped by `compose`.
-    """
-
-    logp: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "logp", _as_logits(self.logp))
-
-    @property
-    def k(self) -> int:
-        return int(self.logp.size)
-
-    def probs(self) -> np.ndarray:
-        return np.exp(self.logp)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogProbVector):
-            return NotImplemented
-        return np.array_equal(self.logp, other.logp)
-
-
-@dataclass(frozen=True)
-class ComposeConfig:
-    """Numeric guards for composition.
-
-    logp_floor bounds how far below the maximum a clamped log-probability may
-    sit, which caps the amplification a negative weight can apply to a
-    zero-probability category at roughly e**(-logp_floor). temperature is the
-    default sampling temperature carried alongside; it is applied by samplers,
-    never inside `compose` itself.
-    """
-
-    logp_floor: float = DEFAULT_LOGP_FLOOR
-    temperature: float = DEFAULT_TEMPERATURE
-
-    def __post_init__(self):
-        if not (self.logp_floor < 0.0) or not math.isfinite(self.logp_floor):
-            raise ValueError(f"logp_floor must be finite and < 0, got {self.logp_floor}")
-        if not (self.temperature > 0.0) or not math.isfinite(self.temperature):
-            raise NonPositiveTemperature(
-                f"temperature must be finite and > 0, got {self.temperature}"
-            )
-
-
-def normalize(logits: ArrayLike) -> LogProbVector:
-    """Shift a raw logit vector so its exponentials sum to one.
-
-    Raises AllMassZero when no finite entry remains (all -inf, or NaN present).
-    The argmax is preserved.
-    """
-    return LogProbVector(normalize_logits(_as_logits(logits)))
-
-
 def compose_logits(
     uncond: np.ndarray,
     conds: Sequence[np.ndarray],
     weights: Sequence[float],
     logp_floor: float = DEFAULT_LOGP_FLOOR,
 ) -> np.ndarray:
-    """Array core of `compose`; operates on raw 1-D float64 log vectors.
+    """Weighted product-of-experts combination of 1-D float64 log vectors.
 
     Each input is normalized (making the result invariant to constant shifts
     of any input) and clamped at logp_floor before the weighted log-ratio sum.
+    With no conditionals the result is the normalized unconditional vector.
+    Temperature is never applied here; samplers apply it to the result as
+    normalize_logits(out / T).
     """
+    if uncond.ndim != 1 or uncond.size < 1:
+        raise ShapeMismatch(f"expected a 1-D vector with K >= 1, got shape {uncond.shape}")
     if len(conds) != len(weights):
         raise ShapeMismatch(f"{len(conds)} conditionals vs {len(weights)} weights")
     u = np.maximum(normalize_logits(uncond), logp_floor)
@@ -143,27 +73,3 @@ def compose_logits(
     if not np.isfinite(out).any():
         raise AllMassZero("composed vector has no finite entry after clamping")
     return normalize_logits(out)
-
-
-def compose(
-    uncond: LogProbVector | ArrayLike,
-    conds: Sequence[LogProbVector | ArrayLike],
-    weights: Sequence[float],
-    cfg: ComposeConfig | None = None,
-) -> LogProbVector:
-    """Weighted product-of-experts combination of categorical distributions.
-
-    With no conditionals the result is just the normalized unconditional
-    vector. Temperature is never applied here; use `apply_temperature` at
-    sampling time.
-    """
-    cfg = cfg or ComposeConfig()
-    arrays = [_as_logits(c) for c in conds]
-    return LogProbVector(compose_logits(_as_logits(uncond), arrays, list(weights), cfg.logp_floor))
-
-
-def apply_temperature(d: LogProbVector | ArrayLike, temperature: float) -> LogProbVector:
-    """Sharpen (T < 1) or flatten (T > 1) a distribution; T = 1 is identity."""
-    if not (temperature > 0.0) or not math.isfinite(temperature):
-        raise NonPositiveTemperature(f"temperature must be finite and > 0, got {temperature}")
-    return LogProbVector(normalize_logits(_as_logits(d) / temperature))

@@ -18,6 +18,7 @@ Conditions use a compact one-token syntax, space separated in the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -49,9 +50,12 @@ def _parse_int(text: str) -> int:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValidationError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_bool(text: str) -> bool:

@@ -13,20 +13,25 @@ Layout (all integers little-endian):
 Numeric arrays travel as raw little-endian buffers with dtype and shape in
 the section's meta, so identical inputs always produce identical bytes.
 dump_text renders any container as a human-readable listing for debugging.
+
+Reading trusts nothing in the file: a truncated or corrupted artifact either
+loads or raises ValidationError, never a decoding or indexing error.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import Codebook
 from .countmodel import CountModel
-from .errors import ValidationError
+from .errors import MaskComposeError, ValidationError
 from .worlds import FactorizedWorld, SceneWorld, WorldJoint
 
 MAGIC = b"DCW1"
@@ -68,30 +73,77 @@ def read_container(path: str) -> list[Section]:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise ValidationError(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    version, count = struct.unpack_from("<II", raw, 4)
+    pos = 4
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(raw):
+            raise ValidationError(f"container is truncated: {n} bytes wanted at byte {pos}")
+        pos += n
+        return raw[pos - n : pos]
+
+    version, count = struct.unpack("<II", take(8))
     if version != VERSION:
         raise ValidationError(f"unsupported container version {version}")
-    pos = 12
     out = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        name = raw[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (meta_len,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        meta = json.loads(raw[pos : pos + meta_len])
-        pos += meta_len
-        (data_len,) = struct.unpack_from("<Q", raw, pos)
-        pos += 8
-        data = raw[pos : pos + data_len]
-        pos += data_len
-        if len(data) != data_len:
-            raise ValidationError(f"section {name!r} is truncated")
+    for i in range(count):
+        name = take(struct.unpack("<I", take(4))[0])
+        meta = take(struct.unpack("<I", take(4))[0])
+        data = take(struct.unpack("<Q", take(8))[0])
+        try:
+            name, meta = name.decode("utf-8"), json.loads(meta)
+        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+            raise ValidationError(f"section {i} does not decode: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ValidationError(f"section {name!r} meta is not a JSON object")
         out.append(Section(name, meta, data))
     if pos != len(raw):
         raise ValidationError(f"{len(raw) - pos} trailing bytes after last section")
     return out
+
+
+def _field(s: Section, key: str, kind: type):
+    """A meta field a loader reads, checked for presence and type; an int is
+    not a bool, and a float may be an int but must be finite."""
+    value = s.meta.get(key)
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ValidationError(
+            f"section {s.name!r}: meta field {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _nonneg_ints(s: Section, key: str) -> list[int]:
+    """A meta field holding a list of non-negative ints (a shape, cell indices)."""
+    values = _field(s, key, list)
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in values):
+        raise ValidationError(
+            f"section {s.name!r}: meta field {key!r} must list non-negative ints, got {values!r}"
+        )
+    return values
+
+
+def _section(sections: dict[str, Section], name: str) -> Section:
+    if name not in sections:
+        raise ValidationError(f"container has no {name} section")
+    return sections[name]
+
+
+@contextmanager
+def _loading(path: str):
+    """Report anything a loader finds wrong with an artifact as a
+    ValidationError naming the file: the checks above, and what the world,
+    model and codebook constructors reject."""
+    try:
+        yield
+    except (ValueError, MaskComposeError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def array_section(name: str, arr: np.ndarray, extra: dict | None = None) -> Section:
@@ -106,9 +158,16 @@ def array_section(name: str, arr: np.ndarray, extra: dict | None = None) -> Sect
 
 
 def section_array(s: Section) -> np.ndarray:
-    dtype = _DTYPES[s.meta["dtype"]]
-    arr = np.frombuffer(s.data, dtype=np.dtype(dtype).newbyteorder("<"))
-    return arr.reshape(s.meta["shape"]).astype(dtype)
+    name = _field(s, "dtype", str)
+    if name not in _DTYPES:
+        raise ValidationError(f"section {s.name!r}: unsupported array dtype {name!r}")
+    shape = _nonneg_ints(s, "shape")
+    dtype = np.dtype(_DTYPES[name]).newbyteorder("<")
+    if math.prod(shape) * dtype.itemsize != len(s.data):
+        raise ValidationError(
+            f"section {s.name!r}: {len(s.data)} bytes do not hold a {name} array of shape {shape}"
+        )
+    return np.frombuffer(s.data, dtype=dtype).reshape(shape).astype(_DTYPES[name])
 
 
 def dump_text(path: str) -> str:
@@ -145,27 +204,28 @@ def save_world(path: str, world: WorldJoint, extra: list[Section] | None = None)
 
 
 def load_world(path: str) -> WorldJoint:
-    sections = {s.name: s for s in read_container(path)}
-    if "world" not in sections:
-        raise ValidationError("container has no world section")
-    params = dict(sections["world"].meta)
-    kind = params.pop("kind", None)
-    if kind == "scene":
-        return SceneWorld(**params)
-    if kind == "factorized":
-        prior = section_array(sections["prior_tables"])
-        world = FactorizedWorld(
-            params["grid_w"], params["grid_h"], params["vocab_size"], prior
-        )
-        for name, s in sections.items():
-            if name.startswith("condition/"):
-                stacked = section_array(s)
-                world.add_condition(
-                    name.split("/", 1)[1],
-                    {int(c): stacked[i] for i, c in enumerate(s.meta["cells"])},
-                )
-        return world
-    raise ValidationError(f"unknown world kind {kind!r}")
+    with _loading(path):
+        sections = {s.name: s for s in read_container(path)}
+        head = _section(sections, "world")
+        kind = head.meta.get("kind")
+        if kind == "scene":
+            dims = ("grid_w", "grid_h", "n_shapes", "n_colors", "max_objects")
+            return SceneWorld(
+                *(_field(head, k, int) for k in dims), relational=_field(head, "relational", bool)
+            )
+        if kind == "factorized":
+            world = FactorizedWorld(
+                *(_field(head, k, int) for k in ("grid_w", "grid_h", "vocab_size")),
+                section_array(_section(sections, "prior_tables")),
+            )
+            for name, s in sections.items():
+                if name.startswith("condition/"):
+                    stacked, cells = section_array(s), _nonneg_ints(s, "cells")
+                    if stacked.ndim != 2 or stacked.shape[0] != len(cells):
+                        raise ValidationError(f"section {name!r}: one table row per cell expected")
+                    world.add_condition(name.split("/", 1)[1], dict(zip(cells, stacked)))
+            return world
+        raise ValidationError(f"unknown world kind {kind!r}")
 
 
 # count model <-> container ---------------------------------------------------
@@ -209,30 +269,36 @@ def _deep_tuple(value):
 
 def _decode_keys(data: bytes) -> list[tuple]:
     out = []
-    for pos, sig, ckey in json.loads(data):
-        out.append((int(pos), tuple(int(v) for v in sig), _deep_tuple(ckey)))
+    try:
+        for pos, sig, ckey in json.loads(data):
+            key = (int(pos), tuple(int(v) for v in sig), _deep_tuple(ckey))
+            hash(key)  # a JSON object in the condition key would not be
+            out.append(key)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bucket keys do not decode: {exc}") from None
     return out
 
 
 def load_count_model(path: str) -> CountModel:
-    sections = {s.name: s for s in read_container(path)}
-    if "count_model" not in sections:
-        raise ValidationError("container has no count_model section")
-    meta = sections["count_model"].meta
-    model = CountModel(
-        grid_w=meta["grid_w"],
-        grid_h=meta["grid_h"],
-        vocab_size=meta["vocab_size"],
-        alpha=meta["alpha"],
-        dropout_prob=meta["dropout_prob"],
-        n_samples=meta["n_samples"],
-        rng_seed=meta["rng_seed"],
-    )
-    keys = _decode_keys(sections["bucket_keys"].data)
-    counts = section_array(sections["bucket_counts"])
-    for i, key in enumerate(keys):
-        model.counts[key] = counts[i].copy()
-    return model
+    with _loading(path):
+        sections = {s.name: s for s in read_container(path)}
+        head = _section(sections, "count_model")
+        model = CountModel(
+            grid_w=_field(head, "grid_w", int),
+            grid_h=_field(head, "grid_h", int),
+            vocab_size=_field(head, "vocab_size", int),
+            alpha=_field(head, "alpha", float),
+            dropout_prob=_field(head, "dropout_prob", float),
+            n_samples=_field(head, "n_samples", int),
+            rng_seed=_field(head, "rng_seed", int),
+        )
+        keys = _decode_keys(_section(sections, "bucket_keys").data)
+        counts = section_array(_section(sections, "bucket_counts"))
+        if counts.shape != (len(keys), model.vocab_size) or (counts < 0).any():
+            raise ValidationError("bucket counts must be one non-negative row per bucket key")
+        for i, key in enumerate(keys):
+            model.counts[key] = counts[i].copy()
+        return model
 
 
 # codebook <-> container ------------------------------------------------------
@@ -248,15 +314,16 @@ def save_codebook(path: str, cb: Codebook, extra: list[Section] | None = None):
 
 
 def load_codebook(path: str) -> Codebook:
-    sections = {s.name: s for s in read_container(path)}
-    if "codebook" not in sections:
-        raise ValidationError("container has no codebook section")
-    meta = sections["codebook"].meta
-    history = tuple(float(v) for v in section_array(sections["objective_history"]))
-    return Codebook(
-        entries=section_array(sections["entries"]),
-        patch_h=meta["patch_h"],
-        patch_w=meta["patch_w"],
-        channels=meta["channels"],
-        objective_history=history,
-    )
+    with _loading(path):
+        sections = {s.name: s for s in read_container(path)}
+        head = _section(sections, "codebook")
+        history = section_array(_section(sections, "objective_history"))
+        if history.ndim != 1:
+            raise ValidationError("objective_history must be 1-d")
+        return Codebook(
+            entries=section_array(_section(sections, "entries")),
+            patch_h=_field(head, "patch_h", int),
+            patch_w=_field(head, "patch_w", int),
+            channels=_field(head, "channels", int),
+            objective_history=tuple(float(v) for v in history),
+        )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,16 +53,6 @@ def _histograms(samples: np.ndarray, vocab_size: int) -> np.ndarray:
     for p in range(samples.shape[1]):
         out[p] = np.bincount(samples[:, p], minlength=vocab_size)
     return out / samples.shape[0]
-
-
-def tv_proxy(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
-    """Mean over positions of total variation between token histograms."""
-    a, b = np.asarray(samples_a), np.asarray(samples_b)
-    if a.shape[1] != b.shape[1]:
-        raise ValidationError("sample sets must share the grid length")
-    k = int(max(a.max(), b.max())) + 1
-    ha, hb = _histograms(a, k), _histograms(b, k)
-    return float(0.5 * np.abs(ha - hb).sum(axis=1).mean())
 
 
 def tv_to_marginals(samples: np.ndarray, marginals: np.ndarray) -> float:
@@ -193,13 +183,26 @@ class _ConditionSetSampler:
         return self._marginals[self._key(conds)]
 
 
-def _check_eval_count(stats, sched: SamplerSchedule, length: int, n_conditions: int):
-    expect = count_evaluations(sched, length, n_conditions)
+def _sample(
+    model, length: int, conds: Sequence, weights: Sequence[float],
+    sched: SamplerSchedule, rng: np.random.Generator,
+) -> np.ndarray:
+    """Sample one grid under a seed drawn from rng; check the evaluation-count law.
+
+    Every suite samples through here, one run_to_completion call per grid.
+    AllMassZero from the run propagates to the caller.
+    """
+    seed = int(rng.integers(_SEED_BOUND))
+    tokens, stats = run_to_completion(
+        MaskedState.fully_masked(length), model, conds, weights, reseeded(sched, seed)
+    )
+    expect = count_evaluations(sched, length, len(conds))
     if stats.evaluations != expect:
         raise ValidationError(
             f"evaluation-count law violated: measured {stats.evaluations}, "
             f"law gives {expect}"
         )
+    return tokens
 
 
 def run_error_eval(
@@ -228,27 +231,22 @@ def run_error_eval(
     sampler = _ConditionSetSampler(world, pool if pool is not None else predicate_pool(world), max_retries)
     rng = np.random.default_rng(rng_seed)
     length = world.length
-    n_for_law = 0 if n_components == 0 else (1 if joint_prompt else n_components)
+    n_for_law = 1 if joint_prompt and n_components > 0 else n_components
     completed = []
     mixture = np.zeros((length, world.vocab_size))
     errors = 0
     t0 = time.perf_counter()
     for _ in range(n_samples):
         conds = sampler.draw(n_components, rng)
-        seed = int(rng.integers(_SEED_BOUND))
         if joint_prompt and n_components > 0:
             run_conds, run_weights = [tuple(conds)], [weight]
         else:
             run_conds, run_weights = list(conds), [weight] * n_components
         try:
-            tokens, stats = run_to_completion(
-                MaskedState.fully_masked(length), model, run_conds, run_weights,
-                reseeded(sched, seed),
-            )
+            tokens = _sample(model, length, run_conds, run_weights, sched, rng)
         except AllMassZero:
             errors += 1
             continue
-        _check_eval_count(stats, sched, length, n_for_law)
         if conds and not world.check_conditions(tokens, conds).all():
             errors += 1
         completed.append(tokens)
@@ -309,15 +307,10 @@ class OodResult:
 def _satisfaction_arm(world, model, run_conds, weights, check_conds, sched, rng, n_runs):
     hits, outputs = 0, set()
     for _ in range(n_runs):
-        seed = int(rng.integers(_SEED_BOUND))
         try:
-            tokens, stats = run_to_completion(
-                MaskedState.fully_masked(world.length), model, run_conds, weights,
-                reseeded(sched, seed),
-            )
+            tokens = _sample(model, world.length, run_conds, weights, sched, rng)
         except AllMassZero:
             continue
-        _check_eval_count(stats, sched, world.length, len(run_conds))
         if world.check_conditions(tokens, check_conds).all():
             hits += 1
         outputs.add(tokens.tobytes())
@@ -455,12 +448,7 @@ def run_negation_eval(
     for w in weights:
         hits = 0
         for _ in range(n_samples):
-            seed = int(rng.integers(_SEED_BOUND))
-            tokens, stats = run_to_completion(
-                MaskedState.fully_masked(world.length), model, [cond], [float(w)],
-                reseeded(sched, seed),
-            )
-            _check_eval_count(stats, sched, world.length, 1)
+            tokens = _sample(model, world.length, [cond], [float(w)], sched, rng)
             hits += int(world.check_conditions(tokens, [cond])[0])
         rates.append(hits / n_samples)
         sigmas.append(two_sigma_bound(hits / n_samples, n_samples))
@@ -469,12 +457,7 @@ def run_negation_eval(
     else:
         hits = 0
         for _ in range(n_samples):
-            seed = int(rng.integers(_SEED_BOUND))
-            tokens, stats = run_to_completion(
-                MaskedState.fully_masked(world.length), model, [], [],
-                reseeded(sched, seed),
-            )
-            _check_eval_count(stats, sched, world.length, 0)
+            tokens = _sample(model, world.length, [], [], sched, rng)
             hits += int(world.check_conditions(tokens, [cond])[0])
         p0_measured = hits / n_samples
     return NegationResult(
@@ -532,29 +515,22 @@ def run_bench(
     for s in tokens_per_step_grid:
         for n in n_conditions_grid:
             conds = [pool[int(i)] for i in rng.choice(len(pool), size=n, replace=False)]
-            run_sched = SamplerSchedule(
-                mode=sched.mode, tokens_per_step=int(s), order_policy=sched.order_policy,
-                rng_seed=sched.rng_seed, temperature=sched.temperature,
-            )
+            run_sched = replace(sched, tokens_per_step=int(s))
             t0 = time.perf_counter()
-            measured = None
             for _ in range(n_runs):
-                seed = int(rng.integers(_SEED_BOUND))
-                _, stats = run_to_completion(
-                    MaskedState.fully_masked(world.length), model, conds,
-                    [1.0] * n, reseeded(run_sched, seed),
-                )
-                _check_eval_count(stats, run_sched, world.length, n)
-                measured = stats
+                _sample(model, world.length, conds, [1.0] * n, run_sched, rng)
             elapsed = time.perf_counter() - t0
+            # _sample checked every run's evaluations against the law, and a
+            # run makes n + 1 evaluations per step
+            evaluations = count_evaluations(run_sched, world.length, n)
             rows.append(
                 BenchRow(
                     mode=run_sched.mode,
                     tokens_per_step=int(s),
                     n_conditions=n,
                     length=world.length,
-                    steps=measured.steps,
-                    evaluations=measured.evaluations,
+                    steps=evaluations // (n + 1),
+                    evaluations=evaluations,
                     n_runs=n_runs,
                     wall_per_run=elapsed / n_runs,
                 )
@@ -586,12 +562,7 @@ def run_batch_bench(
             rng = np.random.default_rng(rng_seed + r)
             t0 = time.perf_counter()
             for _ in range(b):
-                seed = int(rng.integers(_SEED_BOUND))
-                _, stats = run_to_completion(
-                    MaskedState.fully_masked(world.length), model, list(conds),
-                    [1.0] * len(conds), reseeded(sched, seed),
-                )
-                _check_eval_count(stats, sched, world.length, len(conds))
+                _sample(model, world.length, list(conds), [1.0] * len(conds), sched, rng)
             best = min(best, (time.perf_counter() - t0) / b)
         out.append({"type": "batch_bench", "batch_size": int(b), "wall_per_image": best})
     return out
@@ -616,11 +587,5 @@ def fidelity_tv(
     conds = [cond] if cond is not None else []
     weights = [1.0] * len(conds)
     for i in range(n_samples):
-        seed = int(rng.integers(_SEED_BOUND))
-        tokens, stats = run_to_completion(
-            MaskedState.fully_masked(world.length), model, conds, weights,
-            reseeded(sched, seed),
-        )
-        _check_eval_count(stats, sched, world.length, len(conds))
-        samples[i] = tokens
+        samples[i] = _sample(model, world.length, conds, weights, sched, rng)
     return joint_tv(samples, post.grids, post.probs)

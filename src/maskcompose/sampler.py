@@ -296,22 +296,5 @@ def run_to_completion(
     return state.tokens.copy(), stats
 
 
-def schedule_for(
-    mode: str = MODE_MASKED,
-    tokens_per_step: int = 1,
-    order_policy: str = ORDER_RANDOM,
-    rng_seed: int = 0,
-    temperature: float = DEFAULT_TEMPERATURE,
-) -> SamplerSchedule:
-    """Convenience constructor mirroring SamplerSchedule's fields."""
-    return SamplerSchedule(
-        mode=mode,
-        tokens_per_step=tokens_per_step,
-        order_policy=order_policy,
-        rng_seed=rng_seed,
-        temperature=temperature,
-    )
-
-
 def reseeded(sched: SamplerSchedule, rng_seed: int) -> SamplerSchedule:
     return replace(sched, rng_seed=rng_seed)

@@ -484,7 +484,10 @@ class FactorizedWorld(WorldJoint):
                 raise InvalidTable(f"table for cell {cell} has shape {row.shape}")
             if (row < 0.0).any() or not math.isclose(float(row.sum()), 1.0, abs_tol=1e-9):
                 raise InvalidTable(f"table for cell {cell} is not a probability vector")
-            compiled[self._cell_index(cell)] = row
+            idx = self._cell_index(cell)
+            if not 0 <= idx < self.length:
+                raise InvalidTable(f"cell {cell} lies outside the {self.grid_w}x{self.grid_h} grid")
+            compiled[idx] = row
         if not compiled:
             raise InvalidTable("a condition needs at least one cell table")
         self.table_conditions[str(name)] = compiled
@@ -628,10 +631,6 @@ def build_random_factorized_world(
 
 def enumerate_posterior(world: WorldJoint, conds: Sequence[ConditionSpec]) -> Posterior:
     return world.enumerate_posterior(conds)
-
-
-def check_conditions(world: WorldJoint, grid: np.ndarray, conds) -> np.ndarray:
-    return world.check_conditions(grid, conds)
 
 
 class ExactConditionalModel:

@@ -123,6 +123,30 @@ class TestSample:
         assert main(["sample", "--config", cfg, "--out", out]) == EXIT_VALIDATION
         assert "fit-model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_is_validation_error(self, tmp_path, capsys, weight):
+        cfg = write_cfg(
+            tmp_path,
+            SMALL_WORLD + "model.kind = exact\n"
+            "conditions.specs = object_at_cell:0,0\n"
+            f"conditions.weights = {weight}\n",
+        )
+        out = str(tmp_path / "run")
+        assert main(["sample", "--config", cfg, "--out", out]) == EXIT_VALIDATION
+        assert "conditions.weights" in capsys.readouterr().err
+
+    def test_truncated_model_artifact_is_validation_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_WORLD + "model.n_samples = 200\n")
+        out = str(tmp_path / "run")
+        assert main(["fit-model", "--config", cfg, "--out", out]) == EXIT_OK
+        path = os.path.join(out, "model.dcw1")
+        with open(path, "rb") as fh:
+            head = fh.read(40)
+        with open(path, "wb") as fh:
+            fh.write(head)
+        assert main(["sample", "--config", cfg, "--out", out]) == EXIT_VALIDATION
+        assert "model.dcw1" in capsys.readouterr().err
+
     def test_contradictory_conditions_exit_sampling(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,

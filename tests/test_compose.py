@@ -6,21 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskcompose.compose import (
-    ComposeConfig,
-    LogProbVector,
-    apply_temperature,
-    compose,
-    compose_logits,
-    logsumexp,
-    normalize,
-)
-from maskcompose.errors import AllMassZero, NonPositiveTemperature, ShapeMismatch
+from maskcompose.compose import compose_logits, normalize_logits
+from maskcompose.errors import AllMassZero, ShapeMismatch
+
+
+def vec(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 def logp(values):
     with np.errstate(divide="ignore"):
-        return np.log(np.asarray(values, dtype=np.float64))
+        return np.log(vec(values))
+
+
+def logsumexp(x):
+    m = float(np.max(x))
+    return m + math.log(float(np.sum(np.exp(x - m))))
 
 
 def poe_oracle(uncond_probs, cond_probs_list):
@@ -49,59 +50,57 @@ finite_logits = st.lists(
 
 class TestNormalize:
     def test_uniform(self):
-        out = normalize([0.0, 0.0, 0.0, 0.0])
-        assert np.allclose(out.logp, math.log(0.25))
+        out = normalize_logits(vec([0.0, 0.0, 0.0, 0.0]))
+        assert np.allclose(out, math.log(0.25))
 
     def test_overflow_safe_symmetry(self):
-        out = normalize([1000.0, 1000.0])
-        assert np.allclose(out.logp, math.log(0.5))
+        out = normalize_logits(vec([1000.0, 1000.0]))
+        assert np.allclose(out, math.log(0.5))
 
     def test_quarter_three_quarters(self):
         # logsumexp([0, ln 3]) = ln 4, so the result is [ln 1/4, ln 3/4]
-        out = normalize([0.0, math.log(3.0)])
-        assert np.allclose(out.logp, [math.log(0.25), math.log(0.75)], atol=1e-15)
+        out = normalize_logits(vec([0.0, math.log(3.0)]))
+        assert np.allclose(out, [math.log(0.25), math.log(0.75)], atol=1e-15)
 
     def test_all_neg_inf_raises(self):
         with pytest.raises(AllMassZero):
-            normalize([-math.inf, -math.inf])
+            normalize_logits(vec([-math.inf, -math.inf]))
 
     def test_nan_raises(self):
         with pytest.raises(AllMassZero):
-            normalize([0.0, math.nan])
+            normalize_logits(vec([0.0, math.nan]))
 
     def test_empty_raises(self):
         with pytest.raises(ShapeMismatch):
-            normalize([])
+            compose_logits(vec([]), [], [])
 
     @given(finite_logits)
     def test_sums_to_one_and_preserves_argmax(self, logits):
-        out = normalize(logits)
-        assert abs(logsumexp(out.logp)) < 1e-12
+        out = normalize_logits(vec(logits))
+        assert abs(logsumexp(out)) < 1e-12
         # the input argmax stays maximal (ties may be absorbed by rounding)
-        assert out.logp[int(np.argmax(np.asarray(logits)))] == np.max(out.logp)
+        assert out[int(np.argmax(np.asarray(logits)))] == np.max(out)
 
     @given(finite_logits)
     def test_idempotent(self, logits):
-        once = normalize(logits)
-        twice = normalize(once)
-        assert np.allclose(once.logp, twice.logp, atol=1e-12)
+        once = normalize_logits(vec(logits))
+        twice = normalize_logits(once)
+        assert np.allclose(once, twice, atol=1e-12)
 
 
 class TestCompose:
     def test_uniform_prior_cancels(self):
-        uncond = normalize(np.zeros(4))
+        uncond = normalize_logits(np.zeros(4))
         cond = logp([0.5, 0.5, 0.0, 0.0])
-        out = compose(uncond, [cond], [1.0])
-        p = out.probs()
+        p = np.exp(compose_logits(uncond, [cond], [1.0]))
         assert np.allclose(p[:2], 0.5, atol=1e-12)
         assert np.all(p[2:] <= math.exp(-30.0))
 
     def test_support_intersection(self):
-        uncond = normalize(np.zeros(4))
+        uncond = normalize_logits(np.zeros(4))
         c1 = logp([0.5, 0.5, 0.0, 0.0])
         c2 = logp([0.5, 0.0, 0.5, 0.0])
-        out = compose(uncond, [c1, c2], [1.0, 1.0])
-        p = out.probs()
+        p = np.exp(compose_logits(uncond, [c1, c2], [1.0, 1.0]))
         assert p[0] > 1.0 - 1e-10
         assert np.all(p[1:] < 1e-10)
 
@@ -112,21 +111,21 @@ class TestCompose:
             float(Fraction(16, 17)),
             float(Fraction(1, 17)),
         ]
-        uncond = normalize([math.log(0.5), math.log(0.5)])
-        cond = normalize([math.log(0.8), math.log(0.2)])
-        out = compose(uncond, [cond], [2.0])
-        assert np.allclose(out.probs(), expected, atol=1e-12)
-        assert np.allclose(out.probs(), [0.64 / 0.68, 0.04 / 0.68], atol=1e-12)
+        uncond = normalize_logits(vec([math.log(0.5), math.log(0.5)]))
+        cond = normalize_logits(vec([math.log(0.8), math.log(0.2)]))
+        p = np.exp(compose_logits(uncond, [cond], [2.0]))
+        assert np.allclose(p, expected, atol=1e-12)
+        assert np.allclose(p, [0.64 / 0.68, 0.04 / 0.68], atol=1e-12)
 
     def test_no_conditions_returns_normalized_uncond(self):
-        out = compose([1.0, 2.0, 0.5], [], [])
-        assert np.allclose(out.logp, normalize([1.0, 2.0, 0.5]).logp)
+        out = compose_logits(vec([1.0, 2.0, 0.5]), [], [])
+        assert np.allclose(out, normalize_logits(vec([1.0, 2.0, 0.5])))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            compose(np.zeros(3), [np.zeros(4)], [1.0])
+            compose_logits(np.zeros(3), [np.zeros(4)], [1.0])
         with pytest.raises(ShapeMismatch):
-            compose(np.zeros(3), [np.zeros(3)], [1.0, 1.0])
+            compose_logits(np.zeros(3), [np.zeros(3)], [1.0, 1.0])
 
     @given(
         st.integers(min_value=2, max_value=16),
@@ -144,12 +143,12 @@ class TestCompose:
         uncond = draw_probs()
         conds = [draw_probs() for _ in range(n)]
         expected = poe_oracle(uncond, conds)
-        out = compose(
+        out = compose_logits(
             np.log(np.array([float(x) for x in uncond])),
             [np.log(np.array([float(x) for x in c])) for c in conds],
             [1.0] * n,
         )
-        assert np.allclose(out.probs(), expected, atol=1e-10)
+        assert np.allclose(np.exp(out), expected, atol=1e-10)
 
     @given(
         st.lists(st.floats(min_value=-8.0, max_value=8.0), min_size=2, max_size=8),
@@ -160,11 +159,11 @@ class TestCompose:
     @settings(max_examples=200)
     def test_shift_invariance(self, logits, shift_u, shift_c, w):
         # Adding any constant to either input must not move the output.
-        u = np.asarray(logits)
-        c = np.asarray(logits[::-1])
-        base = compose(u, [c], [w])
-        shifted = compose(u + shift_u, [c + shift_c], [w])
-        assert np.allclose(base.logp, shifted.logp, atol=1e-12)
+        u = vec(logits)
+        c = vec(logits[::-1])
+        base = compose_logits(u, [c], [w])
+        shifted = compose_logits(u + shift_u, [c + shift_c], [w])
+        assert np.allclose(base, shifted, atol=1e-12)
 
     @given(
         st.lists(st.floats(min_value=-8.0, max_value=8.0), min_size=2, max_size=8),
@@ -175,97 +174,69 @@ class TestCompose:
         # n = 1: u + w (c - u) == (1 - w) u + w c before normalization.
         u = np.asarray(logits, dtype=np.float64)
         c = np.asarray(logits[::-1], dtype=np.float64)
-        out = compose(u, [c], [w])
-        un = np.maximum(normalize(u).logp, -30.0)
-        cn = np.maximum(normalize(c).logp, -30.0)
-        guided = normalize((1.0 - w) * un + w * cn)
-        assert np.allclose(out.logp, guided.logp, atol=1e-12)
+        out = compose_logits(u, [c], [w])
+        un = np.maximum(normalize_logits(u), -30.0)
+        cn = np.maximum(normalize_logits(c), -30.0)
+        guided = normalize_logits((1.0 - w) * un + w * cn)
+        assert np.allclose(out, guided, atol=1e-12)
 
     def test_negation_suppresses_likely_categories(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             k = int(rng.integers(2, 9))
             cond_p = rng.dirichlet(np.ones(k))
-            uncond = normalize(np.zeros(k))
-            out = compose(uncond, [np.log(cond_p)], [-1.0])
-            p = out.probs()
+            uncond = normalize_logits(np.zeros(k))
+            p = np.exp(compose_logits(uncond, [np.log(cond_p)], [-1.0]))
             above = cond_p > 1.0 / k
             assert np.all(p[above] < 1.0 / k)
 
     def test_deterministic_and_pure(self):
         u = np.array([0.3, -1.2, 0.9])
         c = np.array([-0.5, 0.1, 0.2])
-        a = compose(u, [c], [1.7])
-        b = compose(u, [c], [1.7])
-        assert np.array_equal(a.logp, b.logp)
+        a = compose_logits(u, [c], [1.7])
+        b = compose_logits(u, [c], [1.7])
+        assert np.array_equal(a, b)
         # inputs are untouched
         assert np.array_equal(u, [0.3, -1.2, 0.9])
 
     def test_negative_weight_on_zero_probability_is_bounded(self):
-        uncond = normalize(np.zeros(3))
+        uncond = normalize_logits(np.zeros(3))
         cond = logp([1.0, 0.0, 0.0])  # -inf entries
-        out = compose(uncond, [cond], [-1.0])
-        assert np.all(np.isfinite(out.logp))
+        out = compose_logits(uncond, [cond], [-1.0])
+        assert np.all(np.isfinite(out))
         # the zero-probability categories win after negation
-        assert out.probs()[0] < 1e-10
+        assert np.exp(out)[0] < 1e-10
 
 
 class TestApplyTemperature:
+    """Temperature as the sampler applies it to a composed vector:
+    normalize_logits(x / T). SamplerSchedule rejects a T that is not finite
+    and positive (tests/test_sampler.py)."""
+
     def test_identity_at_one(self):
-        d = normalize([0.2, -0.4, 1.3])
-        out = apply_temperature(d, 1.0)
-        assert np.allclose(out.logp, d.logp, atol=1e-12)
+        d = normalize_logits(vec([0.2, -0.4, 1.3]))
+        out = normalize_logits(d / 1.0)
+        assert np.allclose(out, d, atol=1e-12)
 
     def test_limit_to_argmax(self):
-        d = normalize([math.log(0.75), math.log(0.25)])
-        out = apply_temperature(d, 1e-9)
-        assert np.allclose(out.probs(), [1.0, 0.0], atol=1e-12)
+        d = normalize_logits(vec([math.log(0.75), math.log(0.25)]))
+        out = normalize_logits(d / 1e-9)
+        assert np.allclose(np.exp(out), [1.0, 0.0], atol=1e-12)
 
     def test_half_temperature_squares(self):
         # (3/4)^2 / ((3/4)^2 + (1/4)^2) = 9/10
-        d = normalize([math.log(0.75), math.log(0.25)])
-        out = apply_temperature(d, 0.5)
-        assert np.allclose(out.probs(), [0.9, 0.1], atol=1e-12)
+        d = normalize_logits(vec([math.log(0.75), math.log(0.25)]))
+        out = normalize_logits(d / 0.5)
+        assert np.allclose(np.exp(out), [0.9, 0.1], atol=1e-12)
 
     @given(finite_logits, st.floats(min_value=0.05, max_value=20.0))
     @settings(max_examples=100)
     def test_argmax_preserved(self, logits, temp):
-        d = normalize(logits)
-        out = apply_temperature(d, temp)
-        assert out.logp[int(np.argmax(d.logp))] == np.max(out.logp)
-
-    def test_rejects_bad_temperature(self):
-        d = normalize([0.0, 0.0])
-        for t in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(NonPositiveTemperature):
-                apply_temperature(d, t)
+        d = normalize_logits(vec(logits))
+        out = normalize_logits(d / temp)
+        assert out[int(np.argmax(d))] == np.max(out)
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = ComposeConfig()
-        assert cfg.logp_floor == -30.0
-        assert cfg.temperature == 0.9
-
-    def test_rejects_bad_floor(self):
-        with pytest.raises(ValueError):
-            ComposeConfig(logp_floor=0.0)
-        with pytest.raises(ValueError):
-            ComposeConfig(logp_floor=math.inf)
-
-    def test_rejects_bad_temperature(self):
-        with pytest.raises(NonPositiveTemperature):
-            ComposeConfig(temperature=0.0)
-
-
-def test_compose_logits_matches_public_wrapper():
-    u = np.array([0.1, 0.2, 0.3])
-    c = np.array([0.3, 0.1, 0.1])
-    raw = compose_logits(u, [c], [0.5])
-    wrapped = compose(u, [c], [0.5])
-    assert np.array_equal(raw, wrapped.logp)
-
-
-def test_logprobvector_validates():
+def test_compose_logits_rejects_2d():
     with pytest.raises(ShapeMismatch):
-        LogProbVector(np.zeros((2, 2)))
+        compose_logits(np.zeros((2, 2)), [], [])

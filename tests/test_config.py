@@ -59,6 +59,23 @@ class TestParsing:
         with pytest.raises(ValidationError, match="world.grid_w"):
             parse_config_text("world.grid_w = wide")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "conditions.weights = nan",
+            "conditions.weights = inf",
+            "eval.weight_sweep = -1 -inf 1",
+            "schedule.temperature = inf",
+            "schedule.temperature = nan",
+            "model.alpha = nan",
+            "model.alpha = inf",
+            "model.dropout_prob = nan",
+        ],
+    )
+    def test_non_finite_number_names_field(self, line):
+        with pytest.raises(ValidationError, match=line.split(" =")[0]):
+            parse_config_text(line)
+
     def test_bad_enum_rejected(self):
         with pytest.raises(ValidationError, match="world.kind"):
             parse_config_text("world.kind = cubes")

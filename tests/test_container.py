@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskcompose.codec import learn_codebook
 from maskcompose.container import (
@@ -188,3 +190,75 @@ class TestTextDump:
         assert "prior_tables" in text
         assert "condition/c0" in text
         assert "DCW1" in text
+
+
+LOADERS = {
+    "scene": load_world,
+    "factorized": load_world,
+    "count_model": load_count_model,
+    "codebook": load_codebook,
+}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Valid artifact bytes of each kind, and a scratch path to write corrupt copies to."""
+    root = tmp_path_factory.mktemp("artifacts")
+    world = build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=2, relational=True)
+    rng = np.random.default_rng(0)
+    savers = {
+        "scene": lambda p: save_world(p, world),
+        "factorized": lambda p: save_world(
+            p, build_random_factorized_world(2, 2, 3, n_conditions=2, seed=1)
+        ),
+        "count_model": lambda p: save_count_model(p, fit_count_model(world, 300, rng_seed=2)),
+        "codebook": lambda p: save_codebook(
+            p, learn_codebook(rng.random((20, 4)), n_entries=3, patch_h=1, patch_w=2,
+                              channels=2, rng_seed=0)
+        ),
+    }
+    out = {}
+    for kind, save in savers.items():
+        path = root / f"{kind}.dcw"
+        save(str(path))
+        out[kind] = path.read_bytes()
+    return out, root / "corrupt.dcw"
+
+
+class TestCorruptArtifacts:
+    """A truncated or bit-flipped artifact either loads or raises ValidationError."""
+
+    @given(kind=st.sampled_from(sorted(LOADERS)), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_truncation_or_bit_flip(self, artifacts, kind, data):
+        valid, path = artifacts
+        raw = valid[kind]
+        if data.draw(st.booleans(), label="truncate"):
+            bad = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+            bad = bytearray(raw)
+            bad[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(bad))
+        try:
+            LOADERS[kind](str(path))
+        except ValidationError:
+            pass
+
+    def test_truncated_artifact_names_the_file(self, artifacts):
+        valid, path = artifacts
+        path.write_bytes(valid["count_model"][:40])
+        with pytest.raises(ValidationError, match="corrupt.dcw"):
+            load_count_model(str(path))
+
+    @pytest.mark.parametrize("edit", [lambda c: c[1:], lambda c: c[:, 1:], lambda c: -c])
+    def test_rejects_bucket_counts_that_do_not_fit_the_keys(self, artifacts, edit):
+        valid, path = artifacts
+        path.write_bytes(valid["count_model"])
+        sections = read_container(str(path))
+        for i, s in enumerate(sections):
+            if s.name == "bucket_counts":
+                sections[i] = array_section(s.name, edit(section_array(s)))
+        write_container(str(path), sections)
+        with pytest.raises(ValidationError, match="bucket counts"):
+            load_count_model(str(path))

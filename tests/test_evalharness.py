@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from maskcompose import evalharness
 from maskcompose.errors import ValidationError
 from maskcompose.countmodel import fit_count_model
 from maskcompose.evalharness import (
@@ -23,7 +24,6 @@ from maskcompose.evalharness import (
     run_negation_eval,
     run_ood_eval,
     strip_timing,
-    tv_proxy,
     tv_to_marginals,
     two_sigma_bound,
 )
@@ -41,21 +41,6 @@ class TestMetrics:
     def test_two_sigma_formula(self):
         assert two_sigma_bound(0.5, 100) == pytest.approx(2 * math.sqrt(0.25 / 100))
         assert two_sigma_bound(0.0, 10) == 0.0
-
-    def test_tv_proxy_identical_is_zero(self):
-        a = np.array([[0, 1], [1, 0], [2, 2]])
-        assert tv_proxy(a, a.copy()) == 0.0
-
-    def test_tv_proxy_disjoint_is_one(self):
-        a = np.zeros((5, 3), dtype=int)
-        b = np.ones((7, 3), dtype=int)
-        assert tv_proxy(a, b) == pytest.approx(1.0)
-
-    def test_tv_proxy_symmetric(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 3, size=(40, 4))
-        b = rng.integers(0, 3, size=(60, 4))
-        assert tv_proxy(a, b) == pytest.approx(tv_proxy(b, a))
 
     def test_tv_to_marginals_hand_value(self):
         samples = np.array([[0], [0], [1], [1]])
@@ -307,3 +292,55 @@ class TestFidelity:
         world = build_scene_world(2, 1, n_shapes=1, n_colors=2, max_objects=2)
         tv = fidelity_tv(world, None, 4000, rng_seed=5)
         assert tv <= 0.05
+
+
+class TestEvaluationCountLaw:
+    """Every suite checks each run's evaluations against steps * (n + 1)."""
+
+    @pytest.fixture
+    def miscount(self, monkeypatch):
+        """Make the runs whose conditions pass `which` report one extra evaluation."""
+        real = evalharness.run_to_completion
+
+        def install(which=lambda conds: True):
+            def run(initial, model, conds, weights, sched):
+                tokens, stats = real(initial, model, conds, weights, sched)
+                if which(conds):
+                    stats.evaluations += 1
+                return tokens, stats
+
+            monkeypatch.setattr(evalharness, "run_to_completion", run)
+
+        return install
+
+    @pytest.fixture
+    def setup(self):
+        world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=4)
+        return world, exact_conditional_model(world)
+
+    @pytest.mark.parametrize(
+        "suite",
+        [
+            lambda w, m: fidelity_tv(w, object_at_cell(0, 0), 3, model=m),
+            lambda w, m: run_error_eval(m, w, 1, 3),
+            lambda w, m: run_ood_eval(m, w, train_max_objects=1, test_n_conditions=2, n_runs=3),
+            lambda w, m: run_negation_eval(m, w, object_at_cell(1, 1), 3, weights=(0.0, 1.0)),
+            lambda w, m: run_bench(m, w, (1,), (1,), n_runs=1),
+            lambda w, m: run_batch_bench(
+                lambda: m, w, [object_at_cell(0, 0)], batch_sizes=(1,), repeats=1
+            ),
+        ],
+        ids=["fidelity", "error", "ood", "negation", "bench", "batch_bench"],
+    )
+    def test_every_suite_rejects_a_miscounted_run(self, miscount, setup, suite):
+        miscount()
+        with pytest.raises(ValidationError, match="evaluation-count law"):
+            suite(*setup)
+
+    def test_negation_checks_its_unconditional_arm(self, miscount, setup):
+        world, model = setup
+        miscount(which=lambda conds: not conds)
+        # with w = 0 in the sweep, p0 comes from that arm and no run is unconditional
+        run_negation_eval(model, world, object_at_cell(1, 1), 3, weights=(0.0, 1.0))
+        with pytest.raises(ValidationError, match="evaluation-count law"):
+            run_negation_eval(model, world, object_at_cell(1, 1), 3, weights=(1.0,))

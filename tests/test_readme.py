@@ -1,0 +1,14 @@
+"""README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_use_example_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S)
+    assert block is not None, "README's Library use section has no python block"
+    exec(compile(block.group(1), f"{README}:Library use", "exec"), {})

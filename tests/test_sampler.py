@@ -25,7 +25,6 @@ from maskcompose.sampler import (
     reseeded,
     run_to_completion,
     sample_token,
-    schedule_for,
 )
 
 
@@ -95,10 +94,9 @@ class TestScheduleValidation:
             SamplerSchedule(order_policy="entropy")
 
     def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(NonPositiveTemperature):
-            SamplerSchedule(temperature=0.0)
-        with pytest.raises(NonPositiveTemperature):
-            SamplerSchedule(temperature=-1.0)
+        for t in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(NonPositiveTemperature):
+                SamplerSchedule(temperature=t)
 
     def test_defaults(self):
         s = SamplerSchedule()
@@ -111,19 +109,19 @@ class TestScheduleValidation:
 class TestEvaluationCount:
     # frozen by hand from steps * (n + 1), steps = ceil(L / tokens_per_step)
     def test_one_per_step_nine_slots_two_conditions(self):
-        sched = schedule_for(tokens_per_step=1)
+        sched = SamplerSchedule(tokens_per_step=1)
         assert count_evaluations(sched, length=9, n_conditions=2) == 27
 
     def test_all_at_once_nine_slots_two_conditions(self):
-        sched = schedule_for(tokens_per_step=9)
+        sched = SamplerSchedule(tokens_per_step=9)
         assert count_evaluations(sched, length=9, n_conditions=2) == 3
 
     def test_partial_steps_round_up(self):
-        sched = schedule_for(tokens_per_step=4)
+        sched = SamplerSchedule(tokens_per_step=4)
         assert count_evaluations(sched, length=9, n_conditions=0) == 3
 
     def test_autoregressive_is_length_steps(self):
-        sched = schedule_for(mode=MODE_AUTOREGRESSIVE)
+        sched = SamplerSchedule(mode=MODE_AUTOREGRESSIVE)
         assert count_evaluations(sched, length=9, n_conditions=2) == 27
 
     @given(
@@ -132,7 +130,7 @@ class TestEvaluationCount:
         n=st.integers(0, 5),
     )
     def test_matches_actual_run(self, tokens_per_step, length, n):
-        sched = schedule_for(tokens_per_step=tokens_per_step, rng_seed=3)
+        sched = SamplerSchedule(tokens_per_step=tokens_per_step, rng_seed=3)
         model = uniform_model(length, 3)
         conds = [f"c{i}" for i in range(n)]
         tokens, stats = run_to_completion(
@@ -147,7 +145,7 @@ class TestEvaluationCount:
 class TestRunLoop:
     def test_single_step_when_tokens_per_step_covers_grid(self):
         model = uniform_model(4, 2)
-        sched = schedule_for(tokens_per_step=4, rng_seed=1)
+        sched = SamplerSchedule(tokens_per_step=4, rng_seed=1)
         tokens, stats = run_to_completion(
             MaskedState.fully_masked(4), model, ["a"], [1.0], sched
         )
@@ -157,7 +155,7 @@ class TestRunLoop:
 
     def test_autoregressive_fixes_left_to_right(self):
         model = uniform_model(9, 2)
-        sched = schedule_for(mode=MODE_AUTOREGRESSIVE, rng_seed=5)
+        sched = SamplerSchedule(mode=MODE_AUTOREGRESSIVE, rng_seed=5)
         state = MaskedState.fully_masked(9)
         for i in range(9):
             state = composed_step(state, model, [], [], sched, rng=np.random.default_rng(0))
@@ -168,22 +166,22 @@ class TestRunLoop:
     def test_requires_fully_masked_initial(self):
         partial = MaskedState.fully_masked(3).with_fixed([0], [1])
         with pytest.raises(ValueError):
-            run_to_completion(partial, uniform_model(3, 2), [], [], schedule_for())
+            run_to_completion(partial, uniform_model(3, 2), [], [], SamplerSchedule())
 
     def test_step_on_complete_state_raises(self):
         state = MaskedState.fully_masked(1).with_fixed([0], [0])
         with pytest.raises(NoMaskedSlots):
-            composed_step(state, uniform_model(1, 2), [], [], schedule_for())
+            composed_step(state, uniform_model(1, 2), [], [], SamplerSchedule())
 
     def test_mismatched_weights_raise(self):
         with pytest.raises(ShapeMismatch):
             composed_step(
-                MaskedState.fully_masked(2), uniform_model(2, 2), ["a"], [], schedule_for()
+                MaskedState.fully_masked(2), uniform_model(2, 2), ["a"], [], SamplerSchedule()
             )
 
     def test_determinism_same_seed_same_tokens(self):
         model = TableModel(np.array([[0.7, 0.2, 0.1]] * 6))
-        sched = schedule_for(tokens_per_step=2, rng_seed=42)
+        sched = SamplerSchedule(tokens_per_step=2, rng_seed=42)
         a, _ = run_to_completion(MaskedState.fully_masked(6), model, [], [], sched)
         b, _ = run_to_completion(MaskedState.fully_masked(6), model, [], [], sched)
         assert np.array_equal(a, b)
@@ -194,13 +192,13 @@ class TestRunLoop:
         for seed in range(6):
             tokens, _ = run_to_completion(
                 MaskedState.fully_masked(8), model, [], [],
-                schedule_for(tokens_per_step=2, rng_seed=seed),
+                SamplerSchedule(tokens_per_step=2, rng_seed=seed),
             )
             outs.add(tokens.tobytes())
         assert len(outs) > 1
 
     def test_reseeded_changes_only_the_seed(self):
-        sched = schedule_for(tokens_per_step=3, temperature=1.3, rng_seed=1)
+        sched = SamplerSchedule(tokens_per_step=3, temperature=1.3, rng_seed=1)
         again = reseeded(sched, 9)
         assert again.rng_seed == 9
         assert again.tokens_per_step == 3
@@ -218,7 +216,7 @@ class TestRunLoop:
         rng = np.random.default_rng(seed)
         tables = rng.dirichlet(np.ones(3), size=length)
         model = TableModel(tables)
-        sched = schedule_for(
+        sched = SamplerSchedule(
             tokens_per_step=tokens_per_step, order_policy=policy, rng_seed=seed
         )
         run_rng = np.random.default_rng(seed)
@@ -254,7 +252,7 @@ class TestSampling:
         for seed in range(n):
             tokens, _ = run_to_completion(
                 MaskedState.fully_masked(1), model, [], [],
-                schedule_for(rng_seed=seed, temperature=1.0),
+                SamplerSchedule(rng_seed=seed, temperature=1.0),
             )
             hits += int(tokens[0] == 1)
         assert abs(hits / n - 0.5) <= 0.01
@@ -269,7 +267,7 @@ class TestSampling:
             for seed in range(2_000):
                 tokens, _ = run_to_completion(
                     MaskedState.fully_masked(1), hot, [], [],
-                    schedule_for(rng_seed=seed, temperature=temp),
+                    SamplerSchedule(rng_seed=seed, temperature=temp),
                 )
                 wins += int(tokens[0] == 0)
             rates[temp] = wins / 2_000
@@ -279,7 +277,7 @@ class TestSampling:
         # position 1 is near-deterministic, position 0 near-uniform
         tables = np.array([[0.5, 0.5], [0.99, 0.01]])
         model = TableModel(tables)
-        sched = schedule_for(order_policy=ORDER_MAX_CONFIDENCE, temperature=1.0)
+        sched = SamplerSchedule(order_policy=ORDER_MAX_CONFIDENCE, temperature=1.0)
         state = composed_step(
             MaskedState.fully_masked(2), model, [], [], sched,
             rng=np.random.default_rng(0),
@@ -290,7 +288,7 @@ class TestSampling:
     def test_max_confidence_tie_breaks_low_index(self):
         tables = np.array([[0.5, 0.5]] * 3)
         model = TableModel(tables)
-        sched = schedule_for(order_policy=ORDER_MAX_CONFIDENCE)
+        sched = SamplerSchedule(order_policy=ORDER_MAX_CONFIDENCE)
         state = composed_step(
             MaskedState.fully_masked(3), model, [], [], sched,
             rng=np.random.default_rng(0),
@@ -306,7 +304,7 @@ class TestSampling:
         for seed in range(500):
             tokens, _ = run_to_completion(
                 MaskedState.fully_masked(1), model, ["flip"], [2.0],
-                schedule_for(rng_seed=seed, temperature=1.0),
+                SamplerSchedule(rng_seed=seed, temperature=1.0),
             )
             ones += int(tokens[0] == 1)
         assert ones / 500 > 0.9
@@ -330,7 +328,7 @@ class TestComposedMemo:
         model = TableModel([uncond], cond_tables={"c": np.array([cond])})
         composed_step(
             MaskedState.fully_masked(1), model, ["c"], [weight],
-            schedule_for(temperature=temperature), rng=np.random.default_rng(0), logp_floor=floor,
+            SamplerSchedule(temperature=temperature), rng=np.random.default_rng(0), logp_floor=floor,
         )
         return seen[0]
 
@@ -344,7 +342,7 @@ class TestComposedMemo:
                     runs.append([
                         run_to_completion(
                             MaskedState.fully_masked(4), model, ["c"], [-0.5],
-                            schedule_for(order_policy=policy, rng_seed=seed, temperature=temp),
+                            SamplerSchedule(order_policy=policy, rng_seed=seed, temperature=temp),
                         )[0].tolist()
                         for seed in range(20)
                     ])

@@ -238,6 +238,9 @@ class TestFactorizedWorld:
             build_factorized_world(2, 1, 2, {"a": {}})
         with pytest.raises(InvalidTable):
             build_random_factorized_world(2, 1, 2, n_conditions=3, cells_per_condition=1)
+        for cell in (2, -1, (0, 1)):  # outside the 2x1 grid
+            with pytest.raises(InvalidTable, match="outside"):
+                build_factorized_world(2, 1, 2, {"a": {cell: [0.5, 0.5]}})
 
     def test_cap_enforced(self):
         with pytest.raises(StateSpaceTooLarge):
