@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskcompose.compose import compose_logits, normalize_logits
-from maskcompose.errors import AllMassZero, ShapeMismatch
+from maskcompose.config import parse_config_text
+from maskcompose.errors import (
+    AllMassZero,
+    NonPositiveTemperature,
+    ShapeMismatch,
+    ValidationError,
+)
+from maskcompose.sampler import SamplerSchedule
 
 
 def vec(values):
@@ -235,6 +242,19 @@ class TestApplyTemperature:
         d = normalize_logits(vec(logits))
         out = normalize_logits(d / temp)
         assert out[int(np.argmax(d))] == np.max(out)
+
+    def test_rejects_bad_temperature(self):
+        for t in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(NonPositiveTemperature):
+                SamplerSchedule(temperature=t)
+
+
+class TestConfig:
+    """The run configuration carries the temperature the sampler applies."""
+
+    def test_rejects_bad_temperature(self):
+        with pytest.raises(ValidationError, match="schedule.temperature"):
+            parse_config_text("schedule.temperature = 0.0")
 
 
 def test_compose_logits_rejects_2d():
