@@ -283,22 +283,21 @@ def load_count_model(path: str) -> CountModel:
     with _loading(path):
         sections = {s.name: s for s in read_container(path)}
         head = _section(sections, "count_model")
-        model = CountModel(
+        keys = _decode_keys(_section(sections, "bucket_keys").data)
+        counts = section_array(_section(sections, "bucket_counts"))
+        vocab_size = _field(head, "vocab_size", int)
+        if counts.shape != (len(keys), vocab_size) or (counts < 0).any():
+            raise ValidationError("bucket counts must be one non-negative row per bucket key")
+        return CountModel(
             grid_w=_field(head, "grid_w", int),
             grid_h=_field(head, "grid_h", int),
-            vocab_size=_field(head, "vocab_size", int),
+            vocab_size=vocab_size,
             alpha=_field(head, "alpha", float),
             dropout_prob=_field(head, "dropout_prob", float),
+            counts=dict(zip(keys, counts)),
             n_samples=_field(head, "n_samples", int),
             rng_seed=_field(head, "rng_seed", int),
         )
-        keys = _decode_keys(_section(sections, "bucket_keys").data)
-        counts = section_array(_section(sections, "bucket_counts"))
-        if counts.shape != (len(keys), model.vocab_size) or (counts < 0).any():
-            raise ValidationError("bucket counts must be one non-negative row per bucket key")
-        for i, key in enumerate(keys):
-            model.counts[key] = counts[i].copy()
-        return model
 
 
 # codebook <-> container ------------------------------------------------------

@@ -411,14 +411,17 @@ class SceneWorld(WorldJoint):
         an absent condition.
         """
         grids = self.prior_sample(rng, n)
-        conds = []
-        for g in grids:
-            occupied = np.flatnonzero(g != EMPTY_TOKEN)
-            if occupied.size == 0:
-                conds.append(None)
-                continue
-            idx = int(occupied[rng.integers(occupied.size)])
-            conds.append(object_at_cell(idx % self.grid_w, idx // self.grid_w))
+        occupied = grids != EMPTY_TOKEN
+        n_occupied = occupied.sum(axis=1)
+        rows = np.flatnonzero(n_occupied)
+        # one draw per non-empty scene in row order, the stream of per-scene draws
+        picks = rng.integers(0, n_occupied[rows])
+        _, cols = np.nonzero(occupied)  # occupied cells, scene by scene
+        cells = cols[(np.cumsum(n_occupied) - n_occupied)[rows] + picks]
+        specs = [object_at_cell(p % self.grid_w, p // self.grid_w) for p in range(self.length)]
+        conds = [None] * n
+        for i, p in zip(rows.tolist(), cells.tolist()):
+            conds[i] = specs[p]
         return grids, conds
 
 
@@ -562,18 +565,13 @@ class FactorizedWorld(WorldJoint):
         which = rng.integers(len(names), size=n)
         grids = np.empty((n, self.length), dtype=np.int16)
         u = rng.random((n, self.length))
-        cums = {
-            name: np.cumsum(self.conditional_tables(cell_table(name)), axis=1)
-            for name in names
-        }
-        for i in range(n):
-            cum = cums[names[which[i]]]
-            for p in range(self.length):
-                grids[i, p] = min(
-                    int(np.searchsorted(cum[p], u[i, p], side="right")),
-                    self.vocab_size - 1,
-                )
-        return grids, [cell_table(names[w]) for w in which]
+        for i, name in enumerate(names):
+            rows = which == i
+            cum = np.cumsum(self.conditional_tables(cell_table(name)), axis=1)
+            drawn = (cum <= u[rows][:, :, None]).sum(axis=2)
+            grids[rows] = np.minimum(drawn, self.vocab_size - 1)
+        specs = [cell_table(name) for name in names]
+        return grids, [specs[w] for w in which.tolist()]
 
 
 def build_scene_world(
@@ -681,6 +679,8 @@ class ExactConditionalModel:
         w = self._likelihood(condition)[sel]
         total = float(w.sum())
         if not (total > 0.0):
+            if not sel.any():
+                raise AllMassZero("no support state agrees with the unmasked slots")
             if condition is None or self.on_impossible == "raise":
                 raise AllMassZero("condition is incompatible with the unmasked slots")
             out = self.predict(state, None)

@@ -1,11 +1,27 @@
 """Count model: signatures, smoothing, fallback and convergence to truth."""
 
+import dataclasses
+import itertools
+
+import countmodel_oracle as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maskcompose.countmodel import CountModel, fit_count_model, neighbor_lists
+from maskcompose.countmodel import (
+    FIT_CHUNK,
+    NO_BUCKET,
+    CountModel,
+    fit_count_model,
+    neighbor_lists,
+)
+from maskcompose.errors import StateSpaceTooLarge
+from maskcompose.evalharness import run_error_eval
 from maskcompose.sampler import MASK, MaskedState
 from maskcompose.worlds import (
+    ConditionSpec,
+    attribute_present,
     build_random_factorized_world,
     build_scene_world,
     cell_table,
@@ -61,20 +77,26 @@ class TestPrediction:
 
     def test_laplace_smoothing_values(self):
         # counts [2, 0] with alpha one half: (2.5/3, 0.5/3)
-        model = CountModel(grid_w=1, grid_h=1, vocab_size=2, alpha=0.5)
-        model.counts[(0, (), cond_key(None))] = np.array([2, 0], dtype=np.int64)
+        model = CountModel(
+            grid_w=1, grid_h=1, vocab_size=2, alpha=0.5,
+            counts={(0, (), cond_key(None)): np.array([2, 0], dtype=np.int64)},
+        )
         out = model.predict(MaskedState.fully_masked(1))
         assert np.allclose(np.exp(out[0]), [2.5 / 3.0, 0.5 / 3.0])
 
     def test_alpha_zero_keeps_exact_frequencies(self):
-        model = CountModel(grid_w=1, grid_h=1, vocab_size=2, alpha=0.0)
-        model.counts[(0, (), cond_key(None))] = np.array([3, 1], dtype=np.int64)
+        model = CountModel(
+            grid_w=1, grid_h=1, vocab_size=2, alpha=0.0,
+            counts={(0, (), cond_key(None)): np.array([3, 1], dtype=np.int64)},
+        )
         out = model.predict(MaskedState.fully_masked(1))
         assert np.allclose(np.exp(out[0]), [0.75, 0.25])
 
     def test_unseen_condition_falls_back_to_unconditional(self):
-        model = CountModel(grid_w=1, grid_h=1, vocab_size=2)
-        model.counts[(0, (), cond_key(None))] = np.array([5, 1], dtype=np.int64)
+        model = CountModel(
+            grid_w=1, grid_h=1, vocab_size=2,
+            counts={(0, (), cond_key(None)): np.array([5, 1], dtype=np.int64)},
+        )
         plain = model.predict(MaskedState.fully_masked(1), None)
         fancy = model.predict(MaskedState.fully_masked(1), object_at_cell(0, 0))
         assert np.allclose(plain[0], fancy[0])
@@ -158,3 +180,170 @@ class TestFitting:
         plain = model.predict(state, None)
         for p in plain:
             assert np.allclose(joint[p], plain[p])
+
+
+class TestFrozenTables:
+    def test_counts_and_fields_are_read_only(self):
+        key = (0, (), cond_key(None))
+        source = {key: np.array([2, 1], dtype=np.int64)}
+        model = CountModel(grid_w=2, grid_h=1, vocab_size=2, counts=source)
+        source[key][0] = 7  # the model holds its own copy
+        assert model.counts[key].tolist() == [2, 1]
+        with pytest.raises(TypeError):
+            model.counts[key] = np.array([0, 1])
+        with pytest.raises(ValueError):
+            model.counts[key][0] = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.alpha = 1.0
+
+    @pytest.mark.parametrize(
+        "key, row",
+        [
+            ((2, (), ("unconditional",)), [1, 1]),  # position outside the 2x1 grid
+            ((0, (1, 0), ("unconditional",)), [1, 1]),  # unsorted signature
+            ((0, (2,), ("unconditional",)), [1, 1]),  # token outside the vocabulary
+            ((0, (0, 1), ("unconditional",)), [1, 1]),  # wider than any neighborhood
+            ((0, (), ("unconditional",)), [1, 1, 1]),  # wrong row length
+            ((0, (), ("unconditional",)), [1, -1]),  # negative count
+        ],
+    )
+    def test_rejects_malformed_buckets(self, key, row):
+        with pytest.raises(ValueError):
+            CountModel(grid_w=2, grid_h=1, vocab_size=2, counts={key: np.array(row)})
+
+    def test_zero_sum_bucket_never_answers(self):
+        cond = object_at_cell(0, 0)
+        model = CountModel(
+            grid_w=1, grid_h=1, vocab_size=2,
+            counts={
+                (0, (), cond_key(cond)): np.zeros(2, dtype=np.int64),
+                (0, (), cond_key(None)): np.array([1, 3], dtype=np.int64),
+            },
+        )
+        state = MaskedState.fully_masked(1)
+        assert model.predict(state, cond)[0].tobytes() == model.predict(state)[0].tobytes()
+        _, _, level = model._lookup(state.tokens, cond_key(cond))
+        assert level.tolist() == [2]
+        empty = CountModel(grid_w=1, grid_h=1, vocab_size=2)
+        assert empty._lookup(state.tokens, cond_key(None))[2].tolist() == [NO_BUCKET]
+
+    def test_key_space_beyond_int64_is_refused(self):
+        with pytest.raises(StateSpaceTooLarge):
+            CountModel(grid_w=3, grid_h=3, vocab_size=10**6)
+
+
+# Small worlds whose every partial state can be enumerated, with one trained
+# condition, a joint prompt and a condition the model never saw.
+ORACLE_WORLDS = {
+    "scene 2x2": (
+        lambda: build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=2),
+        [object_at_cell(0, 0), (object_at_cell(0, 0), object_at_cell(1, 1)),
+         attribute_present("shape", 0)],
+    ),
+    "scene 3x1": (
+        lambda: build_scene_world(3, 1, n_shapes=1, n_colors=2, max_objects=3),
+        [object_at_cell(1, 0), (object_at_cell(0, 0), object_at_cell(2, 0)),
+         attribute_present("color", 1)],
+    ),
+    "scene 1x1": (
+        lambda: build_scene_world(1, 1, n_shapes=2, n_colors=1, max_objects=1),
+        [object_at_cell(0, 0), (object_at_cell(0, 0),), attribute_present("shape", 1)],
+    ),
+    "factorized 2x2": (
+        lambda: build_random_factorized_world(2, 2, 3, n_conditions=2, seed=1),
+        [cell_table("c0"), (cell_table("c0"), cell_table("c1")), cell_table("unseen")],
+    ),
+}
+
+
+class TestOracleEquivalence:
+    """The frozen tables against the loop fit and the dict lookup."""
+
+    @given(
+        world_name=st.sampled_from(sorted(ORACLE_WORLDS)),
+        n_samples=st.integers(0, 400),
+        seed=st.integers(0, 2**16),
+        dropout_prob=st.sampled_from([0.0, 0.1, 1.0]),
+        alpha=st.sampled_from([0.0, 0.5]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_predict_matches_dict_lookup_on_every_partial_state(
+        self, world_name, n_samples, seed, dropout_prob, alpha
+    ):
+        build, conds = ORACLE_WORLDS[world_name]
+        world = build()
+        model = fit_count_model(
+            world, n_samples, alpha=alpha, dropout_prob=dropout_prob, rng_seed=seed
+        )
+        counts = dict(model.counts)
+        neighbors = neighbor_lists(world.grid_w, world.grid_h)
+        for values in itertools.product(range(MASK, world.vocab_size), repeat=world.length):
+            tokens = np.array(values, dtype=np.int16)
+            for cond in [None] + conds:
+                got = model.predict(MaskedState(tokens), cond)
+                want = oracle.predict(counts, neighbors, world.vocab_size, alpha, tokens, cond)
+                assert got.keys() == want.keys()
+                for p in want:
+                    assert got[p].tobytes() == want[p].tobytes(), (values, cond, p)
+                masked, _, level = model._lookup(tokens, cond_key(cond))
+                expected = [
+                    oracle.bucket(
+                        counts, p, oracle.signature(neighbors, tokens, p), cond_key(cond)
+                    )[1]
+                    for p in masked.tolist()
+                ]
+                assert level.tolist() == [NO_BUCKET if v is None else v for v in expected]
+
+    @pytest.mark.parametrize(
+        "world, kwargs",
+        [
+            (build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=2), dict(rng_seed=0)),
+            (build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=2), dict(rng_seed=7)),
+            (build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=2), dict(rng_seed=123)),
+            (build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=2),
+             dict(rng_seed=1, dropout_prob=0.0)),
+            (build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=2),
+             dict(rng_seed=2, dropout_prob=1.0)),
+            (build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=3),
+             dict(rng_seed=3, training_max_objects=1)),
+            (build_random_factorized_world(2, 2, 4, n_conditions=2, seed=5), dict(rng_seed=4)),
+            # 41 tokens: a count vector over the vocabulary in base 9 would not fit
+            # in 64 bits; the multiset ranks must
+            (build_scene_world(3, 3, n_shapes=4, n_colors=10, max_objects=1), dict(rng_seed=5)),
+        ],
+    )
+    @pytest.mark.parametrize("n_samples", [100, FIT_CHUNK, 2 * FIT_CHUNK + 37])
+    def test_fit_counts_match_loop_fit(self, world, kwargs, n_samples):
+        model = fit_count_model(world, n_samples, **kwargs)
+        expected = oracle.fit_counts(world, n_samples, **kwargs)
+        assert model.counts.keys() == expected.keys()
+        for key, row in expected.items():
+            assert model.counts[key].dtype == np.int64
+            assert np.array_equal(model.counts[key], row), key
+
+
+class TestBackoffLevels:
+    def test_composed_experts_keep_their_condition_and_joint_prompts_drop_it(self):
+        """The out-of-distribution mechanism on criterion 4's world: a single
+        trained condition answers with its own buckets (level 0 or 1), an
+        unseen joint prompt only from the unconditional ones (level 2 or 3)."""
+        world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=2)
+        model = fit_count_model(world, 30_000, rng_seed=0)
+        queries = []
+
+        class Recorder:
+            vocab_size = model.vocab_size
+
+            def predict(self, state, condition=None):
+                queries.append((state.tokens, condition))
+                return model.predict(state, condition)
+
+        for joint in (False, True):
+            run_error_eval(Recorder(), world, 2, 100, rng_seed=0, joint_prompt=joint)
+        levels = {"single": set(), "joint": set()}
+        for tokens, cond in queries:
+            if cond is not None:
+                kind = "single" if isinstance(cond, ConditionSpec) else "joint"
+                levels[kind].update(model._lookup(tokens, cond_key(cond))[2].tolist())
+        assert levels["single"] == {0, 1}
+        assert levels["joint"] == {2, 3}

@@ -258,14 +258,25 @@ class TestBench:
         assert rows[(1, 2)].evaluations * 2 == rows[(1, 1)].evaluations * 3
 
     def test_batch_amortization(self):
+        """A batch shares one cold model, so the exact-model queries it has to
+        compute per image (its memo entries) fall as the batch grows."""
         world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=2)
         conds = [object_at_cell(0, 0)]
+        models = []
+
+        def cold_model():
+            models.append(exact_conditional_model(world))
+            return models[-1]
+
         out = run_batch_bench(
-            lambda: exact_conditional_model(world), world, conds,
-            batch_sizes=(1, 25), rng_seed=0, repeats=3,
+            cold_model, world, conds, batch_sizes=(1, 25), rng_seed=0, repeats=3,
         )
-        per = {row["batch_size"]: row["wall_per_image"] for row in out}
-        assert per[25] <= per[1]
+        assert [row["batch_size"] for row in out] == [1, 25]
+        assert all(row["wall_per_image"] > 0.0 for row in out)
+        assert len(models) == 6  # a cold model per batch size and repeat
+        cold = {b: [len(m._cache) / b for m in models[3 * i : 3 * i + 3]]
+                for i, b in enumerate((1, 25))}
+        assert max(cold[25]) < min(cold[1])
 
     def test_bench_row_record(self):
         row = BenchRow("masked", 3, 1, 9, 3, 6, 5, 0.001)

@@ -1,5 +1,6 @@
 """World enumeration, posterior oracles and the exact conditional model."""
 
+import countmodel_oracle as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from maskcompose.errors import (
     InvalidTable,
     StateSpaceTooLarge,
 )
-from maskcompose.sampler import MASK, MaskedState
+from maskcompose.sampler import MASK, MaskedState, SamplerSchedule, run_to_completion
 from maskcompose.worlds import (
     ConditionSpec,
     SceneSpec,
@@ -188,6 +189,17 @@ class TestSceneTrainingPairs:
             else:
                 assert world.satisfies(g, c)
 
+    @pytest.mark.parametrize("seed", [0, 7, 99])
+    @pytest.mark.parametrize("max_objects", [0, 1, 3])
+    def test_pairs_and_stream_match_the_per_scene_loop(self, seed, max_objects):
+        world = build_scene_world(3, 2, n_shapes=2, n_colors=1, max_objects=max_objects)
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        grids, conds = world.sample_training_pairs(rng, 500)
+        loop_grids, loop_conds = oracle.scene_training_pairs(world, loop_rng, 500)
+        assert np.array_equal(grids, loop_grids)
+        assert conds == loop_conds
+        assert rng.random() == loop_rng.random()
+
     def test_condition_pool_contents(self):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2, relational=True)
         pool = world.condition_pool()
@@ -256,6 +268,16 @@ class TestFactorizedWorld:
         assert abs((grids[sel, 0] == 0).mean() - 0.95) < 0.03
         assert abs((grids[~sel, 1] == 1).mean() - 0.9) < 0.03
 
+    @pytest.mark.parametrize("seed", [0, 5, 31])
+    def test_training_pairs_match_the_per_position_loop(self, seed):
+        world = build_random_factorized_world(2, 2, 5, n_conditions=3, seed=seed)
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        grids, conds = world.sample_training_pairs(rng, 2000)
+        loop_grids, loop_conds = oracle.factorized_training_pairs(world, loop_rng, 2000)
+        assert np.array_equal(grids, loop_grids)
+        assert conds == loop_conds
+        assert rng.random() == loop_rng.random()
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_enumeration_agrees_with_closed_form(self, seed):
@@ -317,6 +339,24 @@ class TestExactConditionalModel:
             model.predict(state, object_at_cell(0, 0))
         with pytest.raises(ValueError):
             exact_conditional_model(world, on_impossible="explode")
+
+    def test_no_compatible_support_state_is_named_as_the_cause(self):
+        """Two tokens drawn in one step from per-position marginals can leave
+        the support together; the unconditional query then has nothing to
+        marginalize over, and the error says so instead of blaming a condition."""
+        world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=3)
+        model = exact_conditional_model(world)
+        sched = SamplerSchedule(tokens_per_step=2, rng_seed=15)
+        with pytest.raises(AllMassZero, match="no support state agrees with the unmasked slots"):
+            run_to_completion(MaskedState.fully_masked(9), model, [], [], sched)
+        crowded = MaskedState(np.array([1, 1, 1, 1, MASK, MASK, MASK, MASK, MASK], dtype=np.int16))
+        for cond in (None, object_at_cell(2, 2)):
+            with pytest.raises(AllMassZero, match="no support state agrees"):
+                model.predict(crowded, cond)
+        # a state inside the support that the condition rules out keeps the old cause
+        strict = exact_conditional_model(world, on_impossible="raise")
+        with pytest.raises(AllMassZero, match="condition is incompatible"):
+            strict.predict(MaskedState.fully_masked(9).with_fixed([0], [0]), object_at_cell(0, 0))
 
     def test_memoization_returns_same_object(self):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
