@@ -12,7 +12,6 @@ positions.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Mapping, Protocol, Sequence
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from .compose import DEFAULT_LOGP_FLOOR, DEFAULT_TEMPERATURE, compose_logits, normalize_logits
 from .errors import NoMaskedSlots, NonPositiveTemperature, ShapeMismatch
+from .memo import Memo
 
 MASK = -1
 
@@ -138,15 +138,21 @@ def sample_token(logp: np.ndarray, rng: np.random.Generator) -> int:
 # runs on the 2x2 world compose 8 distinct inputs), so most steps find their
 # vector here. Stored vectors are read-only. An entry is charged its arrays'
 # bytes plus a fixed cost per entry and per expert vector, an upper bound on
-# what its key, dict slot and object headers take; the memo is cleared when
-# the next entry would take it past _MEMO_CAP_BYTES. Being keyed by content,
-# one memo can serve every caller in the process without changing a result.
+# what its key, dict slot and object headers take; the two-generation memo
+# keeps the vectors that keep being asked for within _MEMO_CAP_BYTES. Being
+# keyed by content, one memo can serve every caller in the process without
+# changing a result.
 _MEMO_CAP_BYTES = 1 << 18
 _MEMO_ENTRY_BYTES = 256
 _MEMO_VECTOR_BYTES = 64
-_memo: dict[tuple, np.ndarray] = {}
-_memo_bytes = 0
-_memo_lock = threading.Lock()
+
+
+def _composed_charge(key: tuple, out: np.ndarray) -> int:
+    vectors = key[4::2]  # the key ends in (dtype, bytes) pairs, one per vector
+    return _MEMO_ENTRY_BYTES + out.nbytes + sum(len(v) + _MEMO_VECTOR_BYTES for v in vectors)
+
+
+_memo = Memo(_MEMO_CAP_BYTES, _composed_charge)
 
 
 def _composed(
@@ -157,7 +163,6 @@ def _composed(
     logp_floor: float,
 ) -> np.ndarray:
     """compose_logits at one position, then the temperature, through the memo."""
-    global _memo_bytes
     key = [logp_floor, temperature, weights, uncond.dtype, uncond.tobytes()]
     for c in conds:
         key += (c.dtype, c.tobytes())
@@ -169,15 +174,7 @@ def _composed(
     if temperature != 1.0:
         out = normalize_logits(out / temperature)
     out.flags.writeable = False
-    size = _MEMO_ENTRY_BYTES + out.nbytes + sum(
-        v.nbytes + _MEMO_VECTOR_BYTES for v in (uncond, *conds)
-    )
-    with _memo_lock:
-        if _memo_bytes + size > _MEMO_CAP_BYTES:
-            _memo.clear()
-            _memo_bytes = 0
-        _memo[key] = out
-        _memo_bytes += size
+    _memo.put(key, out)
     return out
 
 

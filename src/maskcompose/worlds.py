@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -31,6 +32,7 @@ from .errors import (
     InvalidTable,
     StateSpaceTooLarge,
 )
+from .memo import Memo
 from .sampler import MASK, MaskedState
 
 STATE_SPACE_CAP = 10_000_000
@@ -155,13 +157,9 @@ class Posterior:
 
     def marginals(self) -> np.ndarray:
         """Per-position token marginals, shape (L, K)."""
-        length = self.grids.shape[1]
-        out = np.zeros((length, self.vocab_size))
-        for p in range(length):
-            out[p] = np.bincount(
-                self.grids[:, p], weights=self.probs, minlength=self.vocab_size
-            )
-        return out
+        return _weighted_counts(
+            np.ascontiguousarray(self.grids.T), self.probs, self.vocab_size
+        )
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         idx = rng.choice(self.probs.size, size=n, p=self.probs)
@@ -631,14 +629,52 @@ def enumerate_posterior(world: WorldJoint, conds: Sequence[ConditionSpec]) -> Po
     return world.enumerate_posterior(conds)
 
 
+# The exact model's memo: each (state, condition) answer is charged its
+# log-prob block, its state bytes and condition key tuples, and fixed costs
+# that bound the rest: per entry the outer key tuple, the bytes and block
+# headers, the answer dict and the memo's slot; per position the row view's
+# header and its dict slot. The early-step states repeat across runs and
+# stay; deep states rarely repeat and age out.
+EXACT_MEMO_CAP_BYTES = 1 << 23
+_EXACT_ENTRY_BYTES = 512
+_EXACT_POSITION_BYTES = 160
+
+
+def _exact_charge(key: tuple, out: dict) -> int:
+    state, ckey = key
+    key_bytes = sys.getsizeof(ckey) + sum(
+        sys.getsizeof(x) for x in ckey if isinstance(x, tuple)
+    )
+    row_bytes = next(iter(out.values())).nbytes if out else 0
+    return _EXACT_ENTRY_BYTES + len(state) + key_bytes + len(out) * (
+        row_bytes + _EXACT_POSITION_BYTES
+    )
+
+
+def _weighted_counts(columns: np.ndarray, weights: np.ndarray, vocab_size: int) -> np.ndarray:
+    """(M, K) weighted token counts, one row per row of the (M, n) columns.
+
+    Each row is one np.bincount, which adds the weights in column order.
+    """
+    out = np.empty((columns.shape[0], vocab_size))
+    for i, col in enumerate(columns):
+        out[i] = np.bincount(col, weights=weights, minlength=vocab_size)
+    return out
+
+
 class ExactConditionalModel:
     """Oracle-grade conditional model backed by brute-force marginalization.
 
     For every masked position the marginal is obtained by summing the world's
     joint over all support states that agree with the unmasked slots (and
-    fall inside the condition's likelihood when one is given). Queries are
-    memoized per (state, condition); callers must treat returned vectors as
-    read-only.
+    fall inside the condition's likelihood when one is given). The support is
+    held column-major, (L, S), so a query narrows the compatible row indices
+    one fixed slot at a time, gathers the prior times each condition's
+    likelihood at those rows, and takes one weighted bincount per masked
+    position. The sampler asks about one state n + 1 times in a row, so the
+    last state's row indices are kept. Answers are memoized per (state,
+    condition) in a two-generation memo of EXACT_MEMO_CAP_BYTES; callers must
+    treat returned vectors as read-only.
 
     When a condition has zero probability given the already fixed slots the
     conditional is undefined; by default the expert abstains and answers with
@@ -654,44 +690,65 @@ class ExactConditionalModel:
         self.world = world
         self.vocab_size = world.vocab_size
         self.on_impossible = on_impossible
-        self._cache: dict[tuple, dict[int, np.ndarray]] = {}
+        self.memo = Memo(EXACT_MEMO_CAP_BYTES, _exact_charge)
         grids, logp = world.support()
-        self._grids = grids
+        self._cols = np.ascontiguousarray(grids.T)
         self._prior = np.exp(logp)
+        self._lik: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._last: tuple[bytes, tuple] = (b"", ())
 
-    def _likelihood(self, condition) -> np.ndarray:
-        w = self._prior
-        for cond in _iter_conditions(condition):
+    def _exp_loglik(self, cond: ConditionSpec) -> np.ndarray:
+        """exp(condition_loglik), recomputed when the world's array changes."""
+        loglik = self.world.condition_loglik(cond)
+        hit = self._lik.get(cond.key())
+        if hit is None or hit[0] is not loglik:
             with np.errstate(over="ignore"):
-                w = w * np.exp(self.world.condition_loglik(cond))
-        return w
+                hit = (loglik, np.exp(loglik))
+            self._lik[cond.key()] = hit
+        return hit[1]
+
+    def _compatible(self, key: bytes, tokens: np.ndarray) -> tuple:
+        """The rows that agree with every fixed slot: their indices, their
+        masked columns (M, n) and their prior, and the masked positions."""
+        last = self._last  # one read: another thread may replace it
+        if last[0] == key:
+            return last[1]
+        cols = self._cols
+        values = tokens.tolist()
+        fixed = [(p, v) for p, v in enumerate(values) if v != MASK]
+        masked = [p for p, v in enumerate(values) if v == MASK]
+        if fixed:
+            p, v = fixed[0]
+            idx = np.flatnonzero(cols[p] == v)
+            for p, v in fixed[1:]:
+                idx = idx[cols[p][idx] == v]
+        else:
+            idx = np.arange(cols.shape[1])
+        rows = (idx, cols.take(idx, axis=1)[masked], self._prior[idx], masked)
+        self._last = (key, rows)
+        return rows
 
     def predict(self, state: MaskedState, condition=None) -> dict[int, np.ndarray]:
-        key = (state.key(), cond_key(condition))
-        hit = self._cache.get(key)
+        skey = state.key()
+        key = (skey, cond_key(condition))
+        hit = self.memo.get(key)
         if hit is not None:
             return hit
-        tokens = state.tokens
-        fixed = np.flatnonzero(tokens != MASK)
-        sel = np.ones(self._grids.shape[0], dtype=bool)
-        for p in fixed:
-            sel &= self._grids[:, p] == tokens[p]
-        w = self._likelihood(condition)[sel]
+        idx, sub, w, masked = self._compatible(skey, state.tokens)
+        for cond in _iter_conditions(condition):
+            w = w * self._exp_loglik(cond)[idx]
         total = float(w.sum())
         if not (total > 0.0):
-            if not sel.any():
+            if idx.size == 0:
                 raise AllMassZero("no support state agrees with the unmasked slots")
             if condition is None or self.on_impossible == "raise":
                 raise AllMassZero("condition is incompatible with the unmasked slots")
             out = self.predict(state, None)
         else:
-            sub = self._grids[sel]
-            out = {}
             with np.errstate(divide="ignore"):
-                for p in np.flatnonzero(tokens == MASK):
-                    marg = np.bincount(sub[:, p], weights=w, minlength=self.vocab_size)
-                    out[int(p)] = np.log(marg / total)
-        self._cache[key] = out
+                block = np.log(_weighted_counts(sub, w, self.vocab_size) / total)
+            out = dict(zip(masked, block))
+        self.memo.put(key, out)
         return out
 
 

@@ -274,7 +274,7 @@ class TestBench:
         assert [row["batch_size"] for row in out] == [1, 25]
         assert all(row["wall_per_image"] > 0.0 for row in out)
         assert len(models) == 6  # a cold model per batch size and repeat
-        cold = {b: [len(m._cache) / b for m in models[3 * i : 3 * i + 3]]
+        cold = {b: [len(m.memo) / b for m in models[3 * i : 3 * i + 3]]
                 for i, b in enumerate((1, 25))}
         assert max(cold[25]) < min(cold[1])
 

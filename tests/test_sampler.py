@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from maskcompose import sampler
 from maskcompose.compose import compose_logits, normalize_logits
 from maskcompose.errors import NoMaskedSlots, NonPositiveTemperature, ShapeMismatch
+from maskcompose.memo import Memo
 from maskcompose.sampler import (
     MASK,
     MODE_AUTOREGRESSIVE,
@@ -315,8 +316,8 @@ class TestComposedMemo:
 
     @pytest.fixture(autouse=True)
     def cold_memo(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_memo", {})
-        monkeypatch.setattr(sampler, "_memo_bytes", 0)
+        cold = Memo(sampler._MEMO_CAP_BYTES, sampler._composed_charge)
+        monkeypatch.setattr(sampler, "_memo", cold)
 
     @staticmethod
     def drawn_from(monkeypatch, uncond, cond, weight, temperature, floor):
@@ -389,9 +390,9 @@ class TestComposedMemo:
                             1.0, 1.0, -30.0)
         memo = sampler._memo
         assert 0 < len(memo) < n
-        assert sampler._memo_bytes <= sampler._MEMO_CAP_BYTES
-        # what the entries really take: dict, keys, their bytes and the vectors
-        held = sys.getsizeof(memo) + sum(
+        assert memo.charged_bytes <= sampler._MEMO_CAP_BYTES
+        # what the entries really take: dicts, keys, their bytes and the vectors
+        held = sys.getsizeof(memo._new) + sys.getsizeof(memo._old) + sum(
             sys.getsizeof(key) + sum(sys.getsizeof(x) for x in key if isinstance(x, bytes))
             + sys.getsizeof(out)
             for key, out in memo.items()

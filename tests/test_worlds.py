@@ -1,5 +1,8 @@
 """World enumeration, posterior oracles and the exact conditional model."""
 
+import itertools
+import sys
+
 import countmodel_oracle as oracle
 import numpy as np
 import pytest
@@ -12,8 +15,10 @@ from maskcompose.errors import (
     InvalidTable,
     StateSpaceTooLarge,
 )
+from exact_oracle import ExactOracle
 from maskcompose.sampler import MASK, MaskedState, SamplerSchedule, run_to_completion
 from maskcompose.worlds import (
+    EXACT_MEMO_CAP_BYTES,
     ConditionSpec,
     SceneSpec,
     attribute_present,
@@ -155,6 +160,14 @@ class TestSceneWorldPosterior:
         assert np.allclose(marg.sum(axis=1), 1.0)
         # all cells are exchangeable under the uniform scene prior
         assert np.allclose(marg, marg[0])
+        # the shared weighted-bincount helper over contiguous columns gives the
+        # bytes of one bincount per strided support column
+        post = world.enumerate_posterior([])
+        strided = np.stack([
+            np.bincount(post.grids[:, p], weights=post.probs, minlength=world.vocab_size)
+            for p in range(world.length)
+        ])
+        assert marg.tobytes() == strided.tobytes()
 
     def test_check_conditions_bitmap(self):
         world = build_scene_world(2, 2, n_shapes=2, n_colors=1, max_objects=2)
@@ -384,6 +397,139 @@ class TestExactConditionalModel:
                 post.probs[(post.grids[:, 0] == v0) & (post.grids[:, 1] == v1)].sum()
             )
             assert abs(first[v0] * second[v1] - joint) < 1e-12
+
+
+def _answer(model, query, condition):
+    """predict's output, or the type and message of the AllMassZero it raised."""
+    try:
+        return model.predict(query, condition)
+    except AllMassZero as exc:
+        return (type(exc), str(exc))
+
+
+def _same_answer(got, want) -> bool:
+    if isinstance(want, tuple):
+        return got == want
+    return (
+        isinstance(got, dict)
+        and got.keys() == want.keys()
+        and all(got[p].tobytes() == want[p].tobytes() for p in want)
+    )
+
+
+def _oracle_worlds():
+    relational = build_scene_world(3, 1, n_shapes=2, n_colors=1, max_objects=3, relational=True)
+    factorized = build_random_factorized_world(2, 2, 3, n_conditions=2, seed=5)
+    return {
+        "scene-2x2": (
+            build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=3),
+            [object_at_cell(0, 0), object_at_cell(1, 1)],
+        ),
+        "scene-3x1": (
+            relational,
+            [relation("left_of", ("shape", 0), ("shape", 1)), object_at_cell(2, 0)],
+        ),
+        "factorized-2x2": (factorized, [cell_table("c0"), cell_table("c1")]),
+    }
+
+
+ORACLE_WORLDS = _oracle_worlds()
+
+
+class TestExactOracleEquivalence:
+    """The compiled exact model against the boolean-mask oracle, bit for bit."""
+
+    @pytest.mark.parametrize("on_impossible", ["abstain", "raise"])
+    @pytest.mark.parametrize("world_name", sorted(ORACLE_WORLDS))
+    @given(seed=st.integers(0, 2**16), repeat=st.integers(1, 3))
+    @settings(max_examples=4, deadline=None)
+    def test_predict_matches_oracle_on_every_partial_state(
+        self, world_name, on_impossible, seed, repeat
+    ):
+        world, conds = ORACLE_WORLDS[world_name]
+        oracle_model = ExactOracle(world, on_impossible)
+        warm = exact_conditional_model(world, on_impossible)
+        # no condition, one condition and a joint prompt of both
+        queries = [None, conds[0], tuple(conds)]
+        states = [
+            np.array(v, dtype=np.int16)
+            for v in itertools.product(range(MASK, world.vocab_size), repeat=world.length)
+        ]
+        # each state is asked `repeat` times in a row per condition, the
+        # sampler's pattern; the shuffle interleaves states between runs
+        rng = np.random.default_rng(seed)
+        order = [(s, q) for s in range(len(states)) for q in range(len(queries))]
+        order = [order[i] for i in rng.permutation(len(order)) for _ in range(repeat)]
+        first = {}
+        for s, q in order:
+            state, condition = MaskedState(states[s]), queries[q]
+            got = _answer(warm, state, condition)
+            want = _answer(oracle_model, states[s], condition)
+            assert _same_answer(got, want), (states[s].tolist(), condition)
+            if (s, q) in first:
+                # a memo hit hands back the object the miss computed
+                earlier = first[(s, q)]
+                assert got is earlier if isinstance(got, dict) else got == earlier
+            first[(s, q)] = got
+            # a cold model computes the same answer from nothing
+            cold = _answer(exact_conditional_model(world, on_impossible), state, condition)
+            assert _same_answer(cold, got)
+
+
+    def test_reregistered_condition_is_read_again(self):
+        world = build_random_factorized_world(2, 2, 3, n_conditions=1, seed=2)
+        model = exact_conditional_model(world)
+        model.predict(MaskedState.fully_masked(4), cell_table("c0"))
+        cell = world.condition_cells("c0")[0]
+        world.add_condition("c0", {cell: [0.2, 0.3, 0.5]})
+        state = MaskedState.fully_masked(4).with_fixed([(cell + 1) % 4], [1])
+        got = model.predict(state, cell_table("c0"))
+        want = ExactOracle(world).predict(state.tokens, cell_table("c0"))
+        assert _same_answer(got, want)
+        assert np.allclose(np.exp(got[cell]), [0.2, 0.3, 0.5])
+
+
+class TestExactMemoBound:
+    @staticmethod
+    def live_bytes(memo) -> int:
+        """Bytes the memo's dicts, keys and answers hold, each object once."""
+        seen = set()
+
+        def size(obj) -> int:
+            if id(obj) in seen:
+                return 0
+            seen.add(id(obj))
+            n = sys.getsizeof(obj)
+            if isinstance(obj, tuple):
+                n += sum(size(x) for x in obj)
+            elif isinstance(obj, dict):
+                n += sum(size(k) + size(v) for k, v in obj.items())
+            elif isinstance(obj, np.ndarray) and obj.base is not None:
+                n += size(obj.base)
+            return n
+
+        return size(memo._new) + size(memo._old)
+
+    def test_memo_stays_under_its_cap(self):
+        world = build_scene_world(3, 3, n_shapes=2, n_colors=2, max_objects=3)
+        model = exact_conditional_model(world)
+        grids, _ = world.support()
+        rng = np.random.default_rng(0)
+        conds = [None, object_at_cell(0, 0), (object_at_cell(0, 0), object_at_cell(2, 2))]
+        asked = set()
+        for _ in range(12_000):
+            tokens = grids[rng.integers(len(grids))].copy()
+            tokens[rng.permutation(9)[: rng.integers(1, 10)]] = MASK
+            condition = conds[rng.integers(len(conds))]
+            asked.add((tokens.tobytes(), cond_key(condition)))
+            model.predict(MaskedState(tokens), condition)
+        memo = model.memo
+        assert len(asked) > 8000
+        assert 0 < len(memo) < len(asked)  # entries were dropped on the way
+        # each charge bounds what its entry holds, so the memo holds no more
+        # than it is charged for
+        live = self.live_bytes(memo)
+        assert live <= memo.charged_bytes <= EXACT_MEMO_CAP_BYTES
 
 
 class TestRendering:
