@@ -24,8 +24,10 @@ A model is frozen at construction. Each bucket key becomes one integer code
 (condition id, position, signature rank), the populated buckets become a
 sorted code array with one precomputed log-probability row each, and a query
 looks up all masked positions and all four backoff levels with one
-np.searchsorted. Fitting counts the codes of all masked training positions
-with np.unique, FIT_CHUNK samples at a time.
+np.searchsorted. The codes of a state's masked positions are kept for the
+next query, since the sampler asks about each state once per expert.
+Fitting counts the codes of all masked training positions with np.unique,
+FIT_CHUNK samples at a time.
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ class CountModel:
     """Frozen Laplace-smoothed bucket counts.
 
     counts maps (pos, signature, condition key) to a length-K count row; the
-    model keeps a read-only copy, and `counts` reads that copy back.
+    model keeps a read-only copy, and `counts` reads that copy back. predict
+    hands out read-only rows of one table, shared between calls.
     """
 
     grid_w: int
@@ -210,8 +213,15 @@ class CountModel:
         table = np.vstack([logp, miss])
         lookup = np.append(codes[order], _CODE_END)
         table.flags.writeable = lookup.flags.writeable = False
-        object.__setattr__(self, "_logp", table)
+        # one read-only row view per bucket, the smoothed empty row last
+        object.__setattr__(self, "_logp_rows", list(table))
         object.__setattr__(self, "_lookup_codes", lookup)
+        # a hit at backoff level l in row r ranks l * n + r, so the least rank
+        # is the first level that answers; a miss ranks as the empty row at
+        # level NO_BUCKET
+        object.__setattr__(self, "_level_ranks", np.arange(4)[:, None] * lookup.size)
+        object.__setattr__(self, "_miss_rank", NO_BUCKET * lookup.size + lookup.size - 1)
+        object.__setattr__(self, "_last", (None, None))
 
     @property
     def length(self) -> int:
@@ -222,25 +232,35 @@ class CountModel:
         vals = [int(tokens[q]) for q in self._codec.neighbors[pos] if tokens[q] != MASK]
         return tuple(sorted(vals))
 
-    def _lookup(self, tokens: np.ndarray, key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Masked positions, the log-prob table row answering each and the
-        backoff level it came from (NO_BUCKET for the smoothed empty row)."""
+    def _state_codes(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Masked positions (M,) and their bucket codes at every backoff
+        level without the condition's offset (4, M). The sampler asks about
+        one state n + 1 times in a row, so the last state's are kept."""
+        key = tokens.tobytes()
+        last = self._last  # one read: another thread may replace it
+        if last[0] == key:
+            return last[1]
         codec = self._codec
         masked = (tokens == MASK).nonzero()[0]
         sig = codec.signature_ranks(tokens[codec.index[masked]])
-        offsets = self._level_offsets.get(key, self._unknown_offsets)
-        want = offsets + (codec.position_codes[masked] + _KEEPS_SIGNATURE * sig)
+        codes = (masked, codec.position_codes[masked] + _KEEPS_SIGNATURE * sig)
+        object.__setattr__(self, "_last", (key, codes))
+        return codes
+
+    def _lookup(self, tokens: np.ndarray, key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Masked positions, the log-prob table row answering each and the
+        backoff level it came from (NO_BUCKET for the smoothed empty row)."""
+        masked, base = self._state_codes(tokens)
+        want = self._level_offsets.get(key, self._unknown_offsets) + base
         found = self._lookup_codes.searchsorted(want)
-        hit = self._lookup_codes[found] == want
-        found[~hit] = len(self._lookup_codes) - 1  # the smoothed empty row
-        level = hit.argmax(axis=0)
-        rows = found[level, np.arange(masked.size)]
-        level[~hit.any(axis=0)] = NO_BUCKET
+        hit = self._lookup_codes.take(found) == want
+        first = np.where(hit, found + self._level_ranks, self._miss_rank).min(axis=0)
+        level, rows = np.divmod(first, len(self._lookup_codes))
         return masked, rows, level
 
     def predict(self, state: MaskedState, condition=None) -> dict[int, np.ndarray]:
         masked, rows, _ = self._lookup(state.tokens, cond_key(condition))
-        return dict(zip(masked.tolist(), self._logp[rows]))
+        return dict(zip(masked.tolist(), map(self._logp_rows.__getitem__, rows.tolist())))
 
     def n_buckets(self) -> int:
         return len(self.counts)

@@ -182,6 +182,8 @@ class WorldJoint:
         self._support: tuple[np.ndarray, np.ndarray] | None = None
         self._loglik_cache: dict[tuple, np.ndarray] = {}
         self._prior_marginals: np.ndarray | None = None
+        # bumped whenever a registered condition's likelihood may change
+        self.condition_version = 0
 
     @property
     def length(self) -> int:
@@ -493,6 +495,7 @@ class FactorizedWorld(WorldJoint):
             raise InvalidTable("a condition needs at least one cell table")
         self.table_conditions[str(name)] = compiled
         self._loglik_cache.pop(cell_table(name).key(), None)
+        self.condition_version += 1
         return cell_table(name)
 
     def condition_cells(self, name: str) -> list[int]:
@@ -674,7 +677,8 @@ class ExactConditionalModel:
     position. The sampler asks about one state n + 1 times in a row, so the
     last state's row indices are kept. Answers are memoized per (state,
     condition) in a two-generation memo of EXACT_MEMO_CAP_BYTES; callers must
-    treat returned vectors as read-only.
+    treat returned vectors as read-only. When the world's condition_version
+    moves, the memo and the cached likelihoods are dropped.
 
     When a condition has zero probability given the already fixed slots the
     conditional is undefined; by default the expert abstains and answers with
@@ -690,22 +694,26 @@ class ExactConditionalModel:
         self.world = world
         self.vocab_size = world.vocab_size
         self.on_impossible = on_impossible
-        self.memo = Memo(EXACT_MEMO_CAP_BYTES, _exact_charge)
         grids, logp = world.support()
         self._cols = np.ascontiguousarray(grids.T)
         self._prior = np.exp(logp)
-        self._lik: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._last: tuple[bytes, tuple] = (b"", ())
+        self._forget_conditions()
+
+    def _forget_conditions(self) -> None:
+        """Drop the likelihoods and answers read from the world's conditions."""
+        self._version = self.world.condition_version
+        self._lik: dict[tuple, np.ndarray] = {}
+        self.memo = Memo(EXACT_MEMO_CAP_BYTES, _exact_charge)
 
     def _exp_loglik(self, cond: ConditionSpec) -> np.ndarray:
-        """exp(condition_loglik), recomputed when the world's array changes."""
-        loglik = self.world.condition_loglik(cond)
+        """exp(condition_loglik), computed once per condition."""
         hit = self._lik.get(cond.key())
-        if hit is None or hit[0] is not loglik:
+        if hit is None:
             with np.errstate(over="ignore"):
-                hit = (loglik, np.exp(loglik))
+                hit = np.exp(self.world.condition_loglik(cond))
             self._lik[cond.key()] = hit
-        return hit[1]
+        return hit
 
     def _compatible(self, key: bytes, tokens: np.ndarray) -> tuple:
         """The rows that agree with every fixed slot: their indices, their
@@ -729,6 +737,8 @@ class ExactConditionalModel:
         return rows
 
     def predict(self, state: MaskedState, condition=None) -> dict[int, np.ndarray]:
+        if self._version != self.world.condition_version:  # a condition changed
+            self._forget_conditions()
         skey = state.key()
         key = (skey, cond_key(condition))
         hit = self.memo.get(key)

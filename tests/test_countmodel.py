@@ -322,6 +322,56 @@ class TestOracleEquivalence:
             assert np.array_equal(model.counts[key], row), key
 
 
+class TestStateSlot:
+    """The last state's signature codes, kept across its queries, change no
+    answer: bytes and backoff levels match the dict lookup and a cold model."""
+
+    @pytest.mark.parametrize("world_name", sorted(ORACLE_WORLDS))
+    @given(seed=st.integers(0, 2**16), repeat=st.integers(1, 3))
+    @settings(max_examples=4, deadline=None)
+    def test_interleaved_states_match_oracle_and_cold_model(self, world_name, seed, repeat):
+        build, conds = ORACLE_WORLDS[world_name]
+        world = build()
+        model = fit_count_model(world, 300, rng_seed=seed)
+        counts = dict(model.counts)
+        neighbors = neighbor_lists(world.grid_w, world.grid_h)
+        # no condition, one condition, a joint prompt and an unseen key
+        queries = [None] + conds
+        states = [
+            np.array(v, dtype=np.int16)
+            for v in itertools.product(range(MASK, world.vocab_size), repeat=world.length)
+        ]
+        pairs = [(s, q) for q in range(len(queries)) for s in range(len(states))]
+        want, levels = {}, {}
+        for s, q in pairs:
+            tokens, cond = states[s], queries[q]
+            key = cond_key(cond)
+            answer = oracle.predict(counts, neighbors, world.vocab_size, model.alpha, tokens, cond)
+            want[(s, q)] = {p: v.tobytes() for p, v in answer.items()}
+            found = [oracle.bucket(counts, p, oracle.signature(neighbors, tokens, p), key)[1]
+                     for p in answer]
+            levels[(s, q)] = [NO_BUCKET if v is None else v for v in found]
+        # a cold model is asked state by state within each query, so no two
+        # calls in a row share a state and every answer is computed afresh
+        cold = dataclasses.replace(model)
+        for s, q in pairs:
+            got = cold.predict(MaskedState(states[s]), queries[q])
+            assert {p: v.tobytes() for p, v in got.items()} == want[(s, q)], (s, q)
+        for s, q in pairs:
+            assert cold._lookup(states[s], cond_key(queries[q]))[2].tolist() == levels[(s, q)]
+        # every state is visited twice in shuffled order; a visit asks each
+        # query `repeat` times in a row, the queries in shuffled order, which
+        # is the sampler's pattern of n + 1 queries per state
+        rng = np.random.default_rng(seed)
+        for s in rng.permutation(np.repeat(np.arange(len(states)), 2)).tolist():
+            for q in rng.permutation(len(queries)).tolist():
+                for _ in range(repeat):
+                    got = model.predict(MaskedState(states[s]), queries[q])
+                    assert {p: v.tobytes() for p, v in got.items()} == want[(s, q)], (s, q)
+                    level = model._lookup(states[s], cond_key(queries[q]))[2]
+                    assert level.tolist() == levels[(s, q)], (s, q)
+
+
 class TestBackoffLevels:
     def test_composed_experts_keep_their_condition_and_joint_prompts_drop_it(self):
         """The out-of-distribution mechanism on criterion 4's world: a single

@@ -384,7 +384,10 @@ class TestComposedMemo:
 
     def test_stays_under_byte_cap(self, monkeypatch):
         rng = np.random.default_rng(0)
-        n = 3000
+        # twice as many distinct entries as the cap holds, whatever the cap
+        vector = (np.dtype(np.float64), np.zeros(5).tobytes())
+        charge = sampler._composed_charge((-30.0, 1.0, (1.0,)) + vector * 2, np.zeros(5))
+        n = 2 * (sampler._MEMO_CAP_BYTES // charge)
         for _ in range(n):
             self.drawn_from(monkeypatch, rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5)),
                             1.0, 1.0, -30.0)

@@ -479,14 +479,18 @@ class TestExactOracleEquivalence:
     def test_reregistered_condition_is_read_again(self):
         world = build_random_factorized_world(2, 2, 3, n_conditions=1, seed=2)
         model = exact_conditional_model(world)
-        model.predict(MaskedState.fully_masked(4), cell_table("c0"))
+        asked = MaskedState.fully_masked(4)
+        before = model.predict(asked, cell_table("c0"))
         cell = world.condition_cells("c0")[0]
+        assert not np.allclose(np.exp(before[cell]), [0.2, 0.3, 0.5])
         world.add_condition("c0", {cell: [0.2, 0.3, 0.5]})
-        state = MaskedState.fully_masked(4).with_fixed([(cell + 1) % 4], [1])
-        got = model.predict(state, cell_table("c0"))
-        want = ExactOracle(world).predict(state.tokens, cell_table("c0"))
-        assert _same_answer(got, want)
-        assert np.allclose(np.exp(got[cell]), [0.2, 0.3, 0.5])
+        # a state asked before the re-registration and one asked only after
+        fresh = MaskedState.fully_masked(4).with_fixed([(cell + 1) % 4], [1])
+        for state in (asked, fresh, asked):
+            got = model.predict(state, cell_table("c0"))
+            want = ExactOracle(world).predict(state.tokens, cell_table("c0"))
+            assert _same_answer(got, want), state.tokens.tolist()
+            assert np.allclose(np.exp(got[cell]), [0.2, 0.3, 0.5])
 
 
 class TestExactMemoBound:
