@@ -437,7 +437,7 @@ def run_negation_eval(
     if sched is None:
         sched = SamplerSchedule()
     grids, logp = world.support()
-    sat = np.array([world.satisfies(g, cond) for g in grids])
+    sat = world.predicate(grids, cond)
     p0_exact = float(np.exp(logp[sat]).sum())
     if not (0.05 < p0_exact < 0.95):
         raise ValidationError(

@@ -70,7 +70,7 @@ class MaskedState:
 
 @dataclass(frozen=True)
 class SamplerSchedule:
-    """How a run unmaskes its grid.
+    """How a run unmasks its grid.
 
     Masked mode finishes in exactly ceil(L / tokens_per_step) steps.
     Autoregressive mode requires tokens_per_step = 1 and ignores order_policy

@@ -1,19 +1,24 @@
 """Enumerable miniature scene worlds and their exact oracles.
 
 Two world families share one interface. Scene worlds place up to max_objects
-typed objects (shape, color) on a small cell grid, render each scene to a
-token grid injectively and weight all valid scenes uniformly; conditions are
-hard predicates on the rendered grid (object at a cell, attribute present,
-pairwise relation). Factorized worlds draw every position independently from
-per-position prior tables; a condition there is an event whose likelihood is
-proportional to a product of per-cell table ratios, so positions stay
-independent given any single condition and the product-of-experts combination
-of per-position conditionals is exact for conditions on disjoint cells.
+typed objects (shape, color) on a small cell grid, one token per cell, and
+weight all valid scenes uniformly; conditions are hard predicates on the
+token grid (object at a cell, attribute present, pairwise relation).
+Factorized worlds draw every position independently from per-position prior
+tables; a condition there is an event whose likelihood is proportional to a
+product of per-cell table ratios, so positions stay independent given any
+single condition and the product-of-experts combination of per-position
+conditionals is exact for conditions on disjoint cells.
 
 Everything an oracle needs is brute force: the full support is enumerated
 (capped), posteriors are computed by reweighting and renormalizing that
 enumeration, and the exact conditional model marginalizes over all support
-states consistent with the unmasked slots of a partial grid.
+states consistent with the unmasked slots of a partial grid. Enumeration
+and conditions are array code: a scene world writes its support one
+object-count block at a time into one preallocated (S, L) array, and each
+world evaluates a condition over N token grids at once with one predicate,
+which scores the whole support for a likelihood and a single sampled grid
+alike.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .errors import (
     EmptyIntersection,
     InvalidTable,
     StateSpaceTooLarge,
+    ValidationError,
 )
 from .memo import Memo
 from .sampler import MASK, MaskedState
@@ -115,38 +121,6 @@ def _iter_conditions(condition) -> tuple:
     return tuple(condition)
 
 
-@dataclass(frozen=True)
-class SceneSpec:
-    """One concrete scene: typed objects placed on distinct cells."""
-
-    grid_w: int
-    grid_h: int
-    objects: tuple[tuple[tuple[int, int], int, int], ...]  # ((col,row), shape, color)
-    max_objects: int
-
-    def __post_init__(self):
-        cells = [o[0] for o in self.objects]
-        if len(set(cells)) != len(cells):
-            raise ValueError("at most one object per cell")
-        if not (0 <= len(self.objects) <= self.max_objects):
-            raise ValueError("object count out of range")
-        for (col, row), _, _ in self.objects:
-            if not (0 <= col < self.grid_w and 0 <= row < self.grid_h):
-                raise ValueError(f"cell ({col},{row}) outside {self.grid_w}x{self.grid_h} grid")
-
-
-def render_scene(spec: SceneSpec, n_colors: int) -> np.ndarray:
-    """Deterministic, injective scene-to-token-grid map.
-
-    Token 0 is the empty cell; an object with shape s and color c becomes
-    1 + s * n_colors + c.
-    """
-    tokens = np.zeros(spec.grid_w * spec.grid_h, dtype=np.int16)
-    for (col, row), shape, color in spec.objects:
-        tokens[row * spec.grid_w + col] = 1 + shape * n_colors + color
-    return tokens
-
-
 @dataclass
 class Posterior:
     """Exact distribution over token grids: support rows plus probabilities."""
@@ -170,8 +144,10 @@ class WorldJoint:
     """Base for exhaustively enumerable worlds.
 
     Subclasses fill in the support (all token grids with positive prior
-    probability), per-condition log-likelihoods over that support, and the
-    predicate semantics used for satisfaction checks.
+    probability) and one predicate over (N, L) token grids. A predicate's
+    log-likelihood over the support is 0 where it holds and -inf elsewhere;
+    factorized worlds add the soft likelihoods of their cell_table
+    conditions.
     """
 
     grid_w: int
@@ -193,10 +169,12 @@ class WorldJoint:
     def _build_support(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _condition_loglik(self, cond: ConditionSpec) -> np.ndarray:
-        raise NotImplementedError
+    def predicate(self, grids: np.ndarray, cond: ConditionSpec) -> np.ndarray:
+        """Which rows of the (N, L) token grids satisfy cond, as (N,) bools;
+        one bool for a single (L,) grid.
 
-    def satisfies(self, grid: np.ndarray, cond: ConditionSpec) -> bool:
+        Raises ValidationError when the world cannot evaluate cond.
+        """
         raise NotImplementedError
 
     def condition_pool(self) -> list[ConditionSpec]:
@@ -224,12 +202,29 @@ class WorldJoint:
             self._loglik_cache[key] = self._condition_loglik(cond)
         return self._loglik_cache[key]
 
+    def _condition_loglik(self, cond: ConditionSpec) -> np.ndarray:
+        """A hard predicate: log-likelihood 0 where it holds, -inf elsewhere."""
+        return np.where(self.predicate(self.support()[0], cond), 0.0, -np.inf)
+
+    def _cell(self, cond: ConditionSpec) -> int:
+        """Flat index of an object_at_cell condition's cell."""
+        col, row = cond.payload
+        if not (0 <= col < self.grid_w and 0 <= row < self.grid_h):
+            raise ValidationError(
+                f"condition {cond.key()} names a cell outside the "
+                f"{self.grid_w}x{self.grid_h} grid"
+            )
+        return row * self.grid_w + col
+
+    def satisfies(self, grid: np.ndarray, cond: ConditionSpec) -> bool:
+        return bool(self.predicate(np.asarray(grid), cond))
+
     def check_conditions(self, grid: np.ndarray, conds: Sequence[ConditionSpec]) -> np.ndarray:
         """Satisfaction bitmap for a fully unmasked grid."""
         grid = np.asarray(grid)
         if bool((grid == MASK).any()):
             raise ValueError("check_conditions requires a fully unmasked grid")
-        return np.array([self.satisfies(grid, c) for c in conds], dtype=bool)
+        return np.array([self.predicate(grid, c) for c in conds], dtype=bool)
 
     def enumerate_posterior(self, conds: Sequence[ConditionSpec]) -> Posterior:
         """Exact P(grid | all conditions) by reweighting the enumerated joint."""
@@ -285,12 +280,23 @@ class SceneWorld(WorldJoint):
         self.max_objects = int(max_objects)
         self.relational = bool(relational)
         self.vocab_size = 1 + self.n_shapes * self.n_colors
-        self._satisfaction: dict[tuple, np.ndarray] = {}
-        count = sum(
+        self.n_states = sum(
             math.comb(self.length, m) * (self.n_shapes * self.n_colors) ** m
             for m in range(min(self.max_objects, self.length) + 1)
         )
-        _check_support_cap(count)
+        _check_support_cap(self.n_states)
+        # attribute id per token for each attribute kind; the empty token has none
+        codes = np.arange(self.vocab_size - 1)
+        self._attribute_ids = {
+            "shape": np.concatenate(([-1], codes // self.n_colors)),
+            "color": np.concatenate(([-1], codes % self.n_colors)),
+        }
+        # strict order of cells per relation: [p, q] holds when p lies before q
+        cols, rows = np.arange(self.length) % self.grid_w, np.arange(self.length) // self.grid_w
+        self._order = {
+            "left_of": cols[:, None] < cols[None, :],
+            "above": rows[:, None] < rows[None, :],
+        }
 
     def params(self) -> dict:
         return {
@@ -314,25 +320,32 @@ class SceneWorld(WorldJoint):
             self.relational,
         )
 
-    def iter_scenes(self) -> Iterable[SceneSpec]:
-        cells = [(c, r) for r in range(self.grid_h) for c in range(self.grid_w)]
-        types = list(itertools.product(range(self.n_shapes), range(self.n_colors)))
-        for m in range(min(self.max_objects, self.length) + 1):
-            for placed in itertools.combinations(cells, m):
-                for assigned in itertools.product(types, repeat=m):
-                    objs = tuple(
-                        (cell, shape, color)
-                        for cell, (shape, color) in zip(placed, assigned)
-                    )
-                    yield SceneSpec(self.grid_w, self.grid_h, objs, self.max_objects)
-
     def _build_support(self):
-        grids = np.stack(
-            [render_scene(s, self.n_colors) for s in self.iter_scenes()]
-        ).astype(np.int16)
-        n = grids.shape[0]
-        logp = np.full(n, -math.log(n))
-        return grids, logp
+        """Every scene, one block per object count m, in a fixed order.
+
+        Block m runs over the m-cell sets in itertools.combinations order of
+        the row-major cells (outer) and over the m-tuples of object types in
+        itertools.product order (inner, last object fastest). Type i = shape *
+        n_colors + color is token 1 + i.
+        """
+        length, n_types = self.length, self.n_shapes * self.n_colors
+        grids = np.zeros((self.n_states, length), dtype=np.int16)
+        start = 0
+        for m in range(min(self.max_objects, length) + 1):
+            n_sets, n_typings = math.comb(length, m), n_types**m
+            cells = np.fromiter(
+                itertools.chain.from_iterable(itertools.combinations(range(length), m)),
+                dtype=np.intp,
+                count=n_sets * m,
+            ).reshape(n_sets, m)
+            # rows of this block as (cell set, typing, position), a view of grids
+            block = grids[start : start + n_sets * n_typings].reshape(n_sets, n_typings, length)
+            typing, sets = np.arange(n_typings), np.arange(n_sets)
+            for j in range(m):
+                # object j's type is digit j of the typing index in base n_types
+                block[sets, :, cells[:, j]] = 1 + typing // n_types ** (m - 1 - j) % n_types
+            start += n_sets * n_typings
+        return grids, np.full(self.n_states, -math.log(self.n_states))
 
     def token_attributes(self, token: int) -> tuple[int, int] | None:
         """(shape, color) of a token, or None for the empty cell."""
@@ -340,53 +353,25 @@ class SceneWorld(WorldJoint):
             return None
         return (token - 1) // self.n_colors, (token - 1) % self.n_colors
 
-    def _objects_of(self, grid: np.ndarray) -> list[tuple[int, int, int, int]]:
-        out = []
-        for idx in np.flatnonzero(np.asarray(grid) != EMPTY_TOKEN):
-            shape, color = self.token_attributes(int(grid[idx]))
-            out.append((int(idx) % self.grid_w, int(idx) // self.grid_w, shape, color))
-        return out
+    def _has_attribute(self, grids: np.ndarray, attr_kind: str, attr_id: int) -> np.ndarray:
+        """Mask of the cells holding an object with the attribute, shaped like grids."""
+        return (self._attribute_ids[attr_kind] == attr_id)[grids]
 
-    def satisfies(self, grid: np.ndarray, cond: ConditionSpec) -> bool:
-        grid = np.asarray(grid)
+    def predicate(self, grids: np.ndarray, cond: ConditionSpec) -> np.ndarray:
         if cond.kind == KIND_OBJECT_AT_CELL:
-            col, row = cond.payload
-            return int(grid[row * self.grid_w + col]) != EMPTY_TOKEN
+            return grids[..., self._cell(cond)] != EMPTY_TOKEN
         if cond.kind == KIND_ATTRIBUTE:
-            attr_kind, attr_id = cond.payload
-            pick = 0 if attr_kind == "shape" else 1
-            return any(o[2 + pick] == attr_id for o in self._objects_of(grid))
+            return self._has_attribute(grids, *cond.payload).any(axis=-1)
         if cond.kind == KIND_RELATION:
             if not self.relational:
-                raise ValueError("relation conditions need a relational world")
+                raise ValidationError(
+                    f"condition {cond.key()} needs a relational scene world"
+                )
             rel, sk, si, ok, oi = cond.payload
-            objs = self._objects_of(grid)
-            subjects = [o for o in objs if o[2 if sk == "shape" else 3] == si]
-            targets = [o for o in objs if o[2 if ok == "shape" else 3] == oi]
-            for s in subjects:
-                for t in targets:
-                    if (s[0], s[1]) == (t[0], t[1]):
-                        continue
-                    if rel == "left_of" and s[0] < t[0]:
-                        return True
-                    if rel == "above" and s[1] < t[1]:
-                        return True
-            return False
-        raise ValueError(f"scene worlds cannot evaluate {cond.kind!r} conditions")
-
-    def _satisfaction_column(self, cond: ConditionSpec) -> np.ndarray:
-        key = cond.key()
-        if key not in self._satisfaction:
-            grids, _ = self.support()
-            self._satisfaction[key] = np.array(
-                [self.satisfies(g, cond) for g in grids], dtype=bool
-            )
-        return self._satisfaction[key]
-
-    def _condition_loglik(self, cond: ConditionSpec) -> np.ndarray:
-        sat = self._satisfaction_column(cond)
-        out = np.where(sat, 0.0, -np.inf)
-        return out
+            # cells with a subject strictly before them, masked to the targets
+            after_subject = self._has_attribute(grids, sk, si) @ self._order[rel]
+            return (after_subject & self._has_attribute(grids, ok, oi)).any(axis=-1)
+        raise ValidationError(f"scene worlds cannot evaluate condition {cond.key()}")
 
     def condition_pool(self) -> list[ConditionSpec]:
         pool = [
@@ -517,17 +502,13 @@ class FactorizedWorld(WorldJoint):
     def _tables_for(self, cond: ConditionSpec) -> dict[int, np.ndarray]:
         (name,) = cond.payload
         if name not in self.table_conditions:
-            raise ValueError(f"unknown table condition {name!r}")
+            raise ValidationError(f"unknown table condition {name!r}")
         return self.table_conditions[name]
 
     def _condition_loglik(self, cond: ConditionSpec) -> np.ndarray:
-        grids, _ = self.support()
-        if cond.kind == KIND_OBJECT_AT_CELL:
-            col, row = cond.payload
-            sat = grids[:, row * self.grid_w + col] != EMPTY_TOKEN
-            return np.where(sat, 0.0, -np.inf)
         if cond.kind != KIND_CELL_TABLE:
-            raise ValueError(f"factorized worlds cannot evaluate {cond.kind!r} conditions")
+            return super()._condition_loglik(cond)
+        grids, _ = self.support()
         tables = self._tables_for(cond)
         out = np.zeros(grids.shape[0])
         log_kappa = 0.0
@@ -538,11 +519,13 @@ class FactorizedWorld(WorldJoint):
                 log_kappa -= float(ratio.max())
         return out + log_kappa
 
-    def satisfies(self, grid: np.ndarray, cond: ConditionSpec) -> bool:
+    def predicate(self, grids: np.ndarray, cond: ConditionSpec) -> np.ndarray:
         if cond.kind == KIND_OBJECT_AT_CELL:
-            col, row = cond.payload
-            return int(np.asarray(grid)[row * self.grid_w + col]) != EMPTY_TOKEN
-        raise ValueError("only object_at_cell predicates are checkable on factorized worlds")
+            return grids[..., self._cell(cond)] != EMPTY_TOKEN
+        raise ValidationError(
+            f"factorized worlds cannot evaluate condition {cond.key()} as a predicate: "
+            "only object_at_cell conditions are checkable"
+        )
 
     def conditional_tables(self, condition) -> np.ndarray:
         """Exact per-position marginals P(z_p | condition) in closed form."""

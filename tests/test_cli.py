@@ -245,6 +245,48 @@ class TestEval:
         assert digest_dir(out) == first
 
 
+class TestUnevaluableConditions:
+    """A condition the world cannot evaluate is a bad config: exit 2 and one
+    error line naming the condition and the world kind, not a traceback."""
+
+    FACTORIZED = (
+        "world.kind = factorized\nworld.grid_w = 2\nworld.grid_h = 2\n"
+        "world.vocab_size = 3\nmodel.kind = exact\neval.n_samples = 20\n"
+    )
+
+    def assert_validation_exit(self, capsys, argv, *needles):
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for needle in needles:
+            assert needle in err
+
+    def test_relation_sample_on_non_relational_scene_world(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            SMALL_WORLD + "model.kind = exact\n"
+            "conditions.specs = relation:left_of,shape,0,color,1\n",
+        )
+        out = str(tmp_path / "run")
+        self.assert_validation_exit(
+            capsys, ["sample", "--config", cfg, "--out", out],
+            "'relation', 'left_of'", "relational scene world",
+        )
+
+    @pytest.mark.parametrize(
+        "spec, needle",
+        [("cell_table:c0", "'cell_table', 'c0'"),
+         ("attribute_present:shape,0", "'attribute_present', 'shape', 0")],
+    )
+    def test_negation_on_factorized_world(self, tmp_path, capsys, spec, needle):
+        cfg = write_cfg(tmp_path, self.FACTORIZED + f"conditions.specs = {spec}\n")
+        out = str(tmp_path / "run")
+        self.assert_validation_exit(
+            capsys, ["eval", "--config", cfg, "--out", out, "--suite", "negation"],
+            needle, "factorized worlds",
+        )
+
+
 class TestBench:
     def test_rows_obey_count_law_and_exclude_timing(self, tmp_path):
         cfg = write_cfg(

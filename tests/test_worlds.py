@@ -2,10 +2,12 @@
 
 import itertools
 import sys
+import tracemalloc
 
 import countmodel_oracle as oracle
 import numpy as np
 import pytest
+import scene_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,13 +16,13 @@ from maskcompose.errors import (
     EmptyIntersection,
     InvalidTable,
     StateSpaceTooLarge,
+    ValidationError,
 )
 from exact_oracle import ExactOracle
 from maskcompose.sampler import MASK, MaskedState, SamplerSchedule, run_to_completion
 from maskcompose.worlds import (
     EXACT_MEMO_CAP_BYTES,
     ConditionSpec,
-    SceneSpec,
     attribute_present,
     build_factorized_world,
     build_random_factorized_world,
@@ -30,7 +32,6 @@ from maskcompose.worlds import (
     exact_conditional_model,
     object_at_cell,
     relation,
-    render_scene,
     render_tokens_to_image,
 )
 
@@ -57,19 +58,19 @@ class TestConditionKeys:
 class TestSceneRendering:
     def test_token_code(self):
         # token = 1 + shape * n_colors + color
-        spec = SceneSpec(2, 2, (((0, 0), 1, 2), ((1, 1), 0, 0)), max_objects=2)
-        tokens = render_scene(spec, n_colors=3)
+        spec = scene_oracle.SceneSpec(2, 2, (((0, 0), 1, 2), ((1, 1), 0, 0)), max_objects=2)
+        tokens = scene_oracle.render_scene(spec, n_colors=3)
         assert tokens[0] == 1 + 1 * 3 + 2 == 6
         assert tokens[3] == 1
         assert tokens[1] == tokens[2] == 0
 
     def test_scene_validation(self):
         with pytest.raises(ValueError):
-            SceneSpec(2, 2, (((0, 0), 0, 0), ((0, 0), 1, 0)), max_objects=2)
+            scene_oracle.SceneSpec(2, 2, (((0, 0), 0, 0), ((0, 0), 1, 0)), max_objects=2)
         with pytest.raises(ValueError):
-            SceneSpec(2, 2, (((2, 0), 0, 0),), max_objects=1)
+            scene_oracle.SceneSpec(2, 2, (((2, 0), 0, 0),), max_objects=1)
         with pytest.raises(ValueError):
-            SceneSpec(2, 2, (((0, 0), 0, 0), ((1, 0), 0, 0)), max_objects=1)
+            scene_oracle.SceneSpec(2, 2, (((0, 0), 0, 0), ((1, 0), 0, 0)), max_objects=1)
 
     def test_rendering_is_injective_over_support(self):
         world = build_scene_world(2, 2, n_shapes=2, n_colors=2, max_objects=2)
@@ -150,7 +151,7 @@ class TestSceneWorldPosterior:
 
     def test_relation_needs_relational_world(self):
         world = build_scene_world(2, 1, n_shapes=2, n_colors=1, max_objects=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="relational scene world"):
             world.enumerate_posterior([relation("left_of", ("shape", 0), ("shape", 1))])
 
     def test_prior_marginals_normalize(self):
@@ -187,6 +188,92 @@ class TestSceneWorldPosterior:
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
         with pytest.raises(ValueError):
             world.check_conditions(np.array([MASK, 0, 0, 0]), [object_at_cell(0, 0)])
+
+
+SCENE_WORLDS = {
+    "1x1": (1, 1, 2, 2, 1, False),
+    "2x2": (2, 2, 2, 1, 2, False),
+    "3x1-relational": (3, 1, 2, 1, 3, True),
+    "2x3-relational": (2, 3, 2, 2, 3, True),
+    "3x3": (3, 3, 2, 1, 3, False),
+    "2x2-saturated": (2, 2, 1, 2, 6, False),  # max_objects >= L
+}
+
+
+def _checked_conditions(world) -> list:
+    """The world's pool, every attribute (one id past the last included) and,
+    on relational worlds, a relation between an attribute and itself."""
+    attrs = [("shape", i) for i in range(world.n_shapes + 1)]
+    attrs += [("color", i) for i in range(world.n_colors + 1)]
+    conds = world.condition_pool() + [attribute_present(k, i) for k, i in attrs]
+    if world.relational:
+        conds += [relation(rel, ("shape", 0), ("shape", 0)) for rel in ("left_of", "above")]
+    return conds
+
+
+class TestSceneOracleEquivalence:
+    """The array-built support and the batched predicates against the
+    scene-by-scene reference in tests/scene_oracle.py, byte for byte."""
+
+    @pytest.fixture(params=sorted(SCENE_WORLDS))
+    def world(self, request):
+        return build_scene_world(*SCENE_WORLDS[request.param])
+
+    def test_support_rows_and_log_priors(self, world):
+        grids, logp = world.support()
+        want_grids, want_logp = scene_oracle.support(world)
+        assert len(grids) == world.n_states == len(want_grids)
+        assert grids.dtype == want_grids.dtype and grids.tobytes() == want_grids.tobytes()
+        want_logp = want_logp - np.logaddexp.reduce(want_logp)
+        assert logp.tobytes() == want_logp.tobytes()
+
+    def test_condition_columns(self, world):
+        grids, _ = world.support()
+        for cond in _checked_conditions(world):
+            want = scene_oracle.satisfaction_column(world, grids, cond)
+            assert world.predicate(grids, cond).tobytes() == want.tobytes(), cond
+            loglik = np.where(want, 0.0, -np.inf)
+            assert world.condition_loglik(cond).tobytes() == loglik.tobytes(), cond
+
+    def test_check_conditions_on_single_grids(self, world):
+        grids, _ = world.support()
+        conds = _checked_conditions(world)
+        for grid in grids[:: max(1, len(grids) // 150)]:
+            want = [scene_oracle.satisfies(world, grid, c) for c in conds]
+            assert world.check_conditions(grid, conds).tolist() == want, grid.tolist()
+            assert [world.satisfies(grid, c) for c in conds] == want
+
+    def test_support_build_memory_is_bounded(self):
+        world = build_scene_world(4, 4, n_shapes=2, n_colors=2, max_objects=4)
+        tracemalloc.start()
+        try:
+            grids, logp = world.support()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grids) == world.n_states == 503_745
+        assert peak <= 3 * (grids.nbytes + logp.nbytes)
+
+    def test_unevaluable_conditions_are_validation_errors(self):
+        scene = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
+        factorized = build_random_factorized_world(2, 2, 3, n_conditions=1, seed=0)
+        grids = scene.support()[0]
+        cases = [
+            (scene, cell_table("c0"), "scene worlds"),
+            (scene, object_at_cell(2, 0), "outside the 2x2 grid"),
+            (factorized, cell_table("c0"), "factorized worlds"),
+            (factorized, attribute_present("shape", 0), "factorized worlds"),
+            (factorized, object_at_cell(0, 2), "outside the 2x2 grid"),
+        ]
+        for world, cond, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                world.predicate(grids, cond)
+        with pytest.raises(ValidationError, match="unknown table condition"):
+            factorized.condition_loglik(cell_table("c9"))
+        # the factorized world's one predicate: a non-empty cell
+        assert factorized.predicate(grids, object_at_cell(1, 0)).tolist() == (
+            grids[:, 1] != 0
+        ).tolist()
 
 
 class TestSceneTrainingPairs:
