@@ -12,12 +12,13 @@ grids and the paired satisfaction rates.
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from maskcompose.countmodel import fit_count_model
 from maskcompose.evalharness import predicate_pool, run_ood_eval
-from maskcompose.sampler import MaskedState, SamplerSchedule, reseeded, run_to_completion
+from maskcompose.sampler import MaskedState, SamplerSchedule, run_to_completion
 from maskcompose.worlds import build_scene_world
 
 
@@ -78,7 +79,7 @@ def main(argv=None) -> int:
     for i in range(args.runs):
         tokens, _ = run_to_completion(
             MaskedState.fully_masked(world.length), model, conds, weights,
-            reseeded(sched, args.seed * 1000 + i),
+            replace(sched, rng_seed=args.seed * 1000 + i),
         )
         ok = bool(world.check_conditions(tokens, conds).all())
         rows = ascii_grid(tokens, world.grid_w, world.grid_h, marked)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .evalharness import (
     run_ood_eval,
     strip_timing,
 )
-from .sampler import MaskedState, reseeded, run_to_completion
+from .sampler import MaskedState, run_to_completion
 from .worlds import SceneWorld, exact_conditional_model, render_tokens_to_image
 
 EXIT_OK = 0
@@ -193,7 +194,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
     lines = [f"# command = sample"] + [f"# {ln}" for ln in config_lines(cfg)]
     for i in range(cfg["sample.n_runs"]):
-        run_sched = reseeded(sched, sched.rng_seed + i)
+        run_sched = replace(sched, rng_seed=sched.rng_seed + i)
         state = MaskedState.fully_masked(world.length)
         tokens, _ = run_to_completion(state, model, conds, weights, run_sched)
         sat = world.check_conditions(tokens, conds) if conds else np.array([], bool)

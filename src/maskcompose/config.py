@@ -250,12 +250,12 @@ SCHEMA: dict[str, _Field] = {
         "negation suite: concept weights to sweep",
     ),
     "bench.tokens_per_step_grid": _Field(
-        (1, 3, 9), lambda t: tuple(_parse_int(x) for x in t.split()), None,
-        "bench: tokens_per_step values",
+        (1, 3, 9), lambda t: tuple(_parse_int(x) for x in t.split()),
+        lambda v: all(x >= 1 for x in v), "bench: tokens_per_step values",
     ),
     "bench.n_conditions_grid": _Field(
-        (0, 1, 2), lambda t: tuple(_parse_int(x) for x in t.split()), None,
-        "bench: condition counts",
+        (0, 1, 2), lambda t: tuple(_parse_int(x) for x in t.split()),
+        lambda v: all(x >= 0 for x in v), "bench: condition counts",
     ),
     "bench.n_runs": _Field(5, _parse_int, _positive, "bench: runs per grid point"),
     "codebook.n_entries": _Field(64, _parse_int, _positive, "codebook size"),
@@ -380,10 +380,13 @@ def world_from_config(cfg: RunConfig) -> WorldJoint:
 
 
 def schedule_from_config(cfg: RunConfig) -> SamplerSchedule:
-    return SamplerSchedule(
-        mode=cfg["schedule.mode"],
-        tokens_per_step=cfg["schedule.tokens_per_step"],
-        order_policy=cfg["schedule.order_policy"],
-        rng_seed=cfg["schedule.seed"],
-        temperature=cfg["schedule.temperature"],
-    )
+    try:
+        return SamplerSchedule(
+            mode=cfg["schedule.mode"],
+            tokens_per_step=cfg["schedule.tokens_per_step"],
+            order_policy=cfg["schedule.order_policy"],
+            rng_seed=cfg["schedule.seed"],
+            temperature=cfg["schedule.temperature"],
+        )
+    except ValueError as exc:
+        raise ValidationError(f"schedule: {exc}") from None

@@ -94,9 +94,9 @@ class _KeyCodes:
     """
 
     def __init__(self, grid_w: int, grid_h: int, vocab_size: int, n_conds: int):
-        self.neighbors = neighbor_lists(grid_w, grid_h)
-        self.length = len(self.neighbors)
-        width = max(len(nb) for nb in self.neighbors)
+        neighbors = neighbor_lists(grid_w, grid_h)
+        self.length = len(neighbors)
+        width = max(len(nb) for nb in neighbors)
         self.n_sigs = math.comb(vocab_size + width, width)
         if n_conds * self.length * self.n_sigs * vocab_size >= _CODE_END:
             raise StateSpaceTooLarge(
@@ -106,7 +106,7 @@ class _KeyCodes:
         # a short neighborhood is padded with its own position, which is
         # masked whenever its signature is asked for
         self.index = np.empty((self.length, width), dtype=np.intp)
-        for p, nb in enumerate(self.neighbors):
+        for p, nb in enumerate(neighbors):
             self.index[p, : len(nb)] = nb
             self.index[p, len(nb) :] = p
         self.width = width
@@ -226,11 +226,6 @@ class CountModel:
     @property
     def length(self) -> int:
         return self.grid_w * self.grid_h
-
-    def signature(self, tokens: np.ndarray, pos: int) -> tuple[int, ...]:
-        """Sorted unmasked neighbor tokens around pos; masked slots drop out."""
-        vals = [int(tokens[q]) for q in self._codec.neighbors[pos] if tokens[q] != MASK]
-        return tuple(sorted(vals))
 
     def _state_codes(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Masked positions (M,) and their bucket codes at every backoff

@@ -18,7 +18,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,14 +28,15 @@ from .sampler import (
     MaskedState,
     SamplerSchedule,
     count_evaluations,
-    reseeded,
     run_to_completion,
 )
 from .worlds import WorldJoint, cond_key, exact_conditional_model, object_at_cell
 
-TIMING_FIELDS = ("wall_time_per_sample", "wall_per_run", "wall_per_image")
+TIMING_FIELDS = ("wall_time_per_sample", "wall_per_run")
 
 _SEED_BOUND = 2**63 - 1
+# condition-set draws before a set size counts as unsatisfiable
+_MAX_SET_DRAWS = 200
 
 
 def two_sigma_bound(p: float, n: int) -> float:
@@ -141,12 +142,11 @@ class _ConditionSetSampler:
     """Rejection sampler for mutually satisfiable condition sets; caches the
     satisfiability verdict and the exact posterior marginals per set."""
 
-    def __init__(self, world: WorldJoint, pool: Sequence, max_retries: int = 200):
+    def __init__(self, world: WorldJoint, pool: Sequence):
         if not pool:
             raise ValidationError("condition pool is empty")
         self.world = world
         self.pool = list(pool)
-        self.max_retries = max_retries
         self._verdict: dict[tuple, bool] = {}
         self._marginals: dict[tuple, np.ndarray] = {}
 
@@ -160,7 +160,7 @@ class _ConditionSetSampler:
             )
         if n_components == 0:
             return []
-        for _ in range(self.max_retries):
+        for _ in range(_MAX_SET_DRAWS):
             idx = rng.choice(len(self.pool), size=n_components, replace=False)
             conds = [self.pool[int(i)] for i in sorted(idx)]
             key = self._key(conds)
@@ -176,7 +176,7 @@ class _ConditionSetSampler:
             if verdict:
                 return conds
         raise EmptyIntersection(
-            f"no satisfiable {n_components}-condition set found in {self.max_retries} draws"
+            f"no satisfiable {n_components}-condition set found in {_MAX_SET_DRAWS} draws"
         )
 
     def marginals(self, conds) -> np.ndarray:
@@ -194,7 +194,7 @@ def _sample(
     """
     seed = int(rng.integers(_SEED_BOUND))
     tokens, stats = run_to_completion(
-        MaskedState.fully_masked(length), model, conds, weights, reseeded(sched, seed)
+        MaskedState.fully_masked(length), model, conds, weights, replace(sched, rng_seed=seed)
     )
     expect = count_evaluations(sched, length, len(conds))
     if stats.evaluations != expect:
@@ -216,7 +216,6 @@ def run_error_eval(
     joint_prompt: bool = False,
     pool: Sequence | None = None,
     label: str = "",
-    max_retries: int = 200,
 ) -> EvalReport:
     """Sample satisfiable condition sets, generate, score every condition.
 
@@ -228,7 +227,7 @@ def run_error_eval(
     """
     if sched is None:
         sched = SamplerSchedule()
-    sampler = _ConditionSetSampler(world, pool if pool is not None else predicate_pool(world), max_retries)
+    sampler = _ConditionSetSampler(world, pool if pool is not None else predicate_pool(world))
     rng = np.random.default_rng(rng_seed)
     length = world.length
     n_for_law = 1 if joint_prompt and n_components > 0 else n_components
@@ -510,12 +509,20 @@ def run_bench(
     if sched is None:
         sched = SamplerSchedule()
     pool = list(pool) if pool is not None else predicate_pool(world)
+    for n in n_conditions_grid:
+        if n > len(pool):
+            raise ValidationError(
+                f"cannot draw {n} distinct conditions from a pool of {len(pool)}"
+            )
+    try:
+        run_scheds = [replace(sched, tokens_per_step=int(s)) for s in tokens_per_step_grid]
+    except ValueError as exc:
+        raise ValidationError(f"bench schedule: {exc}") from None
     rng = np.random.default_rng(rng_seed)
     rows = []
-    for s in tokens_per_step_grid:
+    for run_sched in run_scheds:
         for n in n_conditions_grid:
             conds = [pool[int(i)] for i in rng.choice(len(pool), size=n, replace=False)]
-            run_sched = replace(sched, tokens_per_step=int(s))
             t0 = time.perf_counter()
             for _ in range(n_runs):
                 _sample(model, world.length, conds, [1.0] * n, run_sched, rng)
@@ -526,7 +533,7 @@ def run_bench(
             rows.append(
                 BenchRow(
                     mode=run_sched.mode,
-                    tokens_per_step=int(s),
+                    tokens_per_step=run_sched.tokens_per_step,
                     n_conditions=n,
                     length=world.length,
                     steps=evaluations // (n + 1),
@@ -536,36 +543,6 @@ def run_bench(
                 )
             )
     return rows
-
-
-def run_batch_bench(
-    model_factory: Callable[[], object],
-    world: WorldJoint,
-    conds: Sequence,
-    batch_sizes: Sequence[int] = (1, 25),
-    sched: SamplerSchedule | None = None,
-    rng_seed: int = 0,
-    repeats: int = 3,
-) -> list[dict]:
-    """Per-image wall time at different batch sizes, cold model per batch.
-
-    Larger batches amortize whatever the model caches across runs; the
-    reported per-image time is the best of `repeats` measurements.
-    """
-    if sched is None:
-        sched = SamplerSchedule()
-    out = []
-    for b in batch_sizes:
-        best = math.inf
-        for r in range(repeats):
-            model = model_factory()
-            rng = np.random.default_rng(rng_seed + r)
-            t0 = time.perf_counter()
-            for _ in range(b):
-                _sample(model, world.length, list(conds), [1.0] * len(conds), sched, rng)
-            best = min(best, (time.perf_counter() - t0) / b)
-        out.append({"type": "batch_bench", "batch_size": int(b), "wall_per_image": best})
-    return out
 
 
 def fidelity_tv(

@@ -12,12 +12,12 @@ positions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .compose import DEFAULT_LOGP_FLOOR, DEFAULT_TEMPERATURE, compose_logits, normalize_logits
+from .compose import DEFAULT_TEMPERATURE, compose_logits, normalize_logits
 from .errors import NoMaskedSlots, NonPositiveTemperature, ShapeMismatch
 from .memo import Memo
 
@@ -34,7 +34,6 @@ class MaskedState:
     """A length-L token grid where unfixed slots hold the MASK sentinel."""
 
     tokens: np.ndarray
-    t: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.tokens, dtype=np.int16)
@@ -42,7 +41,7 @@ class MaskedState:
 
     @classmethod
     def fully_masked(cls, length: int) -> "MaskedState":
-        return cls(np.full(length, MASK, dtype=np.int16), t=0)
+        return cls(np.full(length, MASK, dtype=np.int16))
 
     @property
     def length(self) -> int:
@@ -65,7 +64,7 @@ class MaskedState:
             if tokens[p] != MASK:
                 raise ValueError(f"slot {p} is already fixed; unmasked slots never change")
             tokens[p] = v
-        return MaskedState(tokens, t=self.t + 1)
+        return MaskedState(tokens)
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,7 @@ def sample_token(logp: np.ndarray, rng: np.random.Generator) -> int:
 
 
 # Composed vectors, temperature applied, keyed by the content of their inputs:
-# logp_floor, temperature, weights and each expert vector's dtype and bytes.
+# temperature, weights and each expert vector's dtype and bytes.
 # Experts hand back the same few vectors run after run (20 000 masked fidelity
 # runs on the 2x2 world compose 8 distinct inputs), so most steps find their
 # vector here. Stored vectors are read-only. An entry is charged its arrays'
@@ -150,7 +149,7 @@ _MEMO_VECTOR_BYTES = 64
 
 
 def _composed_charge(key: tuple, out: np.ndarray) -> int:
-    vectors = key[4::2]  # the key ends in (dtype, bytes) pairs, one per vector
+    vectors = key[3::2]  # the key ends in (dtype, bytes) pairs, one per vector
     return _MEMO_ENTRY_BYTES + out.nbytes + sum(len(v) + _MEMO_VECTOR_BYTES for v in vectors)
 
 
@@ -162,17 +161,16 @@ def _composed(
     conds: Sequence[np.ndarray],
     weights: tuple,
     temperature: float,
-    logp_floor: float,
 ) -> np.ndarray:
     """compose_logits at one position, then the temperature, through the memo."""
-    key = [logp_floor, temperature, weights, uncond.dtype, uncond.tobytes()]
+    key = [temperature, weights, uncond.dtype, uncond.tobytes()]
     for c in conds:
         key += (c.dtype, c.tobytes())
     key = tuple(key)
     out = _memo.get(key)
     if out is not None:
         return out
-    out = compose_logits(uncond, conds, weights, logp_floor)
+    out = compose_logits(uncond, conds, weights)
     if temperature != 1.0:
         out = normalize_logits(out / temperature)
     out.flags.writeable = False
@@ -211,45 +209,38 @@ def composed_step(
     conds: Sequence,
     weights: Sequence[float],
     sched: SamplerSchedule,
-    rng: np.random.Generator | None = None,
-    order: Sequence[int] | None = None,
-    stats: RunStats | None = None,
-    logp_floor: float = DEFAULT_LOGP_FLOOR,
+    rng: np.random.Generator,
+    order: Sequence[int] | None,
+    stats: RunStats,
 ) -> MaskedState:
-    """Advance one step: query, compose, select, draw.
+    """Advance one step of a run: query, compose, select, draw.
 
     The model is evaluated once unconditionally and once per condition,
-    regardless of how many positions get fixed. When no rng or unmasking
-    order is supplied they are derived from sched.rng_seed, which makes a
-    standalone call reproducible but independent of any surrounding run.
-    Composed vectors come from a memo keyed by the content of the expert
-    vectors, weights, logp_floor and temperature, so equal inputs give the
-    same read-only vector that compose_logits would.
+    regardless of how many positions get fixed. rng is the run's generator;
+    order is the run's unmasking permutation in masked random-order mode and
+    is not read otherwise; stats is the run's counter. Composed vectors come
+    from a memo keyed by the content of the expert vectors, weights and
+    temperature, so equal inputs give the same read-only vector that
+    compose_logits would.
     """
     if len(conds) != len(weights):
         raise ShapeMismatch(f"{len(conds)} conditions vs {len(weights)} weights")
     masked = [p for p, v in enumerate(state.tokens.tolist()) if v == MASK]
     if not masked:
         raise NoMaskedSlots("state has no masked slots left")
-    if rng is None:
-        rng = np.random.default_rng(sched.rng_seed)
-    if order is None and sched.mode == MODE_MASKED and sched.order_policy == ORDER_RANDOM:
-        order = rng.permutation(state.length)
 
     uncond = model.predict(state, None)
-    if stats is not None:
-        stats.evaluations += 1
+    stats.evaluations += 1
     per_cond = []
     for c in conds:
         per_cond.append(model.predict(state, c))
-        if stats is not None:
-            stats.evaluations += 1
+        stats.evaluations += 1
 
     weights = tuple(float(w) for w in weights)  # hashable, for the memo key
     temperature = sched.temperature
 
     def composed_at(pos: int) -> np.ndarray:
-        return _composed(uncond[pos], [d[pos] for d in per_cond], weights, temperature, logp_floor)
+        return _composed(uncond[pos], [d[pos] for d in per_cond], weights, temperature)
 
     composed_all = None
     if sched.mode == MODE_MASKED and sched.order_policy == ORDER_MAX_CONFIDENCE:
@@ -261,8 +252,7 @@ def composed_step(
         dist = composed_all[pos] if composed_all is not None else composed_at(pos)
         values.append(sample_token(dist, rng))
     new_state = state.with_fixed(selected, values)
-    if stats is not None:
-        stats.steps += 1
+    stats.steps += 1
     return new_state
 
 
@@ -289,11 +279,5 @@ def run_to_completion(
     stats = RunStats()
     state = initial
     while not state.is_complete():
-        state = composed_step(
-            state, model, conds, weights, sched, rng=rng, order=order, stats=stats
-        )
+        state = composed_step(state, model, conds, weights, sched, rng, order, stats)
     return state.tokens.copy(), stats
-
-
-def reseeded(sched: SamplerSchedule, rng_seed: int) -> SamplerSchedule:
-    return replace(sched, rng_seed=rng_seed)

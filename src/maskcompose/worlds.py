@@ -42,6 +42,8 @@ from .memo import Memo
 from .sampler import MASK, MaskedState
 
 STATE_SPACE_CAP = 10_000_000
+# grids hold int16 tokens, so ids run from 0 to 32767
+VOCAB_CAP = 1 << 15
 EMPTY_TOKEN = 0
 
 KIND_OBJECT_AT_CELL = "object_at_cell"
@@ -135,10 +137,6 @@ class Posterior:
             np.ascontiguousarray(self.grids.T), self.probs, self.vocab_size
         )
 
-    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        idx = rng.choice(self.probs.size, size=n, p=self.probs)
-        return self.grids[idx]
-
 
 class WorldJoint:
     """Base for exhaustively enumerable worlds.
@@ -216,9 +214,6 @@ class WorldJoint:
             )
         return row * self.grid_w + col
 
-    def satisfies(self, grid: np.ndarray, cond: ConditionSpec) -> bool:
-        return bool(self.predicate(np.asarray(grid), cond))
-
     def check_conditions(self, grid: np.ndarray, conds: Sequence[ConditionSpec]) -> np.ndarray:
         """Satisfaction bitmap for a fully unmasked grid."""
         grid = np.asarray(grid)
@@ -258,6 +253,13 @@ def _check_support_cap(count: int):
         raise StateSpaceTooLarge(f"{count} states exceeds cap {STATE_SPACE_CAP}")
 
 
+def _check_vocab(vocab_size: int):
+    if vocab_size > VOCAB_CAP:
+        raise StateSpaceTooLarge(
+            f"a vocabulary of {vocab_size} tokens exceeds the int16 token cap of {VOCAB_CAP}"
+        )
+
+
 class SceneWorld(WorldJoint):
     """Uniform distribution over all placements of typed objects on a grid."""
 
@@ -280,6 +282,7 @@ class SceneWorld(WorldJoint):
         self.max_objects = int(max_objects)
         self.relational = bool(relational)
         self.vocab_size = 1 + self.n_shapes * self.n_colors
+        _check_vocab(self.vocab_size)
         self.n_states = sum(
             math.comb(self.length, m) * (self.n_shapes * self.n_colors) ** m
             for m in range(min(self.max_objects, self.length) + 1)
@@ -432,6 +435,7 @@ class FactorizedWorld(WorldJoint):
         self.grid_w = int(grid_w)
         self.grid_h = int(grid_h)
         self.vocab_size = int(vocab_size)
+        _check_vocab(self.vocab_size)
         _check_support_cap(self.vocab_size**self.length)
         if prior_tables is None:
             prior_tables = np.full((self.length, self.vocab_size), 1.0 / self.vocab_size)
@@ -482,9 +486,6 @@ class FactorizedWorld(WorldJoint):
         self._loglik_cache.pop(cell_table(name).key(), None)
         self.condition_version += 1
         return cell_table(name)
-
-    def condition_cells(self, name: str) -> list[int]:
-        return sorted(self.table_conditions[name])
 
     def _build_support(self):
         k, length = self.vocab_size, self.length
@@ -664,19 +665,15 @@ class ExactConditionalModel:
     moves, the memo and the cached likelihoods are dropped.
 
     When a condition has zero probability given the already fixed slots the
-    conditional is undefined; by default the expert abstains and answers with
-    the unconditional distribution (no remaining evidence), the graceful
-    degradation a bounded-logit network would exhibit. on_impossible="raise"
-    turns that case into AllMassZero instead. An unconditional query with no
-    compatible support state always raises.
+    conditional is undefined; the expert then abstains and answers with the
+    unconditional distribution (no remaining evidence), the graceful
+    degradation a bounded-logit network would exhibit. An unconditional query
+    with no compatible support state raises AllMassZero.
     """
 
-    def __init__(self, world: WorldJoint, on_impossible: str = "abstain"):
-        if on_impossible not in ("abstain", "raise"):
-            raise ValueError(f"unknown on_impossible policy {on_impossible!r}")
+    def __init__(self, world: WorldJoint):
         self.world = world
         self.vocab_size = world.vocab_size
-        self.on_impossible = on_impossible
         grids, logp = world.support()
         self._cols = np.ascontiguousarray(grids.T)
         self._prior = np.exp(logp)
@@ -732,10 +729,8 @@ class ExactConditionalModel:
             w = w * self._exp_loglik(cond)[idx]
         total = float(w.sum())
         if not (total > 0.0):
-            if idx.size == 0:
+            if idx.size == 0 or condition is None:
                 raise AllMassZero("no support state agrees with the unmasked slots")
-            if condition is None or self.on_impossible == "raise":
-                raise AllMassZero("condition is incompatible with the unmasked slots")
             out = self.predict(state, None)
         else:
             with np.errstate(divide="ignore"):
@@ -745,10 +740,8 @@ class ExactConditionalModel:
         return out
 
 
-def exact_conditional_model(
-    world: WorldJoint, on_impossible: str = "abstain"
-) -> ExactConditionalModel:
-    return ExactConditionalModel(world, on_impossible)
+def exact_conditional_model(world: WorldJoint) -> ExactConditionalModel:
+    return ExactConditionalModel(world)
 
 
 # palette for rendering: one RGB triple per color id

@@ -18,10 +18,9 @@ from maskcompose.worlds import _iter_conditions
 
 
 class ExactOracle:
-    def __init__(self, world, on_impossible: str = "abstain"):
+    def __init__(self, world):
         self.world = world
         self.vocab_size = world.vocab_size
-        self.on_impossible = on_impossible
         grids, logp = world.support()
         self._grids = grids
         self._prior = np.exp(logp)
@@ -41,10 +40,8 @@ class ExactOracle:
         w = self._likelihood(condition)[sel]
         total = float(w.sum())
         if not (total > 0.0):
-            if not sel.any():
+            if not sel.any() or condition is None:
                 raise AllMassZero("no support state agrees with the unmasked slots")
-            if condition is None or self.on_impossible == "raise":
-                raise AllMassZero("condition is incompatible with the unmasked slots")
             return self.predict(tokens, None)
         sub = self._grids[sel]
         out = {}

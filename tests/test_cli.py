@@ -287,6 +287,41 @@ class TestUnevaluableConditions:
         )
 
 
+class TestOutOfRangeConfigs:
+    """Values the schema parses but the program cannot run: exit 2 and one
+    error line, not a traceback."""
+
+    EXACT = SMALL_WORLD + "model.kind = exact\n"
+
+    @pytest.mark.parametrize(
+        "command, text, needle",
+        [
+            ("sample", "world.grid_w = 1\nworld.grid_h = 1\nworld.n_colors = 40000\n"
+             "world.max_objects = 1\nmodel.kind = exact\n", "vocabulary of 40001 tokens"),
+            ("sample", "world.kind = factorized\nworld.grid_w = 1\nworld.grid_h = 1\n"
+             "world.vocab_size = 40000\nworld.n_tables = 1\nmodel.kind = exact\n",
+             "vocabulary of 40000 tokens"),
+            ("sample", EXACT + "schedule.mode = autoregressive\nschedule.tokens_per_step = 2\n",
+             "autoregressive mode forces tokens_per_step = 1"),
+            ("bench", EXACT + "schedule.mode = autoregressive\n",
+             "autoregressive mode forces tokens_per_step = 1"),
+            ("bench", EXACT + "bench.tokens_per_step_grid = 0\n", "bench.tokens_per_step_grid"),
+            ("bench", EXACT + "bench.n_conditions_grid = -1\n", "bench.n_conditions_grid"),
+            ("bench", EXACT + "bench.n_conditions_grid = 5\n",
+             "cannot draw 5 distinct conditions from a pool of 4"),
+        ],
+        ids=["scene-vocab", "factorized-vocab", "ar-tokens-per-step", "ar-bench-grid",
+             "bench-zero-tokens-per-step", "bench-negative-conditions", "bench-conditions-over-pool"],
+    )
+    def test_exits_two_with_an_error_line(self, tmp_path, capsys, command, text, needle):
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "run")
+        assert main([command, "--config", cfg, "--out", out]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert needle in err
+
+
 class TestBench:
     def test_rows_obey_count_law_and_exclude_timing(self, tmp_path):
         cfg = write_cfg(

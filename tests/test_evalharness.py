@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from maskcompose.evalharness import (
     joint_tv,
     predicate_pool,
     record_line,
-    run_batch_bench,
     run_bench,
     run_error_eval,
     run_negation_eval,
@@ -60,12 +60,12 @@ class TestMetrics:
         cond = object_at_cell(0, 0)
         sched = SamplerSchedule(temperature=1.0)
         rng = np.random.default_rng(1)
-        from maskcompose.sampler import MaskedState, reseeded, run_to_completion
+        from maskcompose.sampler import MaskedState, run_to_completion
 
         samples = np.stack([
             run_to_completion(
                 MaskedState.fully_masked(4), model, [cond], [1.0],
-                reseeded(sched, int(rng.integers(2**63 - 1))),
+                replace(sched, rng_seed=int(rng.integers(2**63 - 1))),
             )[0]
             for _ in range(5000)
         ])
@@ -257,27 +257,6 @@ class TestBench:
         # n 1 -> 2 multiplies evaluations by 3/2 at fixed steps
         assert rows[(1, 2)].evaluations * 2 == rows[(1, 1)].evaluations * 3
 
-    def test_batch_amortization(self):
-        """A batch shares one cold model, so the exact-model queries it has to
-        compute per image (its memo entries) fall as the batch grows."""
-        world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=2)
-        conds = [object_at_cell(0, 0)]
-        models = []
-
-        def cold_model():
-            models.append(exact_conditional_model(world))
-            return models[-1]
-
-        out = run_batch_bench(
-            cold_model, world, conds, batch_sizes=(1, 25), rng_seed=0, repeats=3,
-        )
-        assert [row["batch_size"] for row in out] == [1, 25]
-        assert all(row["wall_per_image"] > 0.0 for row in out)
-        assert len(models) == 6  # a cold model per batch size and repeat
-        cold = {b: [len(m.memo) / b for m in models[3 * i : 3 * i + 3]]
-                for i, b in enumerate((1, 25))}
-        assert max(cold[25]) < min(cold[1])
-
     def test_bench_row_record(self):
         row = BenchRow("masked", 3, 1, 9, 3, 6, 5, 0.001)
         rec = row.to_record()
@@ -337,11 +316,8 @@ class TestEvaluationCountLaw:
             lambda w, m: run_ood_eval(m, w, train_max_objects=1, test_n_conditions=2, n_runs=3),
             lambda w, m: run_negation_eval(m, w, object_at_cell(1, 1), 3, weights=(0.0, 1.0)),
             lambda w, m: run_bench(m, w, (1,), (1,), n_runs=1),
-            lambda w, m: run_batch_bench(
-                lambda: m, w, [object_at_cell(0, 0)], batch_sizes=(1,), repeats=1
-            ),
         ],
-        ids=["fidelity", "error", "ood", "negation", "bench", "batch_bench"],
+        ids=["fidelity", "error", "ood", "negation", "bench"],
     )
     def test_every_suite_rejects_a_miscounted_run(self, miscount, setup, suite):
         miscount()

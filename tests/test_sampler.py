@@ -23,7 +23,6 @@ from maskcompose.sampler import (
     SamplerSchedule,
     composed_step,
     count_evaluations,
-    reseeded,
     run_to_completion,
     sample_token,
 )
@@ -57,18 +56,23 @@ def uniform_model(length, k):
     return TableModel(np.full((length, k), 1.0 / k))
 
 
+def step(state, model, conds, weights, sched, order=None):
+    """One composed_step with a fresh generator and counter."""
+    return composed_step(
+        state, model, conds, weights, sched, np.random.default_rng(0), order, RunStats()
+    )
+
+
 class TestMaskedState:
     def test_fully_masked(self):
         s = MaskedState.fully_masked(5)
         assert s.length == 5
-        assert s.t == 0
         assert not s.is_complete()
         assert list(s.masked_positions()) == [0, 1, 2, 3, 4]
 
     def test_with_fixed_steps_time_and_preserves_original(self):
         s = MaskedState.fully_masked(3)
         s2 = s.with_fixed([1], [7])
-        assert s2.t == 1
         assert list(s2.tokens) == [MASK, 7, MASK]
         assert list(s.tokens) == [MASK, MASK, MASK]
 
@@ -159,7 +163,7 @@ class TestRunLoop:
         sched = SamplerSchedule(mode=MODE_AUTOREGRESSIVE, rng_seed=5)
         state = MaskedState.fully_masked(9)
         for i in range(9):
-            state = composed_step(state, model, [], [], sched, rng=np.random.default_rng(0))
+            state = step(state, model, [], [], sched)
             fixed = np.flatnonzero(state.tokens != MASK)
             assert list(fixed) == list(range(i + 1))
         assert state.is_complete()
@@ -172,13 +176,11 @@ class TestRunLoop:
     def test_step_on_complete_state_raises(self):
         state = MaskedState.fully_masked(1).with_fixed([0], [0])
         with pytest.raises(NoMaskedSlots):
-            composed_step(state, uniform_model(1, 2), [], [], SamplerSchedule())
+            step(state, uniform_model(1, 2), [], [], SamplerSchedule())
 
     def test_mismatched_weights_raise(self):
         with pytest.raises(ShapeMismatch):
-            composed_step(
-                MaskedState.fully_masked(2), uniform_model(2, 2), ["a"], [], SamplerSchedule()
-            )
+            step(MaskedState.fully_masked(2), uniform_model(2, 2), ["a"], [], SamplerSchedule())
 
     def test_determinism_same_seed_same_tokens(self):
         model = TableModel(np.array([[0.7, 0.2, 0.1]] * 6))
@@ -197,13 +199,6 @@ class TestRunLoop:
             )
             outs.add(tokens.tobytes())
         assert len(outs) > 1
-
-    def test_reseeded_changes_only_the_seed(self):
-        sched = SamplerSchedule(tokens_per_step=3, temperature=1.3, rng_seed=1)
-        again = reseeded(sched, 9)
-        assert again.rng_seed == 9
-        assert again.tokens_per_step == 3
-        assert again.temperature == 1.3
 
     @given(
         length=st.integers(1, 16),
@@ -227,9 +222,7 @@ class TestRunLoop:
         while not state.is_complete():
             remaining = state.masked_positions().size
             prev = state.tokens.copy()
-            state = composed_step(
-                state, model, [], [], sched, rng=run_rng, order=order, stats=stats
-            )
+            state = composed_step(state, model, [], [], sched, run_rng, order, stats)
             was_fixed = prev != MASK
             assert np.array_equal(state.tokens[was_fixed], prev[was_fixed])
             newly = int((state.tokens != MASK).sum() - was_fixed.sum())
@@ -279,10 +272,7 @@ class TestSampling:
         tables = np.array([[0.5, 0.5], [0.99, 0.01]])
         model = TableModel(tables)
         sched = SamplerSchedule(order_policy=ORDER_MAX_CONFIDENCE, temperature=1.0)
-        state = composed_step(
-            MaskedState.fully_masked(2), model, [], [], sched,
-            rng=np.random.default_rng(0),
-        )
+        state = step(MaskedState.fully_masked(2), model, [], [], sched)
         assert state.tokens[1] != MASK
         assert state.tokens[0] == MASK
 
@@ -290,10 +280,7 @@ class TestSampling:
         tables = np.array([[0.5, 0.5]] * 3)
         model = TableModel(tables)
         sched = SamplerSchedule(order_policy=ORDER_MAX_CONFIDENCE)
-        state = composed_step(
-            MaskedState.fully_masked(3), model, [], [], sched,
-            rng=np.random.default_rng(0),
-        )
+        state = step(MaskedState.fully_masked(3), model, [], [], sched)
         assert state.tokens[0] != MASK
 
     def test_condition_tables_shift_samples(self):
@@ -320,16 +307,16 @@ class TestComposedMemo:
         monkeypatch.setattr(sampler, "_memo", cold)
 
     @staticmethod
-    def drawn_from(monkeypatch, uncond, cond, weight, temperature, floor):
+    def drawn_from(monkeypatch, uncond, cond, weight, temperature):
         """The vector composed_step hands to sample_token for one position."""
         seen = []
         monkeypatch.setattr(
             sampler, "sample_token", lambda logp, rng: seen.append(logp) or sample_token(logp, rng)
         )
         model = TableModel([uncond], cond_tables={"c": np.array([cond])})
-        composed_step(
+        step(
             MaskedState.fully_masked(1), model, ["c"], [weight],
-            SamplerSchedule(temperature=temperature), rng=np.random.default_rng(0), logp_floor=floor,
+            SamplerSchedule(temperature=temperature), order=[0],
         )
         return seen[0]
 
@@ -352,13 +339,12 @@ class TestComposedMemo:
 
     def test_each_input_change_misses(self, monkeypatch):
         base = dict(uncond=[0.5, 0.3, 0.2], cond=[0.001, 0.299, 0.7], weight=1.5,
-                    temperature=0.9, floor=-30.0)
+                    temperature=0.9)
         variants = [
             {},
             {"uncond": [0.5, 0.25, 0.2]},
             {"cond": [0.001, 0.3, 0.7]},
             {"weight": 1.25},
-            {"floor": -5.0},
             {"temperature": 0.8},
         ]
         got = []
@@ -366,7 +352,7 @@ class TestComposedMemo:
             a = {**base, **change}
             with np.errstate(divide="ignore"):
                 u, c = np.log(a["uncond"]), np.log(a["cond"])
-            expect = compose_logits(u, [c], [a["weight"]], a["floor"])
+            expect = compose_logits(u, [c], [a["weight"]])
             if a["temperature"] != 1.0:
                 expect = normalize_logits(expect / a["temperature"])
             out = self.drawn_from(monkeypatch, **a)
@@ -377,7 +363,7 @@ class TestComposedMemo:
         assert np.array_equal(self.drawn_from(monkeypatch, **base), got[0])
 
     def test_returned_vector_is_read_only(self, monkeypatch):
-        out = self.drawn_from(monkeypatch, [0.5, 0.5], [0.2, 0.8], 1.0, 1.0, -30.0)
+        out = self.drawn_from(monkeypatch, [0.5, 0.5], [0.2, 0.8], 1.0, 1.0)
         assert not out.flags.writeable
         with pytest.raises(ValueError):
             out[0] = 0.0
@@ -386,11 +372,11 @@ class TestComposedMemo:
         rng = np.random.default_rng(0)
         # twice as many distinct entries as the cap holds, whatever the cap
         vector = (np.dtype(np.float64), np.zeros(5).tobytes())
-        charge = sampler._composed_charge((-30.0, 1.0, (1.0,)) + vector * 2, np.zeros(5))
+        charge = sampler._composed_charge((1.0, (1.0,)) + vector * 2, np.zeros(5))
         n = 2 * (sampler._MEMO_CAP_BYTES // charge)
         for _ in range(n):
             self.drawn_from(monkeypatch, rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5)),
-                            1.0, 1.0, -30.0)
+                            1.0, 1.0)
         memo = sampler._memo
         assert 0 < len(memo) < n
         assert memo.charged_bytes <= sampler._MEMO_CAP_BYTES

@@ -22,6 +22,7 @@ from exact_oracle import ExactOracle
 from maskcompose.sampler import MASK, MaskedState, SamplerSchedule, run_to_completion
 from maskcompose.worlds import (
     EXACT_MEMO_CAP_BYTES,
+    VOCAB_CAP,
     ConditionSpec,
     attribute_present,
     build_factorized_world,
@@ -101,6 +102,17 @@ class TestSceneWorldSupport:
     def test_cap_enforced(self):
         with pytest.raises(StateSpaceTooLarge):
             build_scene_world(5, 5, n_shapes=3, n_colors=3, max_objects=25)
+
+    def test_vocabulary_fits_int16_tokens(self):
+        # one shape and VOCAB_CAP - 1 colors give the largest vocabulary allowed
+        world = build_scene_world(1, 1, n_shapes=1, n_colors=VOCAB_CAP - 1, max_objects=1)
+        assert world.vocab_size == VOCAB_CAP == 32768
+        grids, _ = world.support()
+        assert grids.min() == 0 and grids.max() == VOCAB_CAP - 1
+        assert world.prior_marginals().shape == (1, VOCAB_CAP)
+        for n_colors in (VOCAB_CAP, 40_000):
+            with pytest.raises(StateSpaceTooLarge, match=f"vocabulary of {n_colors + 1} tokens"):
+                build_scene_world(1, 1, n_shapes=1, n_colors=n_colors, max_objects=1)
 
 
 class TestSceneWorldPosterior:
@@ -241,7 +253,6 @@ class TestSceneOracleEquivalence:
         for grid in grids[:: max(1, len(grids) // 150)]:
             want = [scene_oracle.satisfies(world, grid, c) for c in conds]
             assert world.check_conditions(grid, conds).tolist() == want, grid.tolist()
-            assert [world.satisfies(grid, c) for c in conds] == want
 
     def test_support_build_memory_is_bounded(self):
         world = build_scene_world(4, 4, n_shapes=2, n_colors=2, max_objects=4)
@@ -287,7 +298,7 @@ class TestSceneTrainingPairs:
             if c is None:
                 assert (g == 0).all()
             else:
-                assert world.satisfies(g, c)
+                assert world.check_conditions(g, [c]).all()
 
     @pytest.mark.parametrize("seed", [0, 7, 99])
     @pytest.mark.parametrize("max_objects", [0, 1, 3])
@@ -357,6 +368,15 @@ class TestFactorizedWorld:
     def test_cap_enforced(self):
         with pytest.raises(StateSpaceTooLarge):
             build_factorized_world(4, 4, 6, {})
+
+    def test_vocabulary_fits_int16_tokens(self):
+        world = build_factorized_world(1, 1, VOCAB_CAP, {})
+        grids, _ = world.support()
+        assert grids.min() == 0 and grids.max() == VOCAB_CAP - 1
+        assert np.allclose(world.prior_marginals(), 1.0 / VOCAB_CAP)
+        for vocab_size in (VOCAB_CAP + 1, 40_000):
+            with pytest.raises(StateSpaceTooLarge, match=f"vocabulary of {vocab_size} tokens"):
+                build_factorized_world(1, 1, vocab_size, {})
 
     def test_training_pairs_follow_condition_tables(self):
         world = build_factorized_world(
@@ -431,15 +451,6 @@ class TestExactConditionalModel:
         for p in uncond:
             assert np.allclose(out[p], uncond[p])
 
-    def test_incompatible_condition_raises_when_asked(self):
-        world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=4)
-        model = exact_conditional_model(world, on_impossible="raise")
-        state = MaskedState.fully_masked(4).with_fixed([0], [0])
-        with pytest.raises(AllMassZero):
-            model.predict(state, object_at_cell(0, 0))
-        with pytest.raises(ValueError):
-            exact_conditional_model(world, on_impossible="explode")
-
     def test_no_compatible_support_state_is_named_as_the_cause(self):
         """Two tokens drawn in one step from per-position marginals can leave
         the support together; the unconditional query then has nothing to
@@ -453,10 +464,6 @@ class TestExactConditionalModel:
         for cond in (None, object_at_cell(2, 2)):
             with pytest.raises(AllMassZero, match="no support state agrees"):
                 model.predict(crowded, cond)
-        # a state inside the support that the condition rules out keeps the old cause
-        strict = exact_conditional_model(world, on_impossible="raise")
-        with pytest.raises(AllMassZero, match="condition is incompatible"):
-            strict.predict(MaskedState.fully_masked(9).with_fixed([0], [0]), object_at_cell(0, 0))
 
     def test_memoization_returns_same_object(self):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
@@ -526,16 +533,13 @@ ORACLE_WORLDS = _oracle_worlds()
 class TestExactOracleEquivalence:
     """The compiled exact model against the boolean-mask oracle, bit for bit."""
 
-    @pytest.mark.parametrize("on_impossible", ["abstain", "raise"])
     @pytest.mark.parametrize("world_name", sorted(ORACLE_WORLDS))
     @given(seed=st.integers(0, 2**16), repeat=st.integers(1, 3))
     @settings(max_examples=4, deadline=None)
-    def test_predict_matches_oracle_on_every_partial_state(
-        self, world_name, on_impossible, seed, repeat
-    ):
+    def test_predict_matches_oracle_on_every_partial_state(self, world_name, seed, repeat):
         world, conds = ORACLE_WORLDS[world_name]
-        oracle_model = ExactOracle(world, on_impossible)
-        warm = exact_conditional_model(world, on_impossible)
+        oracle_model = ExactOracle(world)
+        warm = exact_conditional_model(world)
         # no condition, one condition and a joint prompt of both
         queries = [None, conds[0], tuple(conds)]
         states = [
@@ -559,7 +563,7 @@ class TestExactOracleEquivalence:
                 assert got is earlier if isinstance(got, dict) else got == earlier
             first[(s, q)] = got
             # a cold model computes the same answer from nothing
-            cold = _answer(exact_conditional_model(world, on_impossible), state, condition)
+            cold = _answer(exact_conditional_model(world), state, condition)
             assert _same_answer(cold, got)
 
 
@@ -568,7 +572,7 @@ class TestExactOracleEquivalence:
         model = exact_conditional_model(world)
         asked = MaskedState.fully_masked(4)
         before = model.predict(asked, cell_table("c0"))
-        cell = world.condition_cells("c0")[0]
+        cell = sorted(world.table_conditions["c0"])[0]
         assert not np.allclose(np.exp(before[cell]), [0.2, 0.3, 0.5])
         world.add_condition("c0", {cell: [0.2, 0.3, 0.5]})
         # a state asked before the re-registration and one asked only after
