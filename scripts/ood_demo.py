@@ -49,7 +49,7 @@ def main(argv=None) -> int:
         max_objects=max(args.n_conditions, args.train_max),
     )
     result = run_ood_eval(
-        None, world, args.train_max, args.n_conditions,
+        world, args.train_max, args.n_conditions,
         n_runs=args.eval_runs, n_train=args.n_train, rng_seed=args.seed,
     )
     conds = [
@@ -63,8 +63,9 @@ def main(argv=None) -> int:
     )
     print(
         f"composed rate {result.composed_rate:.2f} "
-        f"({result.composed_distinct} distinct) vs joint-prompt baseline "
-        f"{result.baseline_rate:.2f} over {result.n_runs} runs\n"
+        f"({result.composed_distinct} distinct, {result.composed_aborts} aborts) vs "
+        f"joint-prompt baseline {result.baseline_rate:.2f} "
+        f"({result.baseline_aborts} aborts) over {result.n_runs} runs\n"
     )
 
     model = fit_count_model(

@@ -41,10 +41,10 @@ def main(argv=None) -> int:
     )
 
     print(f"condition {cond.key()}, exact unconditional rate {result.p0_exact:.4f}")
-    print(f"{'weight':>8}  {'rate':>8}  {'2sig':>8}")
-    for w, r, s in zip(result.weights, result.rates, result.sigmas):
+    print(f"{'weight':>8}  {'rate':>8}  {'2sig':>8}  {'aborts':>6}")
+    for w, r, s, a in zip(result.weights, result.rates, result.sigmas, result.aborts):
         bar = "#" * round(r * 40)
-        print(f"{w:>8.1f}  {r:>8.4f}  {s:>8.4f}  {bar}")
+        print(f"{w:>8.1f}  {r:>8.4f}  {s:>8.4f}  {a:>6}  {bar}")
     soft, hard = result.monotone_violations()
     print(f"monotonicity: {hard} hard / {soft} soft adjacent violations")
     return 0

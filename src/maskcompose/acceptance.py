@@ -160,11 +160,15 @@ def criterion_composition_beats_joint() -> CriterionResult:
         baseline = run_error_eval(
             model, world, 2, n, rng_seed=0, joint_prompt=True, label="joint"
         )
-        ok = composed.error_rate + composed.two_sigma < baseline.error_rate - baseline.two_sigma
+        aborts = composed.aborts + baseline.aborts
+        ok = (
+            composed.error_rate + composed.two_sigma < baseline.error_rate - baseline.two_sigma
+            and aborts == 0
+        )
         return ok, (
             f"composed {composed.error_rate:.4f}+{composed.two_sigma:.4f} vs "
             f"joint {baseline.error_rate:.4f}-{baseline.two_sigma:.4f} "
-            f"(2 conditions, {n} samples)"
+            f"(2 conditions, {n} samples); aborts {composed.aborts}/{baseline.aborts} (need 0)"
         )
 
     return _timed("composition-beats-joint", 300.0, body)
@@ -176,7 +180,7 @@ def criterion_ood_composition() -> CriterionResult:
     def body():
         world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=3)
         result = run_ood_eval(
-            None, world, train_max_objects=2, test_n_conditions=3,
+            world, train_max_objects=2, test_n_conditions=3,
             n_runs=100, n_train=30_000, rng_seed=0,
         )
         sep = result.composed_rate - result.baseline_rate
@@ -184,12 +188,14 @@ def criterion_ood_composition() -> CriterionResult:
             sep >= result.composed_two_sigma
             and sep >= result.baseline_two_sigma
             and result.composed_distinct >= 10
+            and result.composed_aborts + result.baseline_aborts == 0
         )
         return ok, (
             f"composed {result.composed_rate:.2f} vs baseline "
             f"{result.baseline_rate:.2f} (2sig {result.composed_two_sigma:.3f}/"
             f"{result.baseline_two_sigma:.3f}), {result.composed_distinct} distinct "
-            f"of {result.n_runs} runs (need >= 10)"
+            f"of {result.n_runs} runs (need >= 10); aborts "
+            f"{result.composed_aborts}/{result.baseline_aborts} (need 0)"
         )
 
     return _timed("ood-composition", 300.0, body)
@@ -209,11 +215,13 @@ def criterion_negation() -> CriterionResult:
         )
         soft, hard = result.monotone_violations()
         neg_rate = result.rate_at(-1.0)
-        ok = neg_rate <= result.p0_exact / 2.0 and hard == 0 and soft <= 1
+        aborts = sum(result.aborts) + result.p0_aborts
+        ok = neg_rate <= result.p0_exact / 2.0 and hard == 0 and soft <= 1 and aborts == 0
         rates = ", ".join(f"{w:+g}: {r:.3f}" for w, r in zip(result.weights, result.rates))
         return ok, (
             f"rate(w=-1) {neg_rate:.4f} <= p0/2 {result.p0_exact / 2:.4f}; "
-            f"sweep [{rates}]; {hard} hard / {soft} soft monotonicity violations"
+            f"sweep [{rates}]; {hard} hard / {soft} soft monotonicity violations; "
+            f"{aborts} aborts (need 0)"
         )
 
     return _timed("negation", 120.0, body)

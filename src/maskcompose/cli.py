@@ -267,7 +267,6 @@ def cmd_eval(cfg: RunConfig) -> int:
         print(table)
     elif suite == "ood":
         result = run_ood_eval(
-            None,
             world,
             cfg["eval.train_max_objects"],
             cfg["eval.test_n_conditions"],
@@ -282,8 +281,9 @@ def cmd_eval(cfg: RunConfig) -> int:
         print(
             f"composed rate {result.composed_rate:.3f} "
             f"(2sig {result.composed_two_sigma:.3f}, "
-            f"{result.composed_distinct} distinct) vs baseline "
-            f"{result.baseline_rate:.3f} (2sig {result.baseline_two_sigma:.3f})"
+            f"{result.composed_distinct} distinct, {result.composed_aborts} aborts) vs "
+            f"baseline {result.baseline_rate:.3f} (2sig {result.baseline_two_sigma:.3f}, "
+            f"{result.baseline_aborts} aborts)"
         )
     elif suite == "negation":
         conds = cfg.conditions()
@@ -300,12 +300,12 @@ def cmd_eval(cfg: RunConfig) -> int:
             rng_seed=cfg["schedule.seed"],
         )
         records.append(result.to_record())
-        for w, rate in zip(result.weights, result.rates):
-            print(f"w={w:+.1f}  satisfaction {rate:.4f}")
+        for w, rate, aborts in zip(result.weights, result.rates, result.aborts):
+            print(f"w={w:+.1f}  satisfaction {rate:.4f}  aborts {aborts}")
         print(f"unconditional exact {result.p0_exact:.4f}")
     elif suite == "fidelity":
         conds = cfg.conditions()
-        model = None if cfg["model.kind"] == "exact" else _resolve_model(cfg, world, out)
+        model = _resolve_model(cfg, world, out)
         tv = fidelity_tv(
             world,
             conds[0] if conds else None,
@@ -344,11 +344,11 @@ def cmd_bench(cfg: RunConfig) -> int:
     )
     records = [_header_record(cfg, "bench")] + [r.to_record() for r in rows]
     _write_reports(os.path.join(out, "bench.jsonl"), records)
-    print(f"{'s':>4}{'n_cond':>8}{'steps':>7}{'evals':>7}{'ms/run':>10}")
+    print(f"{'s':>4}{'n_cond':>8}{'steps':>7}{'evals':>7}{'aborts':>8}{'ms/run':>10}")
     for r in rows:
         print(
             f"{r.tokens_per_step:>4}{r.n_conditions:>8}{r.steps:>7}"
-            f"{r.evaluations:>7}{r.wall_per_run * 1e3:>10.2f}"
+            f"{r.evaluations:>7}{r.aborts:>8}{r.wall_per_run * 1e3:>10.2f}"
         )
     print(f"wrote {os.path.join(out, 'bench.jsonl')}")
     return EXIT_OK

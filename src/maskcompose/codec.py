@@ -61,8 +61,7 @@ def quantize_patch(z_e: np.ndarray, cb: Codebook) -> int:
     z_e = np.asarray(z_e, dtype=np.float64).ravel()
     if z_e.size != cb.dim:
         raise DimensionMismatch(f"patch vector has {z_e.size} values, codebook wants {cb.dim}")
-    d2 = ((cb.entries - z_e) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    return int(_quantize_batch(z_e[None, :], cb.entries)[0])
 
 
 def _quantize_batch(patches: np.ndarray, entries: np.ndarray, chunk: int = 2048) -> np.ndarray:

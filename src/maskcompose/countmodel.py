@@ -39,9 +39,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import StateSpaceTooLarge
+from .errors import StateSpaceTooLarge, ValidationError
 from .sampler import MASK, MaskedState
-from .worlds import UNCONDITIONAL_KEY, WorldJoint, cond_key
+from .worlds import UNCONDITIONAL_KEY, SceneWorld, WorldJoint, cond_key
 
 WINDOW_RADIUS = 1
 
@@ -284,10 +284,15 @@ def fit_count_model(
 
     training_max_objects restricts the scene budget of the training
     distribution only (the model can still be asked to generate denser
-    grids); it requires a world with a restrict method.
+    grids); it requires a scene world, the kind with an object budget.
     """
     train_world = world
     if training_max_objects is not None:
+        if not isinstance(world, SceneWorld):
+            raise ValidationError(
+                f"training_max_objects needs a scene world; a {world.params()['kind']} "
+                "world has no object budget"
+            )
         train_world = world.restrict(training_max_objects)
     k = world.vocab_size
     rng = np.random.default_rng(rng_seed)

@@ -7,6 +7,12 @@ variation between token histograms (the desk-scale stand-in for a learned
 image distance). Evaluation counts are checked against the exact law
 steps * (n + 1) on every run; a mismatch is an error, never a statistic.
 
+Every suite samples through one loop, _sample_arm, under one abort policy: a
+run that ends in AllMassZero gives no grid, stays in its arm's run count and
+adds to no hit or distinct count. So it counts as an error where conditions
+are scored and as mass off the support in a joint TV. Each result reports
+its aborts per arm.
+
 Reports serialize as line-delimited JSON records plus a fixed-width text
 table. Wall-clock fields are measurement noise by nature and are the only
 fields excluded from determinism comparisons.
@@ -17,8 +23,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from .sampler import (
     count_evaluations,
     run_to_completion,
 )
-from .worlds import WorldJoint, cond_key, exact_conditional_model, object_at_cell
+from .worlds import WorldJoint, cond_key, object_at_cell
 
 TIMING_FIELDS = ("wall_time_per_sample", "wall_per_run")
 
@@ -63,11 +69,16 @@ def tv_to_marginals(samples: np.ndarray, marginals: np.ndarray) -> float:
     return float(0.5 * np.abs(hist - marginals).sum(axis=1).mean())
 
 
-def joint_tv(samples: np.ndarray, grids: np.ndarray, probs: np.ndarray) -> float:
+def joint_tv(
+    samples: np.ndarray, grids: np.ndarray, probs: np.ndarray, aborts: int = 0
+) -> float:
     """Exact total variation between the empirical distribution over whole
-    grids and an enumerated distribution (mass off the support included)."""
+    grids and an enumerated distribution (mass off the support included).
+
+    Each of the `aborts` runs that gave no grid is mass off the support.
+    """
     samples = np.asarray(samples, dtype=np.int16)
-    n = samples.shape[0]
+    n = samples.shape[0] + aborts
     freq: dict[bytes, float] = {}
     for row in samples:
         key = row.tobytes()
@@ -75,7 +86,7 @@ def joint_tv(samples: np.ndarray, grids: np.ndarray, probs: np.ndarray) -> float
     tv = 0.0
     for g, p in zip(np.asarray(grids, dtype=np.int16), probs):
         tv += abs(freq.pop(g.tobytes(), 0.0) - float(p))
-    tv += sum(freq.values())  # empirical mass that fell outside the support
+    tv += sum(freq.values()) + aborts / n  # empirical mass outside the support
     return 0.5 * tv
 
 
@@ -88,8 +99,27 @@ def predicate_pool(world: WorldJoint) -> list:
     ]
 
 
+def _json_native(value):
+    """Tuples become lists at any depth, as json.loads gives them back."""
+    if isinstance(value, (list, tuple)):
+        return [_json_native(v) for v in value]
+    return value
+
+
+class _Record:
+    """A result dataclass whose record is its type tag plus every field."""
+
+    record_type: ClassVar[str]
+
+    def to_record(self) -> dict:
+        fields = {k: _json_native(v) for k, v in asdict(self).items()}
+        return {"type": self.record_type, **fields}
+
+
 @dataclass
-class EvalReport:
+class EvalReport(_Record):
+    record_type: ClassVar[str] = "eval_report"
+
     label: str
     n_components: int
     n_samples: int
@@ -98,24 +128,12 @@ class EvalReport:
     tv_distance: float
     evaluations_per_sample: int
     wall_time_per_sample: float
+    aborts: int = 0
 
     def __post_init__(self):
         expect = two_sigma_bound(self.error_rate, self.n_samples)
         if abs(self.two_sigma - expect) > 1e-12:
             raise ValidationError("two_sigma must equal 2*sqrt(p(1-p)/n)")
-
-    def to_record(self) -> dict:
-        return {
-            "type": "eval_report",
-            "label": self.label,
-            "n_components": self.n_components,
-            "n_samples": self.n_samples,
-            "error_rate": self.error_rate,
-            "two_sigma": self.two_sigma,
-            "tv_distance": self.tv_distance,
-            "evaluations_per_sample": self.evaluations_per_sample,
-            "wall_time_per_sample": self.wall_time_per_sample,
-        }
 
 
 def record_line(record: dict) -> str:
@@ -127,13 +145,15 @@ def strip_timing(record: dict) -> dict:
 
 
 def format_table(reports: Sequence[EvalReport]) -> str:
-    header = f"{'label':<28}{'n':>7}{'comp':>6}{'err':>9}{'2sig':>9}{'tv':>9}{'evals':>7}"
+    header = (
+        f"{'label':<28}{'n':>7}{'comp':>6}{'err':>9}{'2sig':>9}{'tv':>9}{'evals':>7}{'aborts':>8}"
+    )
     lines = [header, "-" * len(header)]
     for r in reports:
         lines.append(
             f"{r.label:<28}{r.n_samples:>7}{r.n_components:>6}"
             f"{r.error_rate:>9.4f}{r.two_sigma:>9.4f}{r.tv_distance:>9.4f}"
-            f"{r.evaluations_per_sample:>7}"
+            f"{r.evaluations_per_sample:>7}{r.aborts:>8}"
         )
     return "\n".join(lines)
 
@@ -183,26 +203,42 @@ class _ConditionSetSampler:
         return self._marginals[self._key(conds)]
 
 
-def _sample(
+def _sample_arm(
     model, length: int, conds: Sequence, weights: Sequence[float],
-    sched: SamplerSchedule, rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample one grid under a seed drawn from rng; check the evaluation-count law.
+    sched: SamplerSchedule, rng: np.random.Generator, n: int,
+) -> tuple[np.ndarray, int]:
+    """Sample n grids, each under a seed drawn from rng; check the
+    evaluation-count law on every run.
 
     Every suite samples through here, one run_to_completion call per grid.
-    AllMassZero from the run propagates to the caller.
+    A run that aborts with AllMassZero gives no grid. Returns the completed
+    grids in run order as an (n - aborts, L) int16 block, and the aborts.
     """
-    seed = int(rng.integers(_SEED_BOUND))
-    tokens, stats = run_to_completion(
-        MaskedState.fully_masked(length), model, conds, weights, replace(sched, rng_seed=seed)
-    )
     expect = count_evaluations(sched, length, len(conds))
-    if stats.evaluations != expect:
-        raise ValidationError(
-            f"evaluation-count law violated: measured {stats.evaluations}, "
-            f"law gives {expect}"
-        )
-    return tokens
+    block = np.empty((n, length), dtype=np.int16)
+    kept = 0
+    for _ in range(n):
+        seed = int(rng.integers(_SEED_BOUND))
+        try:
+            tokens, stats = run_to_completion(
+                MaskedState.fully_masked(length), model, conds, weights,
+                replace(sched, rng_seed=seed),
+            )
+        except AllMassZero:
+            continue
+        if stats.evaluations != expect:
+            raise ValidationError(
+                f"evaluation-count law violated: measured {stats.evaluations}, "
+                f"law gives {expect}"
+            )
+        block[kept] = tokens
+        kept += 1
+    return block[:kept], n - kept
+
+
+def _hits(world: WorldJoint, grids: np.ndarray, conds: Sequence) -> int:
+    """How many of the (N, L) grids satisfy every condition."""
+    return int(world.check_conditions(grids, conds).all(axis=0).sum())
 
 
 def run_error_eval(
@@ -211,7 +247,7 @@ def run_error_eval(
     n_components: int,
     n_samples: int,
     weight: float = 1.0,
-    sched: SamplerSchedule | None = None,
+    sched: SamplerSchedule = SamplerSchedule(),
     rng_seed: int = 0,
     joint_prompt: bool = False,
     pool: Sequence | None = None,
@@ -219,45 +255,40 @@ def run_error_eval(
 ) -> EvalReport:
     """Sample satisfiable condition sets, generate, score every condition.
 
-    A run errs if any condition of its set is unsatisfied (or generation
-    aborts because the composition painted itself into a zero-mass corner).
+    A run errs if any condition of its set is unsatisfied or if it aborts.
     joint_prompt=True concatenates each set into one opaque condition, the
     non-composed baseline; it changes the per-sample evaluation count from
-    (n+1) to 2 model queries per step.
+    (n+1) to 2 model queries per step. Each set is drawn just before its run,
+    so the set draws and the run seeds share one stream.
     """
-    if sched is None:
-        sched = SamplerSchedule()
     sampler = _ConditionSetSampler(world, pool if pool is not None else predicate_pool(world))
     rng = np.random.default_rng(rng_seed)
     length = world.length
-    n_for_law = 1 if joint_prompt and n_components > 0 else n_components
-    completed = []
+    joint = joint_prompt and n_components > 0
+    completed = np.empty((n_samples, length), dtype=np.int16)
+    kept = 0
     mixture = np.zeros((length, world.vocab_size))
     errors = 0
     t0 = time.perf_counter()
     for _ in range(n_samples):
         conds = sampler.draw(n_components, rng)
-        if joint_prompt and n_components > 0:
+        if joint:
             run_conds, run_weights = [tuple(conds)], [weight]
         else:
-            run_conds, run_weights = list(conds), [weight] * n_components
-        try:
-            tokens = _sample(model, length, run_conds, run_weights, sched, rng)
-        except AllMassZero:
-            errors += 1
+            run_conds, run_weights = conds, [weight] * n_components
+        grids, aborted = _sample_arm(model, length, run_conds, run_weights, sched, rng, 1)
+        if aborted:
             continue
-        if conds and not world.check_conditions(tokens, conds).all():
+        if conds and _hits(world, grids, conds) == 0:
             errors += 1
-        completed.append(tokens)
+        completed[kept] = grids[0]
+        kept += 1
         mixture += sampler.marginals(conds) if conds else world.prior_marginals()
     elapsed = time.perf_counter() - t0
 
-    p = errors / n_samples
-    tv = (
-        tv_to_marginals(np.stack(completed), mixture / len(completed))
-        if completed
-        else 1.0
-    )
+    aborts = n_samples - kept
+    p = (errors + aborts) / n_samples
+    tv = tv_to_marginals(completed[:kept], mixture / kept) if kept else 1.0
     return EvalReport(
         label=label or ("joint_prompt" if joint_prompt else "composed"),
         n_components=n_components,
@@ -265,13 +296,16 @@ def run_error_eval(
         error_rate=p,
         two_sigma=two_sigma_bound(p, n_samples),
         tv_distance=tv,
-        evaluations_per_sample=count_evaluations(sched, length, n_for_law),
+        evaluations_per_sample=count_evaluations(sched, length, 1 if joint else n_components),
         wall_time_per_sample=elapsed / n_samples,
+        aborts=aborts,
     )
 
 
 @dataclass
-class OodResult:
+class OodResult(_Record):
+    record_type: ClassVar[str] = "ood_result"
+
     train_max_objects: int
     test_n_conditions: int
     n_runs: int
@@ -279,103 +313,71 @@ class OodResult:
     composed_rate: float
     composed_two_sigma: float
     composed_distinct: int
+    composed_aborts: int
     baseline_rate: float
     baseline_two_sigma: float
     baseline_distinct: int
-
-    @property
-    def separation(self) -> float:
-        return self.composed_rate - self.baseline_rate
-
-    def to_record(self) -> dict:
-        return {
-            "type": "ood_result",
-            "train_max_objects": self.train_max_objects,
-            "test_n_conditions": self.test_n_conditions,
-            "n_runs": self.n_runs,
-            "condition_keys": [list(k) for k in self.condition_keys],
-            "composed_rate": self.composed_rate,
-            "composed_two_sigma": self.composed_two_sigma,
-            "composed_distinct": self.composed_distinct,
-            "baseline_rate": self.baseline_rate,
-            "baseline_two_sigma": self.baseline_two_sigma,
-            "baseline_distinct": self.baseline_distinct,
-        }
-
-
-def _satisfaction_arm(world, model, run_conds, weights, check_conds, sched, rng, n_runs):
-    hits, outputs = 0, set()
-    for _ in range(n_runs):
-        try:
-            tokens = _sample(model, world.length, run_conds, weights, sched, rng)
-        except AllMassZero:
-            continue
-        if world.check_conditions(tokens, check_conds).all():
-            hits += 1
-        outputs.add(tokens.tobytes())
-    return hits / n_runs, len(outputs)
+    baseline_aborts: int
 
 
 def run_ood_eval(
-    model,
     world: WorldJoint,
     train_max_objects: int,
     test_n_conditions: int,
     n_runs: int = 100,
     n_train: int = 30_000,
     weight: float = 1.0,
-    sched: SamplerSchedule | None = None,
+    sched: SamplerSchedule = SamplerSchedule(),
     rng_seed: int = 0,
     alpha: float = 0.5,
     dropout_prob: float = 0.1,
 ) -> OodResult:
     """Compose more conditions than any training scene had objects.
 
-    model=None fits a CountModel on the world restricted to scenes of at
-    most train_max_objects objects; a caller-supplied model must already
-    honor that restriction. Composed generation (one weight per condition)
-    is paired against the joint-prompt baseline on the same condition set
-    and the same run seeds.
+    Fits a CountModel on the world restricted to scenes of at most
+    train_max_objects objects. Composed generation (one weight per
+    condition) is paired against the joint-prompt baseline on the same
+    condition set and the same run seeds.
     """
     if test_n_conditions <= train_max_objects:
         raise ValidationError(
             "out-of-distribution test needs test_n_conditions > train_max_objects"
         )
-    if sched is None:
-        sched = SamplerSchedule()
-    if model is None:
-        model = fit_count_model(
-            world, n_train, alpha=alpha, dropout_prob=dropout_prob,
-            rng_seed=rng_seed, training_max_objects=train_max_objects,
-        )
+    model = fit_count_model(
+        world, n_train, alpha=alpha, dropout_prob=dropout_prob,
+        rng_seed=rng_seed, training_max_objects=train_max_objects,
+    )
     rng = np.random.default_rng(rng_seed)
-    sampler = _ConditionSetSampler(world, predicate_pool(world))
-    conds = sampler.draw(test_n_conditions, rng)
-
-    composed_rate, composed_distinct = _satisfaction_arm(
-        world, model, list(conds), [weight] * len(conds), list(conds), sched,
-        np.random.default_rng(rng_seed + 1), n_runs,
-    )
-    baseline_rate, baseline_distinct = _satisfaction_arm(
-        world, model, [tuple(conds)], [weight], list(conds), sched,
-        np.random.default_rng(rng_seed + 1), n_runs,
-    )
+    conds = _ConditionSetSampler(world, predicate_pool(world)).draw(test_n_conditions, rng)
+    arms = {}
+    for arm, run_conds, weights in (
+        ("composed", conds, [weight] * len(conds)),
+        ("baseline", [tuple(conds)], [weight]),
+    ):
+        grids, aborts = _sample_arm(
+            model, world.length, run_conds, weights, sched,
+            np.random.default_rng(rng_seed + 1), n_runs,
+        )
+        rate = _hits(world, grids, conds) / n_runs
+        arms.update({
+            f"{arm}_rate": rate,
+            f"{arm}_two_sigma": two_sigma_bound(rate, n_runs),
+            f"{arm}_distinct": len({g.tobytes() for g in grids}),
+            f"{arm}_aborts": aborts,
+        })
     return OodResult(
         train_max_objects=train_max_objects,
         test_n_conditions=test_n_conditions,
         n_runs=n_runs,
         condition_keys=[cond_key(c) for c in conds],
-        composed_rate=composed_rate,
-        composed_two_sigma=two_sigma_bound(composed_rate, n_runs),
-        composed_distinct=composed_distinct,
-        baseline_rate=baseline_rate,
-        baseline_two_sigma=two_sigma_bound(baseline_rate, n_runs),
-        baseline_distinct=baseline_distinct,
+        **arms,
     )
 
 
 @dataclass
-class NegationResult:
+class NegationResult(_Record):
+    record_type: ClassVar[str] = "negation_result"
+
     condition_key: tuple
     n_samples: int
     p0_exact: float
@@ -383,6 +385,8 @@ class NegationResult:
     weights: tuple
     rates: tuple
     sigmas: tuple = field(default=())
+    aborts: tuple = field(default=())  # per weight
+    p0_aborts: int = 0  # of the dedicated p0 arm; 0 when the w = 0 arm gives p0
 
     def rate_at(self, w: float) -> float:
         return self.rates[self.weights.index(w)]
@@ -405,18 +409,6 @@ class NegationResult:
                 soft += 1
         return soft, hard
 
-    def to_record(self) -> dict:
-        return {
-            "type": "negation_result",
-            "condition_key": list(self.condition_key),
-            "n_samples": self.n_samples,
-            "p0_exact": self.p0_exact,
-            "p0_measured": self.p0_measured,
-            "weights": list(self.weights),
-            "rates": list(self.rates),
-            "sigmas": list(self.sigmas),
-        }
-
 
 def run_negation_eval(
     model,
@@ -424,17 +416,15 @@ def run_negation_eval(
     cond,
     n_samples: int,
     weights: Sequence[float] = (-3.0, -1.0, 0.0, 1.0, 3.0),
-    sched: SamplerSchedule | None = None,
+    sched: SamplerSchedule = SamplerSchedule(),
     rng_seed: int = 0,
 ) -> NegationResult:
     """Measure condition satisfaction across a weight sweep.
 
     The exact unconditional satisfaction probability comes from enumeration;
     the measured p0 is the w = 0 arm of the sweep when present, otherwise a
-    dedicated unconditional run. Headroom precondition: p0 in (0.05, 0.95).
+    dedicated unconditional arm. Headroom precondition: p0 in (0.05, 0.95).
     """
-    if sched is None:
-        sched = SamplerSchedule()
     grids, logp = world.support()
     sat = world.predicate(grids, cond)
     p0_exact = float(np.exp(logp[sat]).sum())
@@ -442,36 +432,35 @@ def run_negation_eval(
         raise ValidationError(
             f"condition has unconditional rate {p0_exact:.3f}; need headroom in (0.05, 0.95)"
         )
+    weights = tuple(float(w) for w in weights)
     rng = np.random.default_rng(rng_seed)
-    rates, sigmas = [], []
+    rates, aborts = [], []
     for w in weights:
-        hits = 0
-        for _ in range(n_samples):
-            tokens = _sample(model, world.length, [cond], [float(w)], sched, rng)
-            hits += int(world.check_conditions(tokens, [cond])[0])
-        rates.append(hits / n_samples)
-        sigmas.append(two_sigma_bound(hits / n_samples, n_samples))
-    if 0.0 in [float(w) for w in weights]:
-        p0_measured = rates[[float(w) for w in weights].index(0.0)]
+        grids, arm_aborts = _sample_arm(model, world.length, [cond], [w], sched, rng, n_samples)
+        rates.append(_hits(world, grids, [cond]) / n_samples)
+        aborts.append(arm_aborts)
+    if 0.0 in weights:
+        p0_measured, p0_aborts = rates[weights.index(0.0)], 0
     else:
-        hits = 0
-        for _ in range(n_samples):
-            tokens = _sample(model, world.length, [], [], sched, rng)
-            hits += int(world.check_conditions(tokens, [cond])[0])
-        p0_measured = hits / n_samples
+        grids, p0_aborts = _sample_arm(model, world.length, [], [], sched, rng, n_samples)
+        p0_measured = _hits(world, grids, [cond]) / n_samples
     return NegationResult(
         condition_key=cond_key(cond),
         n_samples=n_samples,
         p0_exact=p0_exact,
         p0_measured=p0_measured,
-        weights=tuple(float(w) for w in weights),
+        weights=weights,
         rates=tuple(rates),
-        sigmas=tuple(sigmas),
+        sigmas=tuple(two_sigma_bound(r, n_samples) for r in rates),
+        aborts=tuple(aborts),
+        p0_aborts=p0_aborts,
     )
 
 
 @dataclass
-class BenchRow:
+class BenchRow(_Record):
+    record_type: ClassVar[str] = "bench_row"
+
     mode: str
     tokens_per_step: int
     n_conditions: int
@@ -480,19 +469,7 @@ class BenchRow:
     evaluations: int
     n_runs: int
     wall_per_run: float
-
-    def to_record(self) -> dict:
-        return {
-            "type": "bench_row",
-            "mode": self.mode,
-            "tokens_per_step": self.tokens_per_step,
-            "n_conditions": self.n_conditions,
-            "length": self.length,
-            "steps": self.steps,
-            "evaluations": self.evaluations,
-            "n_runs": self.n_runs,
-            "wall_per_run": self.wall_per_run,
-        }
+    aborts: int = 0
 
 
 def run_bench(
@@ -501,13 +478,12 @@ def run_bench(
     tokens_per_step_grid: Sequence[int] = (1, 3, 9),
     n_conditions_grid: Sequence[int] = (0, 1, 2),
     n_runs: int = 5,
-    sched: SamplerSchedule | None = None,
+    sched: SamplerSchedule = SamplerSchedule(),
     rng_seed: int = 0,
     pool: Sequence | None = None,
 ) -> list[BenchRow]:
-    """Timing and exact evaluation counts over a schedule grid."""
-    if sched is None:
-        sched = SamplerSchedule()
+    """Timing and exact evaluation counts over a schedule grid; an aborted
+    run is timed like a completed one."""
     pool = list(pool) if pool is not None else predicate_pool(world)
     for n in n_conditions_grid:
         if n > len(pool):
@@ -524,11 +500,10 @@ def run_bench(
         for n in n_conditions_grid:
             conds = [pool[int(i)] for i in rng.choice(len(pool), size=n, replace=False)]
             t0 = time.perf_counter()
-            for _ in range(n_runs):
-                _sample(model, world.length, conds, [1.0] * n, run_sched, rng)
+            _, aborts = _sample_arm(model, world.length, conds, [1.0] * n, run_sched, rng, n_runs)
             elapsed = time.perf_counter() - t0
-            # _sample checked every run's evaluations against the law, and a
-            # run makes n + 1 evaluations per step
+            # _sample_arm checked every run's evaluations against the law, and
+            # a run makes n + 1 evaluations per step
             evaluations = count_evaluations(run_sched, world.length, n)
             rows.append(
                 BenchRow(
@@ -540,6 +515,7 @@ def run_bench(
                     evaluations=evaluations,
                     n_runs=n_runs,
                     wall_per_run=elapsed / n_runs,
+                    aborts=aborts,
                 )
             )
     return rows
@@ -549,20 +525,17 @@ def fidelity_tv(
     world: WorldJoint,
     cond,
     n_samples: int,
-    sched: SamplerSchedule | None = None,
+    sched: SamplerSchedule = SamplerSchedule(temperature=1.0),
     rng_seed: int = 0,
-    model=None,
+    *,
+    model,
 ) -> float:
-    """Joint TV between sampler output and the enumerated conditional law."""
-    if sched is None:
-        sched = SamplerSchedule(temperature=1.0)
-    if model is None:
-        model = exact_conditional_model(world)
-    post = world.enumerate_posterior([cond] if cond is not None else [])
-    rng = np.random.default_rng(rng_seed)
-    samples = np.empty((n_samples, world.length), dtype=np.int16)
+    """Joint TV between sampler output and the enumerated conditional law;
+    aborted runs count as mass off the support."""
     conds = [cond] if cond is not None else []
-    weights = [1.0] * len(conds)
-    for i in range(n_samples):
-        samples[i] = _sample(model, world.length, conds, weights, sched, rng)
-    return joint_tv(samples, post.grids, post.probs)
+    post = world.enumerate_posterior(conds)
+    samples, aborts = _sample_arm(
+        model, world.length, conds, [1.0] * len(conds), sched,
+        np.random.default_rng(rng_seed), n_samples,
+    )
+    return joint_tv(samples, post.grids, post.probs, aborts)

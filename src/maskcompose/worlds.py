@@ -156,8 +156,6 @@ class WorldJoint:
         self._support: tuple[np.ndarray, np.ndarray] | None = None
         self._loglik_cache: dict[tuple, np.ndarray] = {}
         self._prior_marginals: np.ndarray | None = None
-        # bumped whenever a registered condition's likelihood may change
-        self.condition_version = 0
 
     @property
     def length(self) -> int:
@@ -215,7 +213,8 @@ class WorldJoint:
         return row * self.grid_w + col
 
     def check_conditions(self, grid: np.ndarray, conds: Sequence[ConditionSpec]) -> np.ndarray:
-        """Satisfaction bitmap for a fully unmasked grid."""
+        """Satisfaction bitmap for a fully unmasked grid, one bool per
+        condition; for an (N, L) block of grids, one row of N per condition."""
         grid = np.asarray(grid)
         if bool((grid == MASK).any()):
             raise ValueError("check_conditions requires a fully unmasked grid")
@@ -468,7 +467,10 @@ class FactorizedWorld(WorldJoint):
         return int(cell)
 
     def add_condition(self, name: str, tables: Mapping) -> ConditionSpec:
-        """Register per-cell tables for a named condition and return its spec."""
+        """Register per-cell tables for a new named condition and return its
+        spec; a name is registered once, so its likelihood never changes."""
+        if str(name) in self.table_conditions:
+            raise InvalidTable(f"condition {str(name)!r} is already registered")
         compiled = {}
         for cell, row in tables.items():
             row = np.asarray(row, dtype=np.float64)
@@ -483,8 +485,6 @@ class FactorizedWorld(WorldJoint):
         if not compiled:
             raise InvalidTable("a condition needs at least one cell table")
         self.table_conditions[str(name)] = compiled
-        self._loglik_cache.pop(cell_table(name).key(), None)
-        self.condition_version += 1
         return cell_table(name)
 
     def _build_support(self):
@@ -661,8 +661,7 @@ class ExactConditionalModel:
     position. The sampler asks about one state n + 1 times in a row, so the
     last state's row indices are kept. Answers are memoized per (state,
     condition) in a two-generation memo of EXACT_MEMO_CAP_BYTES; callers must
-    treat returned vectors as read-only. When the world's condition_version
-    moves, the memo and the cached likelihoods are dropped.
+    treat returned vectors as read-only.
 
     When a condition has zero probability given the already fixed slots the
     conditional is undefined; the expert then abstains and answers with the
@@ -678,11 +677,6 @@ class ExactConditionalModel:
         self._cols = np.ascontiguousarray(grids.T)
         self._prior = np.exp(logp)
         self._last: tuple[bytes, tuple] = (b"", ())
-        self._forget_conditions()
-
-    def _forget_conditions(self) -> None:
-        """Drop the likelihoods and answers read from the world's conditions."""
-        self._version = self.world.condition_version
         self._lik: dict[tuple, np.ndarray] = {}
         self.memo = Memo(EXACT_MEMO_CAP_BYTES, _exact_charge)
 
@@ -717,8 +711,6 @@ class ExactConditionalModel:
         return rows
 
     def predict(self, state: MaskedState, condition=None) -> dict[int, np.ndarray]:
-        if self._version != self.world.condition_version:  # a condition changed
-            self._forget_conditions()
         skey = state.key()
         key = (skey, cond_key(condition))
         hit = self.memo.get(key)

@@ -1,6 +1,11 @@
 """Acceptance gate: each claim the package makes, verified at its stated
 tolerance and budget. One pass/fail line prints per criterion."""
 
+from dataclasses import replace
+
+import pytest
+
+from maskcompose import acceptance
 from maskcompose.acceptance import (
     criterion_cli_determinism,
     criterion_composition_beats_joint,
@@ -12,6 +17,7 @@ from maskcompose.acceptance import (
     criterion_shift_invariance,
     criterion_vq_codec,
 )
+from maskcompose.evalharness import EvalReport, two_sigma_bound
 
 
 def check(result):
@@ -53,3 +59,35 @@ def test_criterion_8_vq_codec():
 
 def test_criterion_9_cli_determinism():
     check(criterion_cli_determinism())
+
+
+def _error_eval_one_composed_abort(model, world, n_components, n_samples, joint_prompt=False,
+                                   **kwargs):
+    """Criterion 4's rates with a wide margin, and one aborted composed run."""
+    p = 0.98 if joint_prompt else 0.02
+    return EvalReport("arm", n_components, n_samples, p, two_sigma_bound(p, n_samples),
+                      0.0, 27, 0.0, aborts=0 if joint_prompt else 1)
+
+
+_ood, _negation = acceptance.run_ood_eval, acceptance.run_negation_eval
+
+
+@pytest.mark.parametrize(
+    "criterion, suite, stand_in, shown",
+    [
+        (criterion_composition_beats_joint, "run_error_eval", _error_eval_one_composed_abort,
+         "aborts 1/0 (need 0)"),
+        (criterion_ood_composition, "run_ood_eval",
+         lambda *a, **k: replace(_ood(*a, **k), baseline_aborts=1), "aborts 0/1 (need 0)"),
+        (criterion_negation, "run_negation_eval",
+         lambda *a, **k: replace(_negation(*a, **k), aborts=(0, 1, 0, 0, 0)),
+         "1 aborts (need 0)"),
+    ],
+    ids=["4", "5", "6"],
+)
+def test_criteria_4_to_6_fail_on_any_abort(monkeypatch, criterion, suite, stand_in, shown):
+    # an aborted run adds no hit, so it could flatter a rate that passes
+    monkeypatch.setattr(acceptance, suite, stand_in)
+    result = criterion()
+    assert not result.passed
+    assert shown in result.detail

@@ -229,6 +229,20 @@ class TestEval:
         records = [json.loads(ln) for ln in open(os.path.join(out, "reports.jsonl"))]
         assert records[1]["type"] == "fidelity"
 
+    def test_fidelity_completes_when_runs_abort(self, tmp_path):
+        # three tokens drawn at once from per-position marginals can leave
+        # the support; such a run gives no grid and its mass lies off it
+        cfg = write_cfg(
+            tmp_path,
+            "world.grid_w = 3\nworld.grid_h = 3\nworld.n_shapes = 1\nworld.n_colors = 1\n"
+            "world.max_objects = 3\nmodel.kind = exact\neval.n_samples = 50\n"
+            "schedule.order_policy = max_confidence\nschedule.tokens_per_step = 3\n",
+        )
+        out = str(tmp_path / "run")
+        assert main(["eval", "--config", cfg, "--out", out, "--suite", "fidelity"]) == EXIT_OK
+        records = [json.loads(ln) for ln in open(os.path.join(out, "reports.jsonl"))]
+        assert 0.0 < records[1]["tv"] <= 1.0
+
     def test_negation_needs_a_condition(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         cfg = self.eval_cfg(tmp_path)
@@ -292,6 +306,10 @@ class TestOutOfRangeConfigs:
     error line, not a traceback."""
 
     EXACT = SMALL_WORLD + "model.kind = exact\n"
+    FACTORIZED = (
+        "world.kind = factorized\nworld.grid_w = 2\nworld.grid_h = 2\n"
+        "world.vocab_size = 3\nmodel.n_samples = 200\n"
+    )
 
     @pytest.mark.parametrize(
         "command, text, needle",
@@ -309,9 +327,13 @@ class TestOutOfRangeConfigs:
             ("bench", EXACT + "bench.n_conditions_grid = -1\n", "bench.n_conditions_grid"),
             ("bench", EXACT + "bench.n_conditions_grid = 5\n",
              "cannot draw 5 distinct conditions from a pool of 4"),
+            ("fit-model", FACTORIZED + "model.training_max_objects = 1\n",
+             "a factorized world has no object budget"),
+            ("eval", FACTORIZED + "eval.suite = ood\n", "a factorized world has no object budget"),
         ],
         ids=["scene-vocab", "factorized-vocab", "ar-tokens-per-step", "ar-bench-grid",
-             "bench-zero-tokens-per-step", "bench-negative-conditions", "bench-conditions-over-pool"],
+             "bench-zero-tokens-per-step", "bench-negative-conditions", "bench-conditions-over-pool",
+             "factorized-training-budget", "factorized-ood"],
     )
     def test_exits_two_with_an_error_line(self, tmp_path, capsys, command, text, needle):
         cfg = write_cfg(tmp_path, text)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from maskcompose import evalharness
-from maskcompose.errors import ValidationError
+from maskcompose.errors import AllMassZero, ValidationError
 from maskcompose.countmodel import fit_count_model
 from maskcompose.evalharness import (
     BenchRow,
@@ -54,6 +54,14 @@ class TestMetrics:
         # empirical: half on [0,0] (matches), half off-support; TV = 0.5
         assert joint_tv(samples, grids, probs) == pytest.approx(0.5)
 
+    def test_joint_tv_puts_aborted_runs_off_the_support(self):
+        grids = np.array([[0, 0], [1, 1]], dtype=np.int16)
+        probs = np.array([0.5, 0.5])
+        samples = np.array([[0, 0], [0, 0]], dtype=np.int16)
+        # four runs: two on [0,0], matching its mass, and two that gave no grid
+        assert joint_tv(samples, grids, probs, aborts=2) == pytest.approx(0.5)
+        assert joint_tv(samples[:0], grids, probs, aborts=3) == 1.0
+
     def test_sampler_matches_marginals_at_moderate_n(self):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=2)
         model = exact_conditional_model(world)
@@ -98,14 +106,17 @@ class TestReports:
 
 class TestErrorEval:
     def test_weights_off_reduces_to_prior_rate(self):
-        # under the uniform 16-scene prior a cell is empty with rate one half
+        # under the uniform 16-scene prior a cell is empty with rate one half,
+        # and one of two cells with rate three quarters: a run errs unless
+        # every condition of its set holds
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=4)
         model = exact_conditional_model(world)
-        report = run_error_eval(
-            model, world, n_components=1, n_samples=800, weight=0.0,
-            sched=SamplerSchedule(temperature=1.0), rng_seed=5,
-        )
-        assert abs(report.error_rate - 0.5) <= report.two_sigma + 0.05
+        for n_components, prior_error in ((1, 0.5), (2, 0.75)):
+            report = run_error_eval(
+                model, world, n_components=n_components, n_samples=800, weight=0.0,
+                sched=SamplerSchedule(temperature=1.0), rng_seed=5,
+            )
+            assert abs(report.error_rate - prior_error) <= report.two_sigma + 0.05
 
     def test_exact_model_single_condition_near_zero_error(self):
         world = build_random_factorized_world(2, 2, 3, n_conditions=0, seed=2)
@@ -166,12 +177,12 @@ class TestOodEval:
     def test_requires_more_conditions_than_training_budget(self):
         world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=3)
         with pytest.raises(ValidationError):
-            run_ood_eval(None, world, train_max_objects=2, test_n_conditions=2)
+            run_ood_eval(world, train_max_objects=2, test_n_conditions=2)
 
     def test_composed_exceeds_baseline_and_is_diverse(self):
         world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=3)
         result = run_ood_eval(
-            None, world, train_max_objects=2, test_n_conditions=3,
+            world, train_max_objects=2, test_n_conditions=3,
             n_runs=60, n_train=15_000, rng_seed=1,
         )
         assert result.composed_rate > result.baseline_rate
@@ -269,18 +280,20 @@ class TestFidelity:
         # 54 posterior states at 4000 draws put the expected multinomial TV
         # near 0.046; the bound leaves ~2x headroom over sampling noise
         world = build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=4)
-        tv = fidelity_tv(world, object_at_cell(0, 1), 4000, rng_seed=3)
+        model = exact_conditional_model(world)
+        tv = fidelity_tv(world, object_at_cell(0, 1), 4000, rng_seed=3, model=model)
         assert tv <= 0.09
 
     def test_autoregressive_tracks_enumerated_law(self):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=4)
         sched = SamplerSchedule(mode="autoregressive", temperature=1.0)
-        tv = fidelity_tv(world, object_at_cell(1, 0), 4000, sched=sched, rng_seed=4)
+        model = exact_conditional_model(world)
+        tv = fidelity_tv(world, object_at_cell(1, 0), 4000, sched=sched, rng_seed=4, model=model)
         assert tv <= 0.09
 
     def test_unconditional_fidelity(self):
         world = build_scene_world(2, 1, n_shapes=1, n_colors=2, max_objects=2)
-        tv = fidelity_tv(world, None, 4000, rng_seed=5)
+        tv = fidelity_tv(world, None, 4000, rng_seed=5, model=exact_conditional_model(world))
         assert tv <= 0.05
 
 
@@ -313,7 +326,8 @@ class TestEvaluationCountLaw:
         [
             lambda w, m: fidelity_tv(w, object_at_cell(0, 0), 3, model=m),
             lambda w, m: run_error_eval(m, w, 1, 3),
-            lambda w, m: run_ood_eval(m, w, train_max_objects=1, test_n_conditions=2, n_runs=3),
+            lambda w, m: run_ood_eval(w, train_max_objects=1, test_n_conditions=2, n_runs=3,
+                                      n_train=200),
             lambda w, m: run_negation_eval(m, w, object_at_cell(1, 1), 3, weights=(0.0, 1.0)),
             lambda w, m: run_bench(m, w, (1,), (1,), n_runs=1),
         ],
@@ -331,3 +345,64 @@ class TestEvaluationCountLaw:
         run_negation_eval(model, world, object_at_cell(1, 1), 3, weights=(0.0, 1.0))
         with pytest.raises(ValidationError, match="evaluation-count law"):
             run_negation_eval(model, world, object_at_cell(1, 1), 3, weights=(1.0,))
+
+
+class _AlwaysAborts:
+    """A model left with no support for any state: every run aborts."""
+
+    def __init__(self, vocab_size: int):
+        self.vocab_size = vocab_size
+
+    def predict(self, state, condition=None):
+        raise AllMassZero("no support state agrees with the unmasked slots")
+
+
+class TestAbortPolicy:
+    """An aborted run gives no grid, stays in its arm's run count and adds to
+    no hit or distinct count; no suite ends on it."""
+
+    @pytest.fixture
+    def world(self):
+        return build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=4)
+
+    def test_negation_sweep_completes_off_the_support(self):
+        # two tokens drawn at once from per-position marginals leave the
+        # support of this world in some runs at every weight
+        world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=3)
+        model = exact_conditional_model(world)
+        sched = SamplerSchedule(tokens_per_step=2)
+        result = run_negation_eval(model, world, object_at_cell(0, 0), 300, sched=sched)
+        assert len(result.aborts) == len(result.weights) == 5
+        assert all(0 < a < 300 for a in result.aborts)
+        assert result.p0_aborts == 0  # the w = 0 arm gives p0
+        assert result.p0_measured == result.rate_at(0.0)
+        assert result.to_record()["aborts"] == list(result.aborts)
+        alone = run_negation_eval(
+            model, world, object_at_cell(0, 0), 300, weights=(-1.0,), sched=sched
+        )
+        assert alone.aborts[0] > 0
+        assert alone.p0_aborts > 0  # the dedicated unconditional arm
+
+    def test_fidelity_puts_every_aborted_run_off_the_support(self, world):
+        model = _AlwaysAborts(world.vocab_size)
+        assert fidelity_tv(world, object_at_cell(0, 0), 20, model=model) == 1.0
+
+    def test_error_suite_counts_every_aborted_run_as_an_error(self, world):
+        report = run_error_eval(_AlwaysAborts(world.vocab_size), world, 1, 20)
+        assert (report.error_rate, report.aborts, report.tv_distance) == (1.0, 20, 1.0)
+        assert report.to_record()["aborts"] == 20
+
+    def test_ood_arms_score_no_aborted_run(self, world, monkeypatch):
+        monkeypatch.setattr(
+            evalharness, "fit_count_model", lambda w, *a, **k: _AlwaysAborts(w.vocab_size)
+        )
+        result = run_ood_eval(world, train_max_objects=1, test_n_conditions=2, n_runs=10)
+        assert (result.composed_rate, result.composed_distinct, result.composed_aborts) == (0, 0, 10)
+        assert (result.baseline_rate, result.baseline_distinct, result.baseline_aborts) == (0, 0, 10)
+
+    def test_negation_and_bench_count_every_aborted_run(self, world):
+        model = _AlwaysAborts(world.vocab_size)
+        result = run_negation_eval(model, world, object_at_cell(0, 0), 10, weights=(-1.0, 1.0))
+        assert (result.rates, result.aborts, result.p0_aborts) == ((0.0, 0.0), (10, 10), 10)
+        rows = run_bench(model, world, (1, 2), (0, 1), n_runs=3)
+        assert [r.aborts for r in rows] == [3] * 4

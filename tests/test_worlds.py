@@ -567,21 +567,16 @@ class TestExactOracleEquivalence:
             assert _same_answer(cold, got)
 
 
-    def test_reregistered_condition_is_read_again(self):
+    def test_reregistering_a_condition_raises(self):
         world = build_random_factorized_world(2, 2, 3, n_conditions=1, seed=2)
-        model = exact_conditional_model(world)
-        asked = MaskedState.fully_masked(4)
-        before = model.predict(asked, cell_table("c0"))
+        state = MaskedState.fully_masked(4)
+        before = exact_conditional_model(world).predict(state, cell_table("c0"))
         cell = sorted(world.table_conditions["c0"])[0]
-        assert not np.allclose(np.exp(before[cell]), [0.2, 0.3, 0.5])
-        world.add_condition("c0", {cell: [0.2, 0.3, 0.5]})
-        # a state asked before the re-registration and one asked only after
-        fresh = MaskedState.fully_masked(4).with_fixed([(cell + 1) % 4], [1])
-        for state in (asked, fresh, asked):
-            got = model.predict(state, cell_table("c0"))
-            want = ExactOracle(world).predict(state.tokens, cell_table("c0"))
-            assert _same_answer(got, want), state.tokens.tolist()
-            assert np.allclose(np.exp(got[cell]), [0.2, 0.3, 0.5])
+        with pytest.raises(InvalidTable, match="'c0' is already registered"):
+            world.add_condition("c0", {cell: [0.2, 0.3, 0.5]})
+        # the refused tables left the condition as it was
+        after = exact_conditional_model(world).predict(state, cell_table("c0"))
+        assert _same_answer(before, after)
 
 
 class TestExactMemoBound:
