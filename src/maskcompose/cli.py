@@ -281,9 +281,11 @@ def cmd_eval(cfg: RunConfig) -> int:
         print(
             f"composed rate {result.composed_rate:.3f} "
             f"(2sig {result.composed_two_sigma:.3f}, "
-            f"{result.composed_distinct} distinct, {result.composed_aborts} aborts) vs "
+            f"{result.composed_distinct} distinct, {result.composed_distinct_in_support} "
+            f"satisfying in the support, off-support {result.composed_off_support:.2f}, "
+            f"{result.composed_aborts} aborts) vs "
             f"baseline {result.baseline_rate:.3f} (2sig {result.baseline_two_sigma:.3f}, "
-            f"{result.baseline_aborts} aborts)"
+            f"off-support {result.baseline_off_support:.2f}, {result.baseline_aborts} aborts)"
         )
     elif suite == "negation":
         conds = cfg.conditions()

@@ -27,11 +27,13 @@ looks up all masked positions and all four backoff levels with one
 np.searchsorted. The codes of a state's masked positions are kept for the
 next query, since the sampler asks about each state once per expert.
 Fitting counts the codes of all masked training positions with np.unique,
-FIT_CHUNK samples at a time.
+FIT_CHUNK samples at a time, drawing each chunk's masks as it goes; a
+sample is one grid row and one condition index, never a Python object.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -172,21 +174,34 @@ class CountModel:
         if rows.shape != (len(keys), k) or (rows < 0).any():
             raise ValueError(f"every bucket needs {k} non-negative counts")
         cond_ids = {UNCONDITIONAL_KEY: 0}
-        for key in keys:
-            cond_ids.setdefault(key[2], len(cond_ids))
+        ids = np.array([cond_ids.setdefault(key[2], len(cond_ids)) for key in keys], dtype=np.int64)
+        lengths = np.array([len(key[1]) for key in keys], dtype=np.int64)
         codec = _KeyCodes(self.grid_w, self.grid_h, k, len(cond_ids))
+        try:
+            positions = np.array([key[0] for key in keys], dtype=np.int64)
+            tokens = np.fromiter(
+                itertools.chain.from_iterable(key[1] for key in keys),
+                dtype=np.int64, count=int(lengths.sum()),
+            )
+        except OverflowError:
+            raise ValueError("a bucket key holds an integer beyond 64 bits") from None
+        bad = (positions < 0) | (positions >= codec.length)
+        if bad.any():
+            raise ValueError(f"bucket {keys[bad.argmax()]!r}: position outside the grid")
+        # a signature sits right-aligned in its row; the slots left of it pad
+        # with MASK, which sorts below every token
+        bad = lengths > codec.width
         sigs = np.full((len(keys), codec.width), MASK, dtype=np.int64)
-        for i, (pos, sig, _) in enumerate(keys):
-            if not 0 <= pos < codec.length:
-                raise ValueError(f"bucket {keys[i]!r}: position outside the grid")
-            if len(sig) > codec.width or list(sig) != sorted(sig) or any(not 0 <= t < k for t in sig):
-                raise ValueError(f"bucket {keys[i]!r}: signature is not a sorted set of neighbor tokens")
-            sigs[i, codec.width - len(sig) :] = sig
-        codes = codec.codes(
-            np.array([cond_ids[key[2]] for key in keys], dtype=np.int64),
-            np.array([key[0] for key in keys], dtype=np.int64),
-            sigs,
-        )
+        if not bad.any():
+            filled = np.arange(codec.width) >= codec.width - lengths[:, None]
+            sigs[filled] = tokens
+            bad = (np.diff(sigs, axis=1) < 0).any(axis=1)
+            bad |= (filled & ((sigs < 0) | (sigs >= k))).any(axis=1)
+        if bad.any():
+            raise ValueError(
+                f"bucket {keys[bad.argmax()]!r}: signature is not a sorted set of neighbor tokens"
+            )
+        codes = codec.codes(ids, positions, sigs)
         rows.flags.writeable = False
         object.__setattr__(self, "counts", MappingProxyType(dict(zip(keys, rows))))
         object.__setattr__(self, "_codec", codec)
@@ -261,17 +276,6 @@ class CountModel:
         return len(self.counts)
 
 
-def _condition_ids(conds: list, drop: np.ndarray) -> tuple[list, np.ndarray]:
-    """Distinct condition keys, the unconditional one first, and each
-    sample's index into them; a dropped condition is unconditional."""
-    distinct = {id(c): c for c in conds}  # worlds hand out shared specs
-    ids = {UNCONDITIONAL_KEY: 0}
-    of = {i: ids.setdefault(cond_key(c), len(ids)) for i, c in distinct.items()}
-    out = np.array([of[id(c)] for c in conds], dtype=np.int64)
-    out[drop] = 0
-    return list(ids), out
-
-
 def fit_count_model(
     world: WorldJoint,
     n_samples: int,
@@ -294,26 +298,33 @@ def fit_count_model(
                 "world has no object budget"
             )
         train_world = world.restrict(training_max_objects)
-    k = world.vocab_size
+    k, length = world.vocab_size, world.length
     rng = np.random.default_rng(rng_seed)
-    grids, conds = train_world.sample_training_pairs(rng, n_samples)
+    grids, specs, index = train_world.sample_training_pairs(rng, n_samples)
     drop = rng.random(n_samples) < dropout_prob
     rates = rng.random(n_samples)
-    mask_draws = rng.random((n_samples, world.length))
-    cond_keys, cond_ids = _condition_ids(conds, drop)
+    # condition id 0 is unconditional: a sample without a condition (index
+    # -1) or with its condition dropped
+    cond_ids = np.where(drop, 0, index + 1)
+    cond_keys = [UNCONDITIONAL_KEY] + [cond_key(c) for c in specs]
     codec = _KeyCodes(world.grid_w, world.grid_h, k, len(cond_keys))
 
     # (bucket code * K + true token) of every masked position, merged into
-    # the distinct ones seen so far chunk by chunk
+    # the distinct ones seen so far chunk by chunk. Each chunk draws its own
+    # mask uniforms: row after row, the same doubles as one (n, L) draw,
+    # since nothing is drawn after them.
     found = totals = np.zeros(0, dtype=np.int64)
     for lo in range(0, n_samples, FIT_CHUNK):
         hi = min(lo + FIT_CHUNK, n_samples)
-        maskbits = mask_draws[lo:hi] < rates[lo:hi, None]
-        views = np.where(maskbits, MASK, grids[lo:hi])
+        maskbits = rng.random((hi - lo, length)) < rates[lo:hi, None]
+        chunk = grids[lo:hi].ravel()
+        views = np.where(maskbits.ravel(), MASK, chunk)
         rows, pos = np.nonzero(maskbits)
-        bucket = codec.codes(cond_ids[lo + rows], pos, views[rows[:, None], codec.index[pos]])
+        start = rows * length  # where each masked position's row starts in the flat chunk
+        nbrs = views.take(codec.index[pos] + start[:, None])
+        bucket = codec.codes(cond_ids[lo + rows], pos, nbrs)
         merged, inverse = np.unique(
-            np.concatenate((found, bucket * k + grids[lo + rows, pos])), return_inverse=True
+            np.concatenate((found, bucket * k + chunk.take(start + pos))), return_inverse=True
         )
         counted = np.bincount(inverse[found.size :], minlength=merged.size)
         counted[inverse[: found.size]] += totals

@@ -236,6 +236,13 @@ def _sample_arm(
     return block[:kept], n - kept
 
 
+def _row_keys(grids: np.ndarray) -> np.ndarray:
+    """One opaque scalar per row of (N, L) token grids, equal exactly when
+    the rows are; np.unique and np.isin compare them."""
+    grids = np.ascontiguousarray(grids, dtype=np.int16)
+    return grids.view(np.dtype((np.void, grids.itemsize * grids.shape[1]))).ravel()
+
+
 def _hits(world: WorldJoint, grids: np.ndarray, conds: Sequence) -> int:
     """How many of the (N, L) grids satisfy every condition."""
     return int(world.check_conditions(grids, conds).all(axis=0).sum())
@@ -318,6 +325,12 @@ class OodResult(_Record):
     baseline_two_sigma: float
     baseline_distinct: int
     baseline_aborts: int
+    # per arm: distinct grids that lie in the support and satisfy every
+    # condition, and the share of runs whose grid lies off the support
+    composed_distinct_in_support: int
+    composed_off_support: float
+    baseline_distinct_in_support: int
+    baseline_off_support: float
 
 
 def run_ood_eval(
@@ -337,7 +350,10 @@ def run_ood_eval(
     Fits a CountModel on the world restricted to scenes of at most
     train_max_objects objects. Composed generation (one weight per
     condition) is paired against the joint-prompt baseline on the same
-    condition set and the same run seeds.
+    condition set and the same run seeds. A grid off the world's support
+    (more objects than its budget) can still satisfy the set, so each arm
+    also reports its off-support share and its distinct grids that lie in
+    the support and satisfy the set.
     """
     if test_n_conditions <= train_max_objects:
         raise ValidationError(
@@ -349,6 +365,7 @@ def run_ood_eval(
     )
     rng = np.random.default_rng(rng_seed)
     conds = _ConditionSetSampler(world, predicate_pool(world)).draw(test_n_conditions, rng)
+    support = _row_keys(world.support()[0])
     arms = {}
     for arm, run_conds, weights in (
         ("composed", conds, [weight] * len(conds)),
@@ -358,12 +375,17 @@ def run_ood_eval(
             model, world.length, run_conds, weights, sched,
             np.random.default_rng(rng_seed + 1), n_runs,
         )
-        rate = _hits(world, grids, conds) / n_runs
+        rows = _row_keys(grids)
+        hit = world.check_conditions(grids, conds).all(axis=0)
+        in_support = np.isin(rows, support)
+        rate = int(hit.sum()) / n_runs
         arms.update({
             f"{arm}_rate": rate,
             f"{arm}_two_sigma": two_sigma_bound(rate, n_runs),
-            f"{arm}_distinct": len({g.tobytes() for g in grids}),
+            f"{arm}_distinct": np.unique(rows).size,
             f"{arm}_aborts": aborts,
+            f"{arm}_distinct_in_support": np.unique(rows[hit & in_support]).size,
+            f"{arm}_off_support": int((~in_support).sum()) / n_runs,
         })
     return OodResult(
         train_max_objects=train_max_objects,

@@ -178,7 +178,10 @@ class WorldJoint:
 
     def sample_training_pairs(
         self, rng: np.random.Generator, n: int
-    ) -> tuple[np.ndarray, list]:
+    ) -> tuple[np.ndarray, list[ConditionSpec], np.ndarray]:
+        """n (grid, condition) training pairs as (n, L) grids, the distinct
+        condition specs in order of first appearance, and each sample's
+        index into them as (n,) ints, -1 for a sample without a condition."""
         raise NotImplementedError
 
     # shared machinery ------------------------------------------------------
@@ -245,6 +248,17 @@ class WorldJoint:
         grids, logp = self.support()
         idx = rng.choice(grids.shape[0], size=n, p=np.exp(logp))
         return grids[idx]
+
+
+def _by_first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct non-negative labels in order of first appearance, and
+    each label's index into them; label -1 gets index -1."""
+    values, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    n_absent = np.count_nonzero(values < 0)  # the absent label sorts first
+    order = np.argsort(first[n_absent:]) + n_absent
+    rank = np.full(values.size, -1, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    return values[order], rank[inverse]
 
 
 def _check_support_cap(count: int):
@@ -390,26 +404,34 @@ class SceneWorld(WorldJoint):
                     pool.append(relation(rel, sa, oa))
         return pool
 
-    def sample_training_pairs(self, rng, n):
-        """(grid, condition) pairs: a prior scene plus one condition it satisfies.
+    def _training_cells(self, grids: np.ndarray, rng) -> np.ndarray:
+        """One occupied cell per grid drawn uniformly, -1 for an empty grid.
 
-        The condition is drawn uniformly among the positional pool conditions
-        the scene satisfies (one of its occupied cells); empty scenes yield
-        an absent condition.
-        """
-        grids = self.prior_sample(rng, n)
+        Its temporaries, several arrays per grid, are freed when it returns,
+        before a fit allocates its own."""
         occupied = grids != EMPTY_TOKEN
         n_occupied = occupied.sum(axis=1)
         rows = np.flatnonzero(n_occupied)
         # one draw per non-empty scene in row order, the stream of per-scene draws
         picks = rng.integers(0, n_occupied[rows])
-        _, cols = np.nonzero(occupied)  # occupied cells, scene by scene
-        cells = cols[(np.cumsum(n_occupied) - n_occupied)[rows] + picks]
-        specs = [object_at_cell(p % self.grid_w, p // self.grid_w) for p in range(self.length)]
-        conds = [None] * n
-        for i, p in zip(rows.tolist(), cells.tolist()):
-            conds[i] = specs[p]
-        return grids, conds
+        # the pick's place among all occupied cells, scene by scene
+        picks += (np.cumsum(n_occupied) - n_occupied)[rows]
+        cells = np.full(grids.shape[0], -1, dtype=np.intp)
+        cells[rows] = np.flatnonzero(occupied)[picks] % self.length
+        return cells
+
+    def sample_training_pairs(self, rng, n):
+        """(grids, specs, index) pairs: a prior scene plus one condition it
+        satisfies, as in WorldJoint.sample_training_pairs.
+
+        The condition is drawn uniformly among the positional pool conditions
+        the scene satisfies (one of its occupied cells); an empty scene has
+        index -1.
+        """
+        grids = self.prior_sample(rng, n)
+        distinct, index = _by_first_appearance(self._training_cells(grids, rng))
+        specs = [object_at_cell(p % self.grid_w, p // self.grid_w) for p in distinct.tolist()]
+        return grids, specs, index
 
 
 class FactorizedWorld(WorldJoint):
@@ -542,11 +564,14 @@ class FactorizedWorld(WorldJoint):
         return [cell_table(name) for name in sorted(self.table_conditions)]
 
     def sample_training_pairs(self, rng, n):
-        """Pairs (z, c): pick a registered condition uniformly, draw z from
-        P(z | c) using the closed-form product measure."""
+        """(grids, specs, index) pairs (z, c), as in
+        WorldJoint.sample_training_pairs: pick a registered condition
+        uniformly, draw z from P(z | c) using the closed-form product
+        measure. A world without conditions draws z from the prior, with
+        index -1."""
         names = sorted(self.table_conditions)
         if not names:
-            return self.prior_sample(rng, n), [None] * n
+            return self.prior_sample(rng, n), [], np.full(n, -1, dtype=np.intp)
         which = rng.integers(len(names), size=n)
         grids = np.empty((n, self.length), dtype=np.int16)
         u = rng.random((n, self.length))
@@ -555,8 +580,8 @@ class FactorizedWorld(WorldJoint):
             cum = np.cumsum(self.conditional_tables(cell_table(name)), axis=1)
             drawn = (cum <= u[rows][:, :, None]).sum(axis=2)
             grids[rows] = np.minimum(drawn, self.vocab_size - 1)
-        specs = [cell_table(name) for name in names]
-        return grids, [specs[w] for w in which.tolist()]
+        distinct, index = _by_first_appearance(which)
+        return grids, [cell_table(names[w]) for w in distinct.tolist()], index
 
 
 def build_scene_world(

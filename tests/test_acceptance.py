@@ -91,3 +91,16 @@ def test_criteria_4_to_6_fail_on_any_abort(monkeypatch, criterion, suite, stand_
     result = criterion()
     assert not result.passed
     assert shown in result.detail
+
+
+def test_criterion_5_counts_only_satisfying_support_grids(monkeypatch):
+    # the arm's distinct grids stay many; only those in the support that
+    # satisfy the set count towards the 10
+    monkeypatch.setattr(
+        acceptance, "run_ood_eval",
+        lambda *a, **k: replace(_ood(*a, **k), composed_distinct=100, composed_distinct_in_support=9),
+    )
+    result = criterion_ood_composition()
+    assert not result.passed
+    assert "9 distinct satisfying support grids of 100 runs (need >= 10)" in result.detail
+    assert "off-support" in result.detail

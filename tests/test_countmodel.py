@@ -198,17 +198,21 @@ class TestFrozenTables:
     @pytest.mark.parametrize(
         "key, row",
         [
-            ((2, (), ("unconditional",)), [1, 1]),  # position outside the 2x1 grid
+            ((4, (), ("unconditional",)), [1, 1]),  # position outside the 2x2 grid
             ((0, (1, 0), ("unconditional",)), [1, 1]),  # unsorted signature
             ((0, (2,), ("unconditional",)), [1, 1]),  # token outside the vocabulary
-            ((0, (0, 1), ("unconditional",)), [1, 1]),  # wider than any neighborhood
+            ((0, (0, 0, 1, 1), ("unconditional",)), [1, 1]),  # wider than any neighborhood
             ((0, (), ("unconditional",)), [1, 1, 1]),  # wrong row length
             ((0, (), ("unconditional",)), [1, -1]),  # negative count
+            ((-1, (), ("unconditional",)), [1, 1]),  # negative position
+            ((0, (-1,), ("unconditional",)), [1, 1]),  # a token equal to the MASK pad
+            ((0, (2**64,), ("unconditional",)), [1, 1]),  # a token beyond int64
         ],
     )
     def test_rejects_malformed_buckets(self, key, row):
+        # every neighborhood of the 2x2 grid has 3 cells
         with pytest.raises(ValueError):
-            CountModel(grid_w=2, grid_h=1, vocab_size=2, counts={key: np.array(row)})
+            CountModel(grid_w=2, grid_h=2, vocab_size=2, counts={key: np.array(row)})
 
     def test_zero_sum_bucket_never_answers(self):
         cond = object_at_cell(0, 0)

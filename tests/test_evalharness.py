@@ -27,7 +27,7 @@ from maskcompose.evalharness import (
     tv_to_marginals,
     two_sigma_bound,
 )
-from maskcompose.sampler import SamplerSchedule
+from maskcompose.sampler import MASK, SamplerSchedule
 from maskcompose.worlds import (
     build_factorized_world,
     build_random_factorized_world,
@@ -190,6 +190,30 @@ class TestOodEval:
         rec = result.to_record()
         assert rec["type"] == "ood_result"
         assert len(rec["condition_keys"]) == 3
+        assert 1 <= result.composed_distinct_in_support <= result.composed_distinct
+        assert 0.0 <= result.composed_off_support <= 1.0
+
+    @pytest.mark.parametrize(
+        "token, rate, off_support",
+        [
+            # all four cells full: the grid satisfies any set of cell
+            # conditions but holds more objects than the budget of two
+            (1, 1.0, 1.0),
+            # all four cells empty: a support grid that satisfies no condition
+            (0, 0.0, 0.0),
+        ],
+    )
+    def test_only_satisfying_support_grids_count_as_distinct_in_support(
+        self, monkeypatch, token, rate, off_support
+    ):
+        world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
+        monkeypatch.setattr(evalharness, "fit_count_model", lambda w, *a, **k: _FillsEveryCell(token))
+        result = run_ood_eval(world, train_max_objects=1, test_n_conditions=2, n_runs=10)
+        assert (result.composed_rate, result.composed_distinct) == (rate, 1)
+        assert (result.composed_distinct_in_support, result.composed_off_support) == (0, off_support)
+        assert (result.baseline_distinct_in_support, result.baseline_off_support) == (0, off_support)
+        rec = result.to_record()
+        assert (rec["composed_distinct_in_support"], rec["composed_off_support"]) == (0, off_support)
 
 
 class TestNegationEval:
@@ -357,6 +381,17 @@ class _AlwaysAborts:
         raise AllMassZero("no support state agrees with the unmasked slots")
 
 
+class _FillsEveryCell:
+    """A model of two tokens that puts every masked cell's mass on one."""
+
+    def __init__(self, token: int):
+        with np.errstate(divide="ignore"):
+            self.logp = np.log(np.eye(2)[token])
+
+    def predict(self, state, condition=None):
+        return {int(p): self.logp for p in np.flatnonzero(state.tokens == MASK)}
+
+
 class TestAbortPolicy:
     """An aborted run gives no grid, stays in its arm's run count and adds to
     no hit or distinct count; no suite ends on it."""
@@ -399,6 +434,8 @@ class TestAbortPolicy:
         result = run_ood_eval(world, train_max_objects=1, test_n_conditions=2, n_runs=10)
         assert (result.composed_rate, result.composed_distinct, result.composed_aborts) == (0, 0, 10)
         assert (result.baseline_rate, result.baseline_distinct, result.baseline_aborts) == (0, 0, 10)
+        assert (result.composed_distinct_in_support, result.composed_off_support) == (0, 0.0)
+        assert (result.baseline_distinct_in_support, result.baseline_off_support) == (0, 0.0)
 
     def test_negation_and_bench_count_every_aborted_run(self, world):
         model = _AlwaysAborts(world.vocab_size)

@@ -287,11 +287,23 @@ class TestSceneOracleEquivalence:
         ).tolist()
 
 
+def expanded_training_pairs(world, rng, n):
+    """A world's training pairs with one condition (or None) per sample, the
+    form the per-sample loops in countmodel_oracle return."""
+    grids, specs, index = world.sample_training_pairs(rng, n)
+    assert index.shape == (n,) and index.dtype.kind == "i"
+    assert len(set(specs)) == len(specs)
+    used, first = np.unique(index[index >= 0], return_index=True)
+    assert used.tolist() == list(range(len(specs)))
+    assert (np.diff(first) > 0).all()  # spec j first turns up after specs 0 .. j-1
+    return grids, [None if i < 0 else specs[i] for i in index.tolist()]
+
+
 class TestSceneTrainingPairs:
     def test_pairs_are_satisfied_and_deterministic(self):
         world = build_scene_world(2, 2, n_shapes=2, n_colors=1, max_objects=2)
-        grids, conds = world.sample_training_pairs(np.random.default_rng(7), 200)
-        again, conds2 = world.sample_training_pairs(np.random.default_rng(7), 200)
+        grids, conds = expanded_training_pairs(world, np.random.default_rng(7), 200)
+        again, conds2 = expanded_training_pairs(world, np.random.default_rng(7), 200)
         assert np.array_equal(grids, again)
         assert conds == conds2
         for g, c in zip(grids, conds):
@@ -305,7 +317,7 @@ class TestSceneTrainingPairs:
     def test_pairs_and_stream_match_the_per_scene_loop(self, seed, max_objects):
         world = build_scene_world(3, 2, n_shapes=2, n_colors=1, max_objects=max_objects)
         rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        grids, conds = world.sample_training_pairs(rng, 500)
+        grids, conds = expanded_training_pairs(world, rng, 500)
         loop_grids, loop_conds = oracle.scene_training_pairs(world, loop_rng, 500)
         assert np.array_equal(grids, loop_grids)
         assert conds == loop_conds
@@ -382,7 +394,7 @@ class TestFactorizedWorld:
         world = build_factorized_world(
             2, 1, 2, {"a": {0: [0.95, 0.05]}, "b": {1: [0.1, 0.9]}}
         )
-        grids, conds = world.sample_training_pairs(np.random.default_rng(0), 4000)
+        grids, conds = expanded_training_pairs(world, np.random.default_rng(0), 4000)
         sel = np.array([c == cell_table("a") for c in conds])
         assert 0.4 < sel.mean() < 0.6
         assert abs((grids[sel, 0] == 0).mean() - 0.95) < 0.03
@@ -392,7 +404,7 @@ class TestFactorizedWorld:
     def test_training_pairs_match_the_per_position_loop(self, seed):
         world = build_random_factorized_world(2, 2, 5, n_conditions=3, seed=seed)
         rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        grids, conds = world.sample_training_pairs(rng, 2000)
+        grids, conds = expanded_training_pairs(world, rng, 2000)
         loop_grids, loop_conds = oracle.factorized_training_pairs(world, loop_rng, 2000)
         assert np.array_equal(grids, loop_grids)
         assert conds == loop_conds
