@@ -268,12 +268,22 @@ def _deep_tuple(value):
 
 
 def _decode_keys(data: bytes) -> list[tuple]:
+    """(position, signature, condition key) tuples from the bucket_keys JSON.
+
+    A model has few distinct condition keys across its buckets, so each is
+    turned into nested tuples, and checked to be hashable, once: its repr,
+    which tells JSON values apart, finds it again.
+    """
     out = []
+    ckeys = {}
     try:
         for pos, sig, ckey in json.loads(data):
-            key = (int(pos), tuple(int(v) for v in sig), _deep_tuple(ckey))
-            hash(key)  # a JSON object in the condition key would not be
-            out.append(key)
+            text = repr(ckey)
+            key = ckeys.get(text)
+            if key is None:
+                key = ckeys[text] = _deep_tuple(ckey)
+                hash(key)  # a JSON object in the condition key would not be
+            out.append((int(pos), tuple(map(int, sig)), key))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bucket keys do not decode: {exc}") from None
     return out

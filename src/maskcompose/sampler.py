@@ -123,34 +123,46 @@ def count_evaluations(sched: SamplerSchedule, length: int, n_conditions: int) ->
     return steps * (n_conditions + 1)
 
 
-def sample_token(logp: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from a log-probability vector."""
-    cum = np.exp(logp).cumsum()
-    u = rng.random() * cum[-1]
-    idx = int(cum.searchsorted(u, side="right"))
-    return min(idx, logp.size - 1)
+def sample_token(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw: one searchsorted of a uniform scaled to the total mass.
+
+    cdf is the float64 running sum of a composed vector's probabilities,
+    np.exp(logp).cumsum(), as the composed-vector memo holds it; the draw
+    stays in float64 so that rounding cannot shift mass between tokens.
+    rng.random() < 1 keeps the scaled uniform below the total; the clip to
+    K - 1 guards the index all the same.
+    """
+    idx = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
+    return min(idx, cdf.size - 1)
 
 
 # Composed vectors, temperature applied, keyed by the content of their inputs:
-# temperature, weights and each expert vector's dtype and bytes.
+# temperature, weights and each expert vector's dtype and bytes. Each entry is
+# one read-only (2, K) float64 array: row 0 is the composed log vector, which
+# ranks positions by confidence, and row 1 its CDF, np.exp(row 0).cumsum(),
+# which a draw searches. So a hit recomputes neither. One array rather than a
+# pair of them keeps one object header per entry.
 # Experts hand back the same few vectors run after run (20 000 masked fidelity
 # runs on the 2x2 world compose 8 distinct inputs), so most steps find their
-# vector here. Stored vectors are read-only. An entry is charged its arrays'
-# bytes plus a fixed cost per entry and per expert vector, an upper bound on
-# what its key, dict slot and object headers take; the two-generation memo
-# keeps the vectors that keep being asked for within _MEMO_CAP_BYTES. Being
+# entry here. An entry is charged its array's bytes, both rows, plus a fixed
+# cost per entry and per expert vector, an upper bound on what its key, dict
+# slot and object headers take; the two-generation memo keeps the entries
+# that keep being asked for within _MEMO_CAP_BYTES. Being
 # keyed by content, one memo can serve every caller in the process without
 # changing a result. The cap is sized to the largest working set measured:
-# criterion 4's count model composes about 3.4k distinct vectors, charged
-# 1.7 MiB, and a 256 KiB cap missed on 7.6k of its 18k steps a round.
+# criterion 4's count model composes about 3.4k distinct vectors, and a
+# 256 KiB cap missed on 7.6k of its 18k steps a round. On the benchmark's
+# count-3x3 world a composed and a joint error eval of 1000 grids each compose
+# 2.7k distinct vectors, charged 1.36 MiB with their CDFs (1.32 MiB without),
+# more than one generation holds, so some age out and are composed again.
 _MEMO_CAP_BYTES = 1 << 21
 _MEMO_ENTRY_BYTES = 256
 _MEMO_VECTOR_BYTES = 64
 
 
-def _composed_charge(key: tuple, out: np.ndarray) -> int:
+def _composed_charge(key: tuple, entry: np.ndarray) -> int:
     vectors = key[3::2]  # the key ends in (dtype, bytes) pairs, one per vector
-    return _MEMO_ENTRY_BYTES + out.nbytes + sum(len(v) + _MEMO_VECTOR_BYTES for v in vectors)
+    return _MEMO_ENTRY_BYTES + entry.nbytes + sum(len(v) + _MEMO_VECTOR_BYTES for v in vectors)
 
 
 _memo = Memo(_MEMO_CAP_BYTES, _composed_charge)
@@ -162,20 +174,25 @@ def _composed(
     weights: tuple,
     temperature: float,
 ) -> np.ndarray:
-    """compose_logits at one position, then the temperature, through the memo."""
+    """compose_logits at one position, then the temperature, through the memo.
+
+    Returns a read-only (2, K) float64 array: row 0 is the composed log
+    vector v with the temperature applied, row 1 its CDF np.exp(v).cumsum().
+    """
     key = [temperature, weights, uncond.dtype, uncond.tobytes()]
     for c in conds:
         key += (c.dtype, c.tobytes())
     key = tuple(key)
-    out = _memo.get(key)
-    if out is not None:
-        return out
-    out = compose_logits(uncond, conds, weights)
+    entry = _memo.get(key)
+    if entry is not None:
+        return entry
+    logp = compose_logits(uncond, conds, weights)
     if temperature != 1.0:
-        out = normalize_logits(out / temperature)
-    out.flags.writeable = False
-    _memo.put(key, out)
-    return out
+        logp = normalize_logits(logp / temperature)
+    entry = np.array((logp, np.exp(logp).cumsum()))
+    entry.flags.writeable = False
+    _memo.put(key, entry)
+    return entry
 
 
 def _select_positions(
@@ -184,14 +201,18 @@ def _select_positions(
     order: Sequence[int] | None,
     composed: dict[int, np.ndarray] | None,
 ) -> list[int]:
-    """The positions to fix this step, ascending, out of the masked ones."""
+    """The positions to fix this step, ascending, out of the masked ones.
+
+    composed maps each masked position to its memo entry (row 0 the log
+    vector, row 1 the CDF) in max-confidence mode and is not read otherwise.
+    """
     if sched.mode == MODE_AUTOREGRESSIVE:
         return [masked[0]]
     take = min(sched.tokens_per_step, len(masked))
     if sched.order_policy == ORDER_MAX_CONFIDENCE:
         # highest composed max-probability first; masked ascends and sorted
         # is stable, so ties go to the lower index
-        ranked = sorted(masked, key=lambda p: -composed[p].max())
+        ranked = sorted(masked, key=lambda p: -composed[p][0].max())
         return sorted(ranked[:take])
     open_slots = set(masked)
     picked = []
@@ -218,10 +239,12 @@ def composed_step(
     The model is evaluated once unconditionally and once per condition,
     regardless of how many positions get fixed. rng is the run's generator;
     order is the run's unmasking permutation in masked random-order mode and
-    is not read otherwise; stats is the run's counter. Composed vectors come
-    from a memo keyed by the content of the expert vectors, weights and
-    temperature, so equal inputs give the same read-only vector that
-    compose_logits would.
+    is not read otherwise; stats is the run's counter. Composed vectors and
+    their CDFs come from a memo keyed by the content of the expert vectors,
+    weights and temperature, so equal inputs give the same read-only entry;
+    each selected position takes one sample_token draw from its CDF, in
+    ascending position order. The draws go into one copy of the tokens: the
+    selected positions are masked ones, so no fixed slot is overwritten.
     """
     if len(conds) != len(weights):
         raise ShapeMismatch(f"{len(conds)} conditions vs {len(weights)} weights")
@@ -230,30 +253,28 @@ def composed_step(
         raise NoMaskedSlots("state has no masked slots left")
 
     uncond = model.predict(state, None)
-    stats.evaluations += 1
-    per_cond = []
-    for c in conds:
-        per_cond.append(model.predict(state, c))
-        stats.evaluations += 1
+    per_cond = [model.predict(state, c) for c in conds]
+    stats.evaluations += 1 + len(per_cond)
 
-    weights = tuple(float(w) for w in weights)  # hashable, for the memo key
+    weights = tuple(map(float, weights))  # hashable, for the memo key
     temperature = sched.temperature
-
-    def composed_at(pos: int) -> np.ndarray:
-        return _composed(uncond[pos], [d[pos] for d in per_cond], weights, temperature)
-
-    composed_all = None
+    composed = None
     if sched.mode == MODE_MASKED and sched.order_policy == ORDER_MAX_CONFIDENCE:
-        composed_all = {p: composed_at(p) for p in masked}
-    selected = _select_positions(masked, sched, order, composed_all)
+        composed = {
+            p: _composed(uncond[p], [d[p] for d in per_cond], weights, temperature)
+            for p in masked
+        }
+    selected = _select_positions(masked, sched, order, composed)
 
-    values = []
+    tokens = state.tokens.copy()
     for pos in selected:  # ascending position order fixes rng consumption
-        dist = composed_all[pos] if composed_all is not None else composed_at(pos)
-        values.append(sample_token(dist, rng))
-    new_state = state.with_fixed(selected, values)
+        if composed is not None:
+            entry = composed[pos]
+        else:
+            entry = _composed(uncond[pos], [d[pos] for d in per_cond], weights, temperature)
+        tokens[pos] = sample_token(entry[1], rng)
     stats.steps += 1
-    return new_state
+    return MaskedState(tokens)
 
 
 def run_to_completion(

@@ -1,5 +1,6 @@
 """Binary container: format framing, array fidelity, artifact roundtrips."""
 
+import json
 import struct
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from maskcompose.codec import learn_codebook
 from maskcompose.container import (
     Section,
+    _decode_keys,
     array_section,
     dump_text,
     load_codebook,
@@ -158,6 +160,37 @@ class TestModelArtifacts:
         back = load_count_model(path)
         assert back.counts == {}
         assert back.vocab_size == 3
+
+    def test_decoded_keys_match_a_per_key_decode(self, tmp_path):
+        def per_key_decode(data):
+            def deep_tuple(v):
+                return tuple(deep_tuple(x) for x in v) if isinstance(v, list) else v
+            return [(int(p), tuple(int(v) for v in sig), deep_tuple(c))
+                    for p, sig, c in json.loads(data)]
+
+        world = build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=2)
+        path = str(tmp_path / "m.dcw")
+        save_count_model(path, fit_count_model(world, 3000, rng_seed=6))
+        fitted = {s.name: s for s in read_container(path)}["bucket_keys"].data
+        # nested joint keys, and values that compare equal across types
+        crafted = json.dumps([
+            [0, [1, 2], ["joint", ["a", 1], ["a", 1.0]]], [1, [], ["joint", ["a", True]]],
+            [2, [3], ["object_at_cell", 0, 0]], [3, [], ["object_at_cell", 0, 0]],
+            [0, [], "uncond"], [1, [0], None], [2, [], ["joint", ["a", 1], ["a", 1.0]]],
+            [3, [1], ["joint", ["A", 1], ["a", 1.0]]],
+        ]).encode()
+        for data in (fitted, crafted):
+            keys = _decode_keys(data)
+            assert keys == per_key_decode(data)
+            assert repr(keys) == repr(per_key_decode(data))  # 1, 1.0 and True kept apart
+        keys = _decode_keys(crafted)
+        assert keys[2][2] is keys[3][2] and keys[0][2] is keys[6][2]
+
+    @pytest.mark.parametrize("ckey", [{"a": 1}, ["joint", {"a": 1}]])
+    def test_rejects_a_json_object_in_a_condition_key(self, ckey):
+        data = json.dumps([[0, [], ["object_at_cell", 0, 0]], [1, [], ckey]]).encode()
+        with pytest.raises(ValidationError, match="bucket keys"):
+            _decode_keys(data)
 
     def test_same_model_same_bytes(self, tmp_path):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)

@@ -1,16 +1,20 @@
 """Sampler loop: schedule arithmetic, absorbing property, determinism."""
 
+import functools
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sampler_oracle as oracle
 from maskcompose import sampler
 from maskcompose.compose import compose_logits, normalize_logits
-from maskcompose.errors import NoMaskedSlots, NonPositiveTemperature, ShapeMismatch
+from maskcompose.countmodel import fit_count_model
+from maskcompose.errors import AllMassZero, NoMaskedSlots, NonPositiveTemperature, ShapeMismatch
 from maskcompose.memo import Memo
 from maskcompose.sampler import (
     MASK,
@@ -25,6 +29,13 @@ from maskcompose.sampler import (
     count_evaluations,
     run_to_completion,
     sample_token,
+)
+from maskcompose.worlds import (
+    build_random_factorized_world,
+    build_scene_world,
+    cell_table,
+    exact_conditional_model,
+    object_at_cell,
 )
 
 
@@ -50,6 +61,10 @@ class TableModel:
                 int(p): np.log(tables[int(p)])
                 for p in state.masked_positions()
             }
+
+
+# the memo lookup as the package defines it, for spies to call through
+COMPOSED = sampler._composed
 
 
 def uniform_model(length, k):
@@ -235,8 +250,34 @@ class TestSampling:
         rng = np.random.default_rng(0)
         logp = np.log(np.array([0.0, 1.0, 0.0]) + 1e-300)
         logp[1] = 0.0
+        cdf = np.exp(logp).cumsum()
         for _ in range(50):
-            assert sample_token(logp, rng) == 1
+            assert sample_token(cdf, rng) == 1
+
+    @pytest.mark.parametrize("cdf, u, token", [
+        ([0.0, 0.25, 1.0, 1.0], 0.0, 1),  # a leading zero-mass token is skipped
+        ([0.0, 0.25, 1.0, 1.0], np.nextafter(1.0, 0.0), 2),  # so is a trailing one
+        ([0.0, 0.75, 3.0], np.nextafter(1.0, 0.0), 2),  # an unnormalized total
+    ])
+    def test_sample_token_edges_of_the_unit_interval(self, cdf, u, token):
+        class FixedUniform:
+            def random(self):
+                return u
+
+        assert sample_token(np.array(cdf), FixedUniform()) == token
+
+    def test_sample_token_frequencies_within_four_sigma(self):
+        """2e5 draws from a fixed CDF, one token of mass 1e-12: every token's
+        rate lies within 4 sigma of its probability."""
+        p = np.array([0.5, 1e-12, 0.3, 0.15, 0.05])
+        cdf = np.exp(np.log(p)).cumsum()
+        probs = np.diff(cdf, prepend=0.0) / cdf[-1]
+        rng = np.random.default_rng(2024)
+        n = 200_000
+        counts = np.bincount([sample_token(cdf, rng) for _ in range(n)], minlength=p.size)
+        assert counts.size == p.size
+        sigma = np.sqrt(probs * (1.0 - probs) / n)
+        assert np.all(np.abs(counts / n - probs) <= 4.0 * sigma), counts
 
     def test_uniform_binary_frequency(self):
         """L = 1, K = 2 uniform model: token 1 rate 0.5 +/- 0.01 over 1e4 runs."""
@@ -308,17 +349,29 @@ class TestComposedMemo:
 
     @staticmethod
     def drawn_from(monkeypatch, uncond, cond, weight, temperature):
-        """The vector composed_step hands to sample_token for one position."""
-        seen = []
-        monkeypatch.setattr(
-            sampler, "sample_token", lambda logp, rng: seen.append(logp) or sample_token(logp, rng)
-        )
+        """The memo entry composed_step draws one position's token from:
+        row 0 the composed vector, row 1 the CDF handed to sample_token."""
+        entries, cdfs = [], []
+
+        def spy_composed(*args):
+            entries.append(COMPOSED(*args))
+            return entries[-1]
+
+        def spy_draw(cdf, rng):
+            cdfs.append(cdf)
+            return sample_token(cdf, rng)
+
+        monkeypatch.setattr(sampler, "_composed", spy_composed)
+        monkeypatch.setattr(sampler, "sample_token", spy_draw)
         model = TableModel([uncond], cond_tables={"c": np.array([cond])})
         step(
             MaskedState.fully_masked(1), model, ["c"], [weight],
             SamplerSchedule(temperature=temperature), order=[0],
         )
-        return seen[0]
+        (entry,), (cdf,) = entries, cdfs
+        assert entry.shape == (2, len(uncond))
+        assert np.shares_memory(cdf, entry) and np.array_equal(cdf, entry[1])
+        return entry
 
     def test_warm_memo_gives_cold_tokens(self):
         tables = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4], [0.7, 0.2, 0.1]])
@@ -355,35 +408,147 @@ class TestComposedMemo:
             expect = compose_logits(u, [c], [a["weight"]])
             if a["temperature"] != 1.0:
                 expect = normalize_logits(expect / a["temperature"])
-            out = self.drawn_from(monkeypatch, **a)
-            assert np.array_equal(out, expect), change
-            got.append(out)
+            entry = self.drawn_from(monkeypatch, **a)
+            assert np.array_equal(entry[0], expect), change
+            assert np.array_equal(entry[1], np.exp(expect).cumsum()), change
+            got.append(entry)
         # every variant composes to a different vector, so a stale hit would show
-        assert len({v.tobytes() for v in got}) == len(variants)
-        assert np.array_equal(self.drawn_from(monkeypatch, **base), got[0])
+        assert len({v[0].tobytes() for v in got}) == len(variants)
+        assert len({v[1].tobytes() for v in got}) == len(variants)
+        again = self.drawn_from(monkeypatch, **base)
+        assert again is got[0]  # a hit hands back the stored entry
 
     def test_returned_vector_is_read_only(self, monkeypatch):
-        out = self.drawn_from(monkeypatch, [0.5, 0.5], [0.2, 0.8], 1.0, 1.0)
-        assert not out.flags.writeable
-        with pytest.raises(ValueError):
-            out[0] = 0.0
+        entry = self.drawn_from(monkeypatch, [0.5, 0.5], [0.2, 0.8], 1.0, 1.0)
+        assert not entry.flags.writeable
+        for row in (entry[0], entry[1]):  # the composed vector and its CDF
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 0.0
 
     def test_stays_under_byte_cap(self, monkeypatch):
+        self.check_byte_cap(monkeypatch, 5)
+
+    def test_stays_under_byte_cap_with_long_vectors(self, monkeypatch):
+        # here the entry's array outweighs the fixed costs, so a charge that
+        # left out a row would let the memo hold more than the cap
+        self.check_byte_cap(monkeypatch, 64)
+
+    def check_byte_cap(self, monkeypatch, k):
         rng = np.random.default_rng(0)
         # twice as many distinct entries as the cap holds, whatever the cap
-        vector = (np.dtype(np.float64), np.zeros(5).tobytes())
-        charge = sampler._composed_charge((1.0, (1.0,)) + vector * 2, np.zeros(5))
+        vector = (np.dtype(np.float64), np.zeros(k).tobytes())
+        charge = sampler._composed_charge((1.0, (1.0,)) + vector * 2, np.zeros((2, k)))
         n = 2 * (sampler._MEMO_CAP_BYTES // charge)
         for _ in range(n):
-            self.drawn_from(monkeypatch, rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5)),
+            self.drawn_from(monkeypatch, rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k)),
                             1.0, 1.0)
         memo = sampler._memo
         assert 0 < len(memo) < n
         assert memo.charged_bytes <= sampler._MEMO_CAP_BYTES
-        # what the entries really take: dicts, keys, their bytes and the vectors
+        # what the entries really take: dicts, keys, their bytes, and each
+        # entry's array, whose size counts both rows, vector and CDF
+        assert all(out.shape == (2, k) and out.base is None for _, out in memo.items())
         held = sys.getsizeof(memo._new) + sys.getsizeof(memo._old) + sum(
             sys.getsizeof(key) + sum(sys.getsizeof(x) for x in key if isinstance(x, bytes))
             + sys.getsizeof(out)
             for key, out in memo.items()
         )
         assert held <= sampler._MEMO_CAP_BYTES
+
+
+@functools.cache
+def oracle_models():
+    """name -> (model, its two conditions): exact and count models on a soft
+    factorized world, and the exact model on a scene world of hard predicates."""
+    factorized = build_random_factorized_world(2, 2, 3, n_conditions=2, seed=5)
+    scene = build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=4)
+    soft = [cell_table("c0"), cell_table("c1")]
+    hard = [object_at_cell(0, 0), object_at_cell(1, 1)]
+    return {
+        "factorized-exact": (exact_conditional_model(factorized), soft),
+        "factorized-count": (fit_count_model(factorized, 2000, rng_seed=1), soft),
+        "scene-exact": (exact_conditional_model(scene), hard),
+    }
+
+
+@contextmanager
+def fresh_memos():
+    """Empty composed-vector memos for the package and the oracle."""
+    saved = sampler._memo, oracle.memo
+    sampler._memo = Memo(sampler._MEMO_CAP_BYTES, sampler._composed_charge)
+    oracle.memo = Memo(oracle._MEMO_CAP_BYTES, oracle._composed_charge)
+    try:
+        yield
+    finally:
+        sampler._memo, oracle.memo = saved
+
+
+def lockstep_run(model, conds, weights, sched, length):
+    """Run composed_step and the oracle's step side by side from one seed and
+    check, after every step, equal tokens, RunStats and generator state."""
+    rngs = [np.random.default_rng(sched.rng_seed) for _ in range(2)]
+    order = None
+    if sched.mode == MODE_MASKED and sched.order_policy == ORDER_RANDOM:
+        order, oracle_order = (r.permutation(length).tolist() for r in rngs)
+        assert order == oracle_order
+    states = [MaskedState.fully_masked(length)] * 2
+    stats = [RunStats(), RunStats()]
+    steppers = (composed_step, oracle.composed_step)
+    while not states[1].is_complete():
+        outcomes = []
+        for i, stepper in enumerate(steppers):
+            try:
+                states[i] = stepper(states[i], model, conds, weights, sched, rngs[i], order,
+                                    stats[i])
+                outcomes.append(None)
+            except AllMassZero:
+                outcomes.append(AllMassZero)
+        assert outcomes[0] is outcomes[1]
+        if outcomes[0] is not None:
+            return None
+        assert states[0].tokens.dtype == states[1].tokens.dtype
+        assert states[0].tokens.tolist() == states[1].tokens.tolist()
+        assert stats[0] == stats[1]
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert states[0].is_complete()
+    return states[0].tokens.tolist()
+
+
+class TestStepMatchesOracle:
+    """composed_step draws from the memo's cached CDF and writes one copy of
+    the tokens; the oracle recomputes the CDF per draw and uses with_fixed.
+    Both must agree step for step."""
+
+    @given(
+        model_name=st.sampled_from(["factorized-exact", "factorized-count", "scene-exact"]),
+        prompt=st.sampled_from(["+1", "-1", "2,-0.5", "joint"]),
+        order=st.sampled_from([ORDER_RANDOM, ORDER_MAX_CONFIDENCE, MODE_AUTOREGRESSIVE]),
+        tokens_per_step=st.integers(1, 3),
+        temperature=st.sampled_from([1.0, 0.9]),
+        warm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_tokens_stats_and_stream_match(
+        self, model_name, prompt, order, tokens_per_step, temperature, warm, seed
+    ):
+        model, (a, b) = oracle_models()[model_name]
+        conds, weights = {
+            "+1": ([a], [1.0]),
+            "-1": ([a], [-1.0]),
+            "2,-0.5": ([a, b], [2.0, -0.5]),
+            "joint": ([(a, b)], [1.0]),
+        }[prompt]
+        if order == MODE_AUTOREGRESSIVE:
+            sched = SamplerSchedule(mode=MODE_AUTOREGRESSIVE, rng_seed=seed,
+                                    temperature=temperature)
+        else:
+            sched = SamplerSchedule(tokens_per_step=tokens_per_step, order_policy=order,
+                                    rng_seed=seed, temperature=temperature)
+        with fresh_memos():
+            runs = [lockstep_run(model, conds, weights, sched, 4)]
+            if warm:  # the first run filled both memos; this one reads them
+                assert sampler._memo and oracle.memo
+                runs.append(lockstep_run(model, conds, weights, sched, 4))
+        assert runs[0] == runs[-1]
