@@ -15,7 +15,6 @@ grids and each arm's off-support share.
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -85,8 +84,8 @@ def main(argv=None) -> int:
     blocks = []
     for i in range(args.runs):
         tokens, _ = run_to_completion(
-            MaskedState.fully_masked(world.length), model, conds, weights,
-            replace(sched, rng_seed=args.seed * 1000 + i),
+            MaskedState.fully_masked(world.length), model, conds, weights, sched,
+            args.seed * 1000 + i,
         )
         ok = bool(world.check_conditions(tokens, conds).all())
         rows = ascii_grid(tokens, world.grid_w, world.grid_h, marked)

@@ -235,46 +235,45 @@ def criterion_negation() -> CriterionResult:
 
 
 class _UniformStub:
-    """Minimal conditional model: uniform everywhere, any condition."""
+    """Minimal conditional model: uniform everywhere, any condition. Counts
+    its own predict calls."""
 
     def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
         self._logp = np.full(vocab_size, -math.log(vocab_size))
+        self.calls = 0
 
     def predict(self, state, condition=None):
+        self.calls += 1
         return {int(p): self._logp for p in state.masked_positions()}
 
 
 def criterion_eval_count_law() -> CriterionResult:
-    """Model evaluations are exactly ceil(L/s) * (n+1), no measurement noise."""
+    """Model evaluations are exactly ceil(L/s) * (n+1), no measurement noise:
+    both the model's own call count and the run's RunStats say so."""
 
     def body():
         checked = 0
         for length in (1, 4, 9, 12):
-            model = _UniformStub(2)
             for n in (0, 1, 2, 3):
                 conds = [object_at_cell(0, 0)] * n
-                for s in (1, 2, 3, 5, 9):
-                    sched = SamplerSchedule(tokens_per_step=s, temperature=1.0)
+                scheds = [SamplerSchedule(tokens_per_step=s, temperature=1.0)
+                          for s in (1, 2, 3, 5, 9)]
+                scheds.append(SamplerSchedule(mode=MODE_AUTOREGRESSIVE, temperature=1.0))
+                for sched in scheds:
+                    model = _UniformStub(2)
                     _, stats = run_to_completion(
                         MaskedState.fully_masked(length), model, conds, [1.0] * n, sched
                     )
-                    expect = math.ceil(length / s) * (n + 1)
-                    if stats.evaluations != expect or count_evaluations(
-                        sched, length, n
-                    ) != expect:
+                    expect = math.ceil(length / sched.tokens_per_step) * (n + 1)
+                    law = count_evaluations(sched, length, n)
+                    if (model.calls, stats.evaluations, law) != (expect,) * 3:
                         return False, (
-                            f"L={length} s={s} n={n}: measured {stats.evaluations}, "
-                            f"law says {expect}"
+                            f"{sched.mode} L={length} s={sched.tokens_per_step} n={n}: "
+                            f"{model.calls} model calls, {stats.evaluations} counted, "
+                            f"count_evaluations {law}, law says {expect}"
                         )
                     checked += 1
-                ar = SamplerSchedule(mode=MODE_AUTOREGRESSIVE, temperature=1.0)
-                _, stats = run_to_completion(
-                    MaskedState.fully_masked(length), model, conds, [1.0] * n, ar
-                )
-                if stats.evaluations != length * (n + 1):
-                    return False, f"autoregressive L={length} n={n} broke the law"
-                checked += 1
         return True, f"exact over {checked} (L, s, n) grid points, masked and autoregressive"
 
     return _timed("eval-count-law", 1.0, body)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -193,10 +192,11 @@ def cmd_sample(cfg: RunConfig) -> int:
         codebook = load_codebook(cb_path)
 
     lines = [f"# command = sample"] + [f"# {ln}" for ln in config_lines(cfg)]
+    initial = MaskedState.fully_masked(world.length)
     for i in range(cfg["sample.n_runs"]):
-        run_sched = replace(sched, rng_seed=sched.rng_seed + i)
-        state = MaskedState.fully_masked(world.length)
-        tokens, _ = run_to_completion(state, model, conds, weights, run_sched)
+        tokens, _ = run_to_completion(
+            initial, model, conds, weights, sched, cfg["schedule.seed"] + i
+        )
         sat = world.check_conditions(tokens, conds) if conds else np.array([], bool)
         lines.append(
             f"run={i} tokens={','.join(str(int(t)) for t in tokens)}"

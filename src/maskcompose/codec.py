@@ -22,6 +22,7 @@ from .errors import DimensionMismatch, TokenOutOfRange, TooFewPatches
 DEFAULT_CODEBOOK_SIZE = 64
 DEFAULT_PATCH = 4
 DEFAULT_KMEANS_ITERS = 25
+QUANTIZE_CHUNK = 2048  # patches per distance block in _quantize_batch
 
 
 @dataclass(frozen=True)
@@ -64,12 +65,12 @@ def quantize_patch(z_e: np.ndarray, cb: Codebook) -> int:
     return int(_quantize_batch(z_e[None, :], cb.entries)[0])
 
 
-def _quantize_batch(patches: np.ndarray, entries: np.ndarray, chunk: int = 2048) -> np.ndarray:
+def _quantize_batch(patches: np.ndarray, entries: np.ndarray) -> np.ndarray:
     out = np.empty(patches.shape[0], dtype=np.int32)
-    for start in range(0, patches.shape[0], chunk):
-        block = patches[start : start + chunk]
+    for start in range(0, patches.shape[0], QUANTIZE_CHUNK):
+        block = patches[start : start + QUANTIZE_CHUNK]
         d2 = ((block[:, None, :] - entries[None, :, :]) ** 2).sum(axis=2)
-        out[start : start + chunk] = np.argmin(d2, axis=1)
+        out[start : start + QUANTIZE_CHUNK] = np.argmin(d2, axis=1)
     return out
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .compose import DEFAULT_TEMPERATURE
 from .errors import ValidationError
 from .worlds import (
     ConditionSpec,
@@ -210,7 +211,7 @@ SCHEMA: dict[str, _Field] = {
         "masked mode position order",
     ),
     "schedule.temperature": _Field(
-        0.9, _parse_float, _positive, "sampling temperature (1 = raw composed law)"
+        DEFAULT_TEMPERATURE, _parse_float, _positive, "sampling temperature (1 = raw composed law)"
     ),
     "schedule.seed": _Field(
         0, _parse_int, None, "run seed; the --seed flag overrides this"
@@ -385,7 +386,6 @@ def schedule_from_config(cfg: RunConfig) -> SamplerSchedule:
             mode=cfg["schedule.mode"],
             tokens_per_step=cfg["schedule.tokens_per_step"],
             order_policy=cfg["schedule.order_policy"],
-            rng_seed=cfg["schedule.seed"],
             temperature=cfg["schedule.temperature"],
         )
     except ValueError as exc:

@@ -66,15 +66,15 @@ _KEEPS_SIGNATURE = np.array([[1], [0], [1], [0]])
 _CODE_END = np.iinfo(np.int64).max
 
 
-def neighbor_lists(grid_w: int, grid_h: int, radius: int = WINDOW_RADIUS) -> list[np.ndarray]:
-    """Flat indices within Chebyshev distance radius of each position."""
+def neighbor_lists(grid_w: int, grid_h: int) -> list[np.ndarray]:
+    """Flat indices within Chebyshev distance WINDOW_RADIUS of each position."""
     out = []
     for row in range(grid_h):
         for col in range(grid_w):
             nbrs = [
                 r * grid_w + c
-                for r in range(max(0, row - radius), min(grid_h, row + radius + 1))
-                for c in range(max(0, col - radius), min(grid_w, col + radius + 1))
+                for r in range(max(0, row - WINDOW_RADIUS), min(grid_h, row + WINDOW_RADIUS + 1))
+                for c in range(max(0, col - WINDOW_RADIUS), min(grid_w, col + WINDOW_RADIUS + 1))
                 if (r, c) != (row, col)
             ]
             out.append(np.array(nbrs, dtype=np.int64))

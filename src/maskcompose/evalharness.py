@@ -211,19 +211,19 @@ def _sample_arm(
     evaluation-count law on every run.
 
     Every suite samples through here, one run_to_completion call per grid.
-    A run that aborts with AllMassZero gives no grid. Returns the completed
-    grids in run order as an (n - aborts, L) int16 block, and the aborts.
+    The runs share one frozen initial state: a step copies the tokens before
+    it writes. A run that aborts with AllMassZero gives no grid. Returns the
+    completed grids in run order as an (n - aborts, L) int16 block, and the
+    aborts.
     """
     expect = count_evaluations(sched, length, len(conds))
+    initial = MaskedState.fully_masked(length)
     block = np.empty((n, length), dtype=np.int16)
     kept = 0
     for _ in range(n):
         seed = int(rng.integers(_SEED_BOUND))
         try:
-            tokens, stats = run_to_completion(
-                MaskedState.fully_masked(length), model, conds, weights,
-                replace(sched, rng_seed=seed),
-            )
+            tokens, stats = run_to_completion(initial, model, conds, weights, sched, seed)
         except AllMassZero:
             continue
         if stats.evaluations != expect:

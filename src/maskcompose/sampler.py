@@ -1,12 +1,12 @@
 """Iterative token-grid generation under composed conditioning.
 
-Two modes share one loop. Masked mode starts from an all-MASK grid and fixes
-one or more positions per step, never revisiting them (absorbing property).
-Autoregressive mode fixes exactly one position per step, left to right. At
-every step the backing model is queried once without a condition and once per
-condition, the per-position distributions are composed in log space, the
-schedule temperature is applied and tokens are drawn for the selected
-positions.
+Every run starts from an all-MASK grid and fixes one or more positions per
+step, never revisiting them (absorbing property). The modes differ only in the
+unmasking order, fixed before the first step; autoregressive is left to right,
+one token per step. At every step the backing model is queried once without a
+condition and once per condition, the per-position distributions are composed
+in log space, the schedule temperature is applied and tokens are drawn for the
+selected positions.
 """
 
 from __future__ import annotations
@@ -69,17 +69,16 @@ class MaskedState:
 
 @dataclass(frozen=True)
 class SamplerSchedule:
-    """How a run unmasks its grid.
+    """How a run unmasks its grid; the run's seed is an argument of the run.
 
-    Masked mode finishes in exactly ceil(L / tokens_per_step) steps.
-    Autoregressive mode requires tokens_per_step = 1 and ignores order_policy
-    in favor of fixed left-to-right order.
+    A run finishes in exactly ceil(L / tokens_per_step) steps. Autoregressive
+    mode requires tokens_per_step = 1 and ignores order_policy in favor of
+    the left-to-right order.
     """
 
     mode: str = MODE_MASKED
     tokens_per_step: int = 1
     order_policy: str = ORDER_RANDOM
-    rng_seed: int = 0
     temperature: float = DEFAULT_TEMPERATURE
 
     def __post_init__(self):
@@ -115,12 +114,8 @@ class RunStats:
 
 
 def count_evaluations(sched: SamplerSchedule, length: int, n_conditions: int) -> int:
-    """Model evaluations for a full run: steps times (n + 1)."""
-    if sched.mode == MODE_AUTOREGRESSIVE:
-        steps = length
-    else:
-        steps = math.ceil(length / sched.tokens_per_step)
-    return steps * (n_conditions + 1)
+    """Model evaluations for a full run: ceil(L / tokens_per_step) * (n + 1)."""
+    return math.ceil(length / sched.tokens_per_step) * (n_conditions + 1)
 
 
 def sample_token(cdf: np.ndarray, rng: np.random.Generator) -> int:
@@ -197,21 +192,17 @@ def _composed(
 
 def _select_positions(
     masked: list[int],
-    sched: SamplerSchedule,
+    take: int,
     order: Sequence[int] | None,
     composed: dict[int, np.ndarray] | None,
 ) -> list[int]:
-    """The positions to fix this step, ascending, out of the masked ones.
+    """The first `take` open slots of the run's order, ascending.
 
-    composed maps each masked position to its memo entry (row 0 the log
-    vector, row 1 the CDF) in max-confidence mode and is not read otherwise.
+    order None ranks by the max of row 0 of each masked position's memo entry
+    in composed, highest first; masked ascends and sorted is stable, so ties
+    go to the lower index. composed is not read otherwise.
     """
-    if sched.mode == MODE_AUTOREGRESSIVE:
-        return [masked[0]]
-    take = min(sched.tokens_per_step, len(masked))
-    if sched.order_policy == ORDER_MAX_CONFIDENCE:
-        # highest composed max-probability first; masked ascends and sorted
-        # is stable, so ties go to the lower index
+    if order is None:
         ranked = sorted(masked, key=lambda p: -composed[p][0].max())
         return sorted(ranked[:take])
     open_slots = set(masked)
@@ -238,13 +229,14 @@ def composed_step(
 
     The model is evaluated once unconditionally and once per condition,
     regardless of how many positions get fixed. rng is the run's generator;
-    order is the run's unmasking permutation in masked random-order mode and
-    is not read otherwise; stats is the run's counter. Composed vectors and
-    their CDFs come from a memo keyed by the content of the expert vectors,
-    weights and temperature, so equal inputs give the same read-only entry;
-    each selected position takes one sample_token draw from its CDF, in
-    ascending position order. The draws go into one copy of the tokens: the
-    selected positions are masked ones, so no fixed slot is overwritten.
+    order is the run's unmasking order, or None for max-confidence order,
+    which composes every masked position to rank them; stats is the run's
+    counter. Composed vectors and their CDFs come from a memo keyed by the
+    content of the expert vectors, weights and temperature, so equal inputs
+    give the same read-only entry; each selected position takes one
+    sample_token draw from its CDF, in ascending position order. The draws go
+    into one copy of the tokens: the selected positions are masked ones, so
+    no fixed slot is overwritten.
     """
     if len(conds) != len(weights):
         raise ShapeMismatch(f"{len(conds)} conditions vs {len(weights)} weights")
@@ -259,12 +251,13 @@ def composed_step(
     weights = tuple(map(float, weights))  # hashable, for the memo key
     temperature = sched.temperature
     composed = None
-    if sched.mode == MODE_MASKED and sched.order_policy == ORDER_MAX_CONFIDENCE:
+    if order is None:
         composed = {
             p: _composed(uncond[p], [d[p] for d in per_cond], weights, temperature)
             for p in masked
         }
-    selected = _select_positions(masked, sched, order, composed)
+    take = min(sched.tokens_per_step, len(masked))
+    selected = _select_positions(masked, take, order, composed)
 
     tokens = state.tokens.copy()
     for pos in selected:  # ascending position order fixes rng consumption
@@ -283,20 +276,25 @@ def run_to_completion(
     conds: Sequence,
     weights: Sequence[float],
     sched: SamplerSchedule,
+    rng_seed: int = 0,
 ) -> tuple[np.ndarray, RunStats]:
     """Drive composed_step until every slot is fixed.
 
     The whole run is a pure function of (initial, model, conds, weights,
-    sched): a fresh generator is seeded from sched.rng_seed and, in masked
-    random-order mode, one permutation drawn up front fixes the unmasking
-    order for the entire run.
+    sched, rng_seed). A fresh generator is seeded from rng_seed, and the
+    order is fixed before the first step: left to right with no draw in
+    autoregressive mode, one permutation drawn up front in random order, and
+    None, a ranking at every step, in max-confidence order.
     """
     if initial.tokens.tolist().count(MASK) != initial.length:
         raise ValueError("run_to_completion expects a fully masked initial state")
-    rng = np.random.default_rng(sched.rng_seed)
-    order = None
-    if sched.mode == MODE_MASKED and sched.order_policy == ORDER_RANDOM:
+    rng = np.random.default_rng(rng_seed)
+    if sched.mode == MODE_AUTOREGRESSIVE:
+        order = list(range(initial.length))
+    elif sched.order_policy == ORDER_RANDOM:
         order = rng.permutation(initial.length).tolist()
+    else:
+        order = None
     stats = RunStats()
     state = initial
     while not state.is_complete():

@@ -45,6 +45,7 @@ STATE_SPACE_CAP = 10_000_000
 # grids hold int16 tokens, so ids run from 0 to 32767
 VOCAB_CAP = 1 << 15
 EMPTY_TOKEN = 0
+TABLE_CONCENTRATION = 2.0  # of build_random_factorized_world's Dirichlet tables
 
 KIND_OBJECT_AT_CELL = "object_at_cell"
 KIND_ATTRIBUTE = "attribute_present"
@@ -616,14 +617,13 @@ def build_random_factorized_world(
     n_conditions: int,
     cells_per_condition: int = 1,
     seed: int = 0,
-    concentration: float = 2.0,
 ) -> FactorizedWorld:
     """Random Dirichlet tables; conditions claim disjoint cell sets."""
     length = grid_w * grid_h
     if n_conditions * cells_per_condition > length:
         raise InvalidTable("conditions would need more disjoint cells than exist")
     rng = np.random.default_rng(seed)
-    prior = rng.dirichlet(np.full(vocab_size, concentration), size=length)
+    prior = rng.dirichlet(np.full(vocab_size, TABLE_CONCENTRATION), size=length)
     prior = np.maximum(prior, 1e-6)
     prior /= prior.sum(axis=1, keepdims=True)
     world = FactorizedWorld(grid_w, grid_h, vocab_size, prior)
@@ -631,7 +631,7 @@ def build_random_factorized_world(
     for i in range(n_conditions):
         claimed = cells[i * cells_per_condition : (i + 1) * cells_per_condition]
         tables = {
-            int(p): rng.dirichlet(np.full(vocab_size, concentration)) for p in claimed
+            int(p): rng.dirichlet(np.full(vocab_size, TABLE_CONCENTRATION)) for p in claimed
         }
         world.add_condition(f"c{i}", tables)
     return world

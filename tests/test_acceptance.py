@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from maskcompose import acceptance
+from maskcompose import acceptance, sampler
 from maskcompose.acceptance import (
     criterion_cli_determinism,
     criterion_composition_beats_joint,
@@ -59,6 +59,21 @@ def test_criterion_8_vq_codec():
 
 def test_criterion_9_cli_determinism():
     check(criterion_cli_determinism())
+
+
+def test_criterion_7_counts_the_model_calls(monkeypatch):
+    """A step that makes one extra unconditional predict per step, which its
+    own RunStats does not count, fails the criterion."""
+    real = sampler.composed_step
+
+    def one_extra_call(state, model, *args):
+        model.predict(state, None)
+        return real(state, model, *args)
+
+    monkeypatch.setattr(sampler, "composed_step", one_extra_call)
+    result = criterion_eval_count_law()
+    assert not result.passed, result.line()
+    assert "model calls" in result.detail
 
 
 def _error_eval_one_composed_abort(model, world, n_components, n_samples, joint_prompt=False,

@@ -1,0 +1,81 @@
+"""The seams the benchmark's tracer relies on, checked with that tracer.
+
+perfbench/tracing.py swaps module globals of maskcompose.sampler and
+maskcompose.evalharness for counted wrappers and hands the suites a model
+proxy that counts every predict call. Its evaluation-count check holds only
+while every suite samples through evalharness.run_to_completion, one call per
+grid, each step makes n + 1 predict calls, and selection and draws go through
+sampler._select_positions and sampler.sample_token. The tracer is loaded from
+its file and used as it is.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from maskcompose import sampler
+from maskcompose.evalharness import fidelity_tv, run_error_eval
+from maskcompose.sampler import MODE_AUTOREGRESSIVE, ORDER_MAX_CONFIDENCE, SamplerSchedule
+from maskcompose.worlds import build_scene_world, exact_conditional_model, object_at_cell
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_tracing()
+
+# the fidelity-2x2 workload's world: S=81, L=4, K=3
+WORLD = build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=4)
+SCHEDULES = {
+    "random": SamplerSchedule(temperature=1.0),
+    "autoregressive": SamplerSchedule(mode=MODE_AUTOREGRESSIVE, temperature=1.0),
+    "max-confidence-s3": SamplerSchedule(
+        tokens_per_step=3, order_policy=ORDER_MAX_CONFIDENCE, temperature=1.0
+    ),
+}
+N_FIDELITY, N_ERROR = 50, 30
+
+
+def traced_suites(sched):
+    """fidelity_tv and a composed and a joint run_error_eval under the tracer."""
+    tracer = tracing.Tracer({g.tobytes() for g in WORLD.support()[0]})
+    with tracer.patched():
+        model = tracer.model(exact_conditional_model(WORLD))
+        fidelity_tv(WORLD, object_at_cell(0, 0), N_FIDELITY, sched=sched, rng_seed=1,
+                    model=model)
+        run_error_eval(model, WORLD, 2, N_ERROR, sched=sched, rng_seed=2)
+        run_error_eval(model, WORLD, 2, N_ERROR, sched=sched, rng_seed=3, joint_prompt=True)
+    return tracer
+
+
+@pytest.mark.parametrize("order", sorted(SCHEDULES))
+def test_tracer_sees_the_evaluation_count_law(order):
+    tracer = traced_suites(SCHEDULES[order])
+    assert tracer.calls["sampler.run"] == N_FIDELITY + 2 * N_ERROR
+    assert tracer.law_violations == []
+    assert tracer.off_support == []
+    assert tracer.model_calls == tracer.law_evaluations > 0
+    for span in ("sampler.step", "sampler.select", "sampler.draw"):
+        assert tracer.calls[span] > 0, span
+
+
+def test_an_extra_predict_per_step_breaks_the_trace(monkeypatch):
+    real = sampler.composed_step
+
+    def one_extra_call(state, model, *args):
+        model.predict(state, None)
+        return real(state, model, *args)
+
+    monkeypatch.setattr(sampler, "composed_step", one_extra_call)
+    tracer = traced_suites(SCHEDULES["random"])
+    runs = tracer.calls["sampler.run"]
+    assert runs == N_FIDELITY + 2 * N_ERROR
+    assert len(tracer.law_violations) == runs
+    assert tracer.model_calls > tracer.law_evaluations

@@ -1,5 +1,7 @@
 """Config parsing: schema defaults, strict keys, the condition DSL."""
 
+from dataclasses import fields
+
 import pytest
 
 from maskcompose.config import (
@@ -191,7 +193,11 @@ class TestBuilders:
         sched = schedule_from_config(cfg)
         assert sched.mode == MODE_AUTOREGRESSIVE
         assert sched.temperature == 1.0
-        assert sched.rng_seed == 7
+        # the seed is an argument of each run, not part of the schedule
+        assert cfg["schedule.seed"] == 7
+        assert [f.name for f in fields(sched)] == [
+            "mode", "tokens_per_step", "order_policy", "temperature"
+        ]
 
     def test_order_policy_from_config(self):
         cfg = parse_config_text("schedule.order_policy = max_confidence\n")

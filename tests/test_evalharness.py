@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,8 +71,8 @@ class TestMetrics:
 
         samples = np.stack([
             run_to_completion(
-                MaskedState.fully_masked(4), model, [cond], [1.0],
-                replace(sched, rng_seed=int(rng.integers(2**63 - 1))),
+                MaskedState.fully_masked(4), model, [cond], [1.0], sched,
+                int(rng.integers(2**63 - 1)),
             )[0]
             for _ in range(5000)
         ])
@@ -330,8 +329,8 @@ class TestEvaluationCountLaw:
         real = evalharness.run_to_completion
 
         def install(which=lambda conds: True):
-            def run(initial, model, conds, weights, sched):
-                tokens, stats = real(initial, model, conds, weights, sched)
+            def run(initial, model, conds, weights, sched, rng_seed):
+                tokens, stats = real(initial, model, conds, weights, sched, rng_seed)
                 if which(conds):
                     stats.evaluations += 1
                 return tokens, stats

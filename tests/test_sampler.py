@@ -150,11 +150,11 @@ class TestEvaluationCount:
         n=st.integers(0, 5),
     )
     def test_matches_actual_run(self, tokens_per_step, length, n):
-        sched = SamplerSchedule(tokens_per_step=tokens_per_step, rng_seed=3)
+        sched = SamplerSchedule(tokens_per_step=tokens_per_step)
         model = uniform_model(length, 3)
         conds = [f"c{i}" for i in range(n)]
         tokens, stats = run_to_completion(
-            MaskedState.fully_masked(length), model, conds, [1.0] * n, sched
+            MaskedState.fully_masked(length), model, conds, [1.0] * n, sched, 3
         )
         assert stats.evaluations == count_evaluations(sched, length, n)
         assert stats.evaluations == model.calls
@@ -165,9 +165,9 @@ class TestEvaluationCount:
 class TestRunLoop:
     def test_single_step_when_tokens_per_step_covers_grid(self):
         model = uniform_model(4, 2)
-        sched = SamplerSchedule(tokens_per_step=4, rng_seed=1)
+        sched = SamplerSchedule(tokens_per_step=4)
         tokens, stats = run_to_completion(
-            MaskedState.fully_masked(4), model, ["a"], [1.0], sched
+            MaskedState.fully_masked(4), model, ["a"], [1.0], sched, 1
         )
         assert stats.steps == 1
         assert stats.evaluations == 2
@@ -175,10 +175,10 @@ class TestRunLoop:
 
     def test_autoregressive_fixes_left_to_right(self):
         model = uniform_model(9, 2)
-        sched = SamplerSchedule(mode=MODE_AUTOREGRESSIVE, rng_seed=5)
+        sched = SamplerSchedule(mode=MODE_AUTOREGRESSIVE)
         state = MaskedState.fully_masked(9)
         for i in range(9):
-            state = step(state, model, [], [], sched)
+            state = step(state, model, [], [], sched, order=list(range(9)))
             fixed = np.flatnonzero(state.tokens != MASK)
             assert list(fixed) == list(range(i + 1))
         assert state.is_complete()
@@ -199,9 +199,9 @@ class TestRunLoop:
 
     def test_determinism_same_seed_same_tokens(self):
         model = TableModel(np.array([[0.7, 0.2, 0.1]] * 6))
-        sched = SamplerSchedule(tokens_per_step=2, rng_seed=42)
-        a, _ = run_to_completion(MaskedState.fully_masked(6), model, [], [], sched)
-        b, _ = run_to_completion(MaskedState.fully_masked(6), model, [], [], sched)
+        sched = SamplerSchedule(tokens_per_step=2)
+        a, _ = run_to_completion(MaskedState.fully_masked(6), model, [], [], sched, 42)
+        b, _ = run_to_completion(MaskedState.fully_masked(6), model, [], [], sched, 42)
         assert np.array_equal(a, b)
 
     def test_different_seeds_eventually_differ(self):
@@ -210,7 +210,7 @@ class TestRunLoop:
         for seed in range(6):
             tokens, _ = run_to_completion(
                 MaskedState.fully_masked(8), model, [], [],
-                SamplerSchedule(tokens_per_step=2, rng_seed=seed),
+                SamplerSchedule(tokens_per_step=2), seed,
             )
             outs.add(tokens.tobytes())
         assert len(outs) > 1
@@ -227,9 +227,7 @@ class TestRunLoop:
         rng = np.random.default_rng(seed)
         tables = rng.dirichlet(np.ones(3), size=length)
         model = TableModel(tables)
-        sched = SamplerSchedule(
-            tokens_per_step=tokens_per_step, order_policy=policy, rng_seed=seed
-        )
+        sched = SamplerSchedule(tokens_per_step=tokens_per_step, order_policy=policy)
         run_rng = np.random.default_rng(seed)
         order = run_rng.permutation(length) if policy == ORDER_RANDOM else None
         state = MaskedState.fully_masked(length)
@@ -287,7 +285,7 @@ class TestSampling:
         for seed in range(n):
             tokens, _ = run_to_completion(
                 MaskedState.fully_masked(1), model, [], [],
-                SamplerSchedule(rng_seed=seed, temperature=1.0),
+                SamplerSchedule(temperature=1.0), seed,
             )
             hits += int(tokens[0] == 1)
         assert abs(hits / n - 0.5) <= 0.01
@@ -302,7 +300,7 @@ class TestSampling:
             for seed in range(2_000):
                 tokens, _ = run_to_completion(
                     MaskedState.fully_masked(1), hot, [], [],
-                    SamplerSchedule(rng_seed=seed, temperature=temp),
+                    SamplerSchedule(temperature=temp), seed,
                 )
                 wins += int(tokens[0] == 0)
             rates[temp] = wins / 2_000
@@ -333,7 +331,7 @@ class TestSampling:
         for seed in range(500):
             tokens, _ = run_to_completion(
                 MaskedState.fully_masked(1), model, ["flip"], [2.0],
-                SamplerSchedule(rng_seed=seed, temperature=1.0),
+                SamplerSchedule(temperature=1.0), seed,
             )
             ones += int(tokens[0] == 1)
         assert ones / 500 > 0.9
@@ -383,7 +381,7 @@ class TestComposedMemo:
                     runs.append([
                         run_to_completion(
                             MaskedState.fully_masked(4), model, ["c"], [-0.5],
-                            SamplerSchedule(order_policy=policy, rng_seed=seed, temperature=temp),
+                            SamplerSchedule(order_policy=policy, temperature=temp), seed,
                         )[0].tolist()
                         for seed in range(20)
                     ])
@@ -484,23 +482,39 @@ def fresh_memos():
         sampler._memo, oracle.memo = saved
 
 
-def lockstep_run(model, conds, weights, sched, length):
+def run_order(sched, length, rng):
+    """The unmasking order run_to_completion fixes before the first step."""
+    if sched.mode == MODE_AUTOREGRESSIVE:
+        return list(range(length))
+    if sched.order_policy == ORDER_RANDOM:
+        return rng.permutation(length).tolist()
+    return None
+
+
+def lockstep_run(model, conds, weights, sched, length, seed):
     """Run composed_step and the oracle's step side by side from one seed and
-    check, after every step, equal tokens, RunStats and generator state."""
-    rngs = [np.random.default_rng(sched.rng_seed) for _ in range(2)]
-    order = None
+    check, after every step, equal tokens, RunStats and generator state.
+
+    composed_step gets the order run_to_completion fixes; the oracle selects
+    by mode as it always did. Returns the tokens and the final generator
+    state, or None when both abort at the same step.
+    """
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    order = run_order(sched, length, rngs[0])
+    oracle_order = None
     if sched.mode == MODE_MASKED and sched.order_policy == ORDER_RANDOM:
-        order, oracle_order = (r.permutation(length).tolist() for r in rngs)
+        oracle_order = rngs[1].permutation(length).tolist()
         assert order == oracle_order
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
     states = [MaskedState.fully_masked(length)] * 2
     stats = [RunStats(), RunStats()]
-    steppers = (composed_step, oracle.composed_step)
+    steppers = ((composed_step, order), (oracle.composed_step, oracle_order))
     while not states[1].is_complete():
         outcomes = []
-        for i, stepper in enumerate(steppers):
+        for i, (stepper, stepper_order) in enumerate(steppers):
             try:
-                states[i] = stepper(states[i], model, conds, weights, sched, rngs[i], order,
-                                    stats[i])
+                states[i] = stepper(states[i], model, conds, weights, sched, rngs[i],
+                                    stepper_order, stats[i])
                 outcomes.append(None)
             except AllMassZero:
                 outcomes.append(AllMassZero)
@@ -512,7 +526,35 @@ def lockstep_run(model, conds, weights, sched, length):
         assert stats[0] == stats[1]
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
     assert states[0].is_complete()
-    return states[0].tokens.tolist()
+    return states[0].tokens.tolist(), rngs[0].bit_generator.state
+
+
+def oracle_case(model_name, prompt, order, tokens_per_step, temperature):
+    """(model, conds, weights, sched) for one drawn example; order is a
+    policy or MODE_AUTOREGRESSIVE."""
+    model, (a, b) = oracle_models()[model_name]
+    conds, weights = {
+        "+1": ([a], [1.0]),
+        "-1": ([a], [-1.0]),
+        "2,-0.5": ([a, b], [2.0, -0.5]),
+        "joint": ([(a, b)], [1.0]),
+    }[prompt]
+    if order == MODE_AUTOREGRESSIVE:
+        sched = SamplerSchedule(mode=MODE_AUTOREGRESSIVE, temperature=temperature)
+    else:
+        sched = SamplerSchedule(tokens_per_step=tokens_per_step, order_policy=order,
+                                temperature=temperature)
+    return model, conds, weights, sched
+
+
+ORACLE_CASES = dict(
+    model_name=st.sampled_from(["factorized-exact", "factorized-count", "scene-exact"]),
+    prompt=st.sampled_from(["+1", "-1", "2,-0.5", "joint"]),
+    order=st.sampled_from([ORDER_RANDOM, ORDER_MAX_CONFIDENCE, MODE_AUTOREGRESSIVE]),
+    tokens_per_step=st.integers(1, 3),
+    temperature=st.sampled_from([1.0, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+)
 
 
 class TestStepMatchesOracle:
@@ -520,35 +562,59 @@ class TestStepMatchesOracle:
     the tokens; the oracle recomputes the CDF per draw and uses with_fixed.
     Both must agree step for step."""
 
-    @given(
-        model_name=st.sampled_from(["factorized-exact", "factorized-count", "scene-exact"]),
-        prompt=st.sampled_from(["+1", "-1", "2,-0.5", "joint"]),
-        order=st.sampled_from([ORDER_RANDOM, ORDER_MAX_CONFIDENCE, MODE_AUTOREGRESSIVE]),
-        tokens_per_step=st.integers(1, 3),
-        temperature=st.sampled_from([1.0, 0.9]),
-        warm=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(warm=st.booleans(), **ORACLE_CASES)
     @settings(max_examples=120, deadline=None)
     def test_tokens_stats_and_stream_match(
         self, model_name, prompt, order, tokens_per_step, temperature, warm, seed
     ):
-        model, (a, b) = oracle_models()[model_name]
-        conds, weights = {
-            "+1": ([a], [1.0]),
-            "-1": ([a], [-1.0]),
-            "2,-0.5": ([a, b], [2.0, -0.5]),
-            "joint": ([(a, b)], [1.0]),
-        }[prompt]
-        if order == MODE_AUTOREGRESSIVE:
-            sched = SamplerSchedule(mode=MODE_AUTOREGRESSIVE, rng_seed=seed,
-                                    temperature=temperature)
-        else:
-            sched = SamplerSchedule(tokens_per_step=tokens_per_step, order_policy=order,
-                                    rng_seed=seed, temperature=temperature)
+        model, conds, weights, sched = oracle_case(
+            model_name, prompt, order, tokens_per_step, temperature
+        )
         with fresh_memos():
-            runs = [lockstep_run(model, conds, weights, sched, 4)]
+            runs = [lockstep_run(model, conds, weights, sched, 4, seed)]
             if warm:  # the first run filled both memos; this one reads them
                 assert sampler._memo and oracle.memo
-                runs.append(lockstep_run(model, conds, weights, sched, 4))
+                runs.append(lockstep_run(model, conds, weights, sched, 4, seed))
         assert runs[0] == runs[-1]
+
+    @given(**ORACLE_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_whole_run_matches(self, model_name, prompt, order, tokens_per_step, temperature,
+                               seed):
+        """run_to_completion(..., sched, seed) gives the oracle's tokens and
+        final generator state, and draws only the random order's permutation
+        before its first step: nothing in autoregressive order."""
+        model, conds, weights, sched = oracle_case(
+            model_name, prompt, order, tokens_per_step, temperature
+        )
+        first_step, step_rngs = [], set()
+
+        def spy(state, model, conds, weights, sched, rng, order, stats):
+            if not first_step:
+                first_step.append((rng, rng.bit_generator.state))
+            step_rngs.add(id(rng))
+            return composed_step(state, model, conds, weights, sched, rng, order, stats)
+
+        with fresh_memos():
+            expect = lockstep_run(model, conds, weights, sched, 4, seed)
+            saved, sampler.composed_step = sampler.composed_step, spy
+            try:
+                got = run_to_completion(
+                    MaskedState.fully_masked(4), model, conds, weights, sched, seed
+                )
+            except AllMassZero:
+                got = None
+            finally:
+                sampler.composed_step = saved
+        fresh = np.random.default_rng(seed)
+        if order == ORDER_RANDOM:
+            fresh.permutation(4)
+        (rng, state_at_first_step), = first_step
+        assert state_at_first_step == fresh.bit_generator.state
+        assert step_rngs == {id(rng)}  # one generator for the whole run
+        if expect is None:
+            assert got is None
+        else:
+            tokens, stats = got
+            assert (tokens.tolist(), rng.bit_generator.state) == expect
+            assert stats.steps == math.ceil(4 / sched.tokens_per_step)

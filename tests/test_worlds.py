@@ -469,9 +469,9 @@ class TestExactConditionalModel:
         marginalize over, and the error says so instead of blaming a condition."""
         world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=3)
         model = exact_conditional_model(world)
-        sched = SamplerSchedule(tokens_per_step=2, rng_seed=15)
+        sched = SamplerSchedule(tokens_per_step=2)
         with pytest.raises(AllMassZero, match="no support state agrees with the unmasked slots"):
-            run_to_completion(MaskedState.fully_masked(9), model, [], [], sched)
+            run_to_completion(MaskedState.fully_masked(9), model, [], [], sched, 15)
         crowded = MaskedState(np.array([1, 1, 1, 1, MASK, MASK, MASK, MASK, MASK], dtype=np.int16))
         for cond in (None, object_at_cell(2, 2)):
             with pytest.raises(AllMassZero, match="no support state agrees"):
