@@ -245,7 +245,7 @@ class _UniformStub:
 
     def predict(self, state, condition=None):
         self.calls += 1
-        return {int(p): self._logp for p in state.masked_positions()}
+        return np.broadcast_to(self._logp, (state.length, self.vocab_size))
 
 
 def criterion_eval_count_law() -> CriterionResult:

@@ -49,26 +49,25 @@ def compose_logits(
     uncond: np.ndarray,
     conds: Sequence[np.ndarray],
     weights: Sequence[float],
-    logp_floor: float = DEFAULT_LOGP_FLOOR,
 ) -> np.ndarray:
     """Weighted product-of-experts combination of 1-D float64 log vectors.
 
     Each input is normalized (making the result invariant to constant shifts
-    of any input) and clamped at logp_floor before the weighted log-ratio sum.
-    With no conditionals the result is the normalized unconditional vector.
-    Temperature is never applied here; samplers apply it to the result as
-    normalize_logits(out / T).
+    of any input) and clamped at DEFAULT_LOGP_FLOOR before the weighted
+    log-ratio sum. With no conditionals the result is the normalized
+    unconditional vector. Temperature is never applied here; samplers apply
+    it to the result as normalize_logits(out / T).
     """
     if uncond.ndim != 1 or uncond.size < 1:
         raise ShapeMismatch(f"expected a 1-D vector with K >= 1, got shape {uncond.shape}")
     if len(conds) != len(weights):
         raise ShapeMismatch(f"{len(conds)} conditionals vs {len(weights)} weights")
-    u = np.maximum(normalize_logits(uncond), logp_floor)
+    u = np.maximum(normalize_logits(uncond), DEFAULT_LOGP_FLOOR)
     out = u.copy()
     for cond, w in zip(conds, weights):
         if cond.shape != u.shape:
             raise ShapeMismatch(f"conditional shape {cond.shape} vs unconditional {u.shape}")
-        c = np.maximum(normalize_logits(cond), logp_floor)
+        c = np.maximum(normalize_logits(cond), DEFAULT_LOGP_FLOOR)
         out += w * (c - u)
     if not np.isfinite(out).any():
         raise AllMassZero("composed vector has no finite entry after clamping")

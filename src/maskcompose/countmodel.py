@@ -24,8 +24,9 @@ A model is frozen at construction. Each bucket key becomes one integer code
 (condition id, position, signature rank), the populated buckets become a
 sorted code array with one precomputed log-probability row each, and a query
 looks up all masked positions and all four backoff levels with one
-np.searchsorted. The codes of a state's masked positions are kept for the
-next query, since the sampler asks about each state once per expert.
+np.searchsorted; the answer takes one table row per position, the point
+mass on its token at a fixed one. A state's codes are kept for the next
+query, since the sampler asks about each state once per expert.
 Fitting counts the codes of all masked training positions with np.unique,
 FIT_CHUNK samples at a time, drawing each chunk's masks as it goes; a
 sample is one grid row and one condition index, never a Python object.
@@ -149,7 +150,7 @@ class CountModel:
 
     counts maps (pos, signature, condition key) to a length-K count row; the
     model keeps a read-only copy, and `counts` reads that copy back. predict
-    hands out read-only rows of one table, shared between calls.
+    answers a read-only (L, K) array of rows gathered from one table.
     """
 
     grid_w: int
@@ -225,11 +226,12 @@ class CountModel:
                 miss = np.log(np.full(k, 1.0 / k))
             else:
                 miss = np.log((np.zeros(k, dtype=np.int64) + self.alpha) / empty)
-        table = np.vstack([logp, miss])
+        # one row per bucket, the smoothed empty row, then the point masses:
+        # the one on token t is row t - k
+        table = np.vstack([logp, miss, np.where(np.eye(k, dtype=bool), 0.0, -np.inf)])
         lookup = np.append(codes[order], _CODE_END)
         table.flags.writeable = lookup.flags.writeable = False
-        # one read-only row view per bucket, the smoothed empty row last
-        object.__setattr__(self, "_logp_rows", list(table))
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_lookup_codes", lookup)
         # a hit at backoff level l in row r ranks l * n + r, so the least rank
         # is the first level that answers; a miss ranks as the empty row at
@@ -242,10 +244,11 @@ class CountModel:
     def length(self) -> int:
         return self.grid_w * self.grid_h
 
-    def _state_codes(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Masked positions (M,) and their bucket codes at every backoff
-        level without the condition's offset (4, M). The sampler asks about
-        one state n + 1 times in a row, so the last state's are kept."""
+    def _state_codes(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Masked positions (M,), their bucket codes at every backoff level
+        without the condition's offset (4, M), and each position's point-mass
+        row in the table (L,), meaningless at a masked one. The sampler asks
+        about one state n + 1 times in a row, so the last state's are kept."""
         key = tokens.tobytes()
         last = self._last  # one read: another thread may replace it
         if last[0] == key:
@@ -253,24 +256,28 @@ class CountModel:
         codec = self._codec
         masked = (tokens == MASK).nonzero()[0]
         sig = codec.signature_ranks(tokens[codec.index[masked]])
-        codes = (masked, codec.position_codes[masked] + _KEEPS_SIGNATURE * sig)
+        base = codec.position_codes[masked] + _KEEPS_SIGNATURE * sig
+        codes = (masked, base, tokens - np.intp(self.vocab_size))
         object.__setattr__(self, "_last", (key, codes))
         return codes
 
     def _lookup(self, tokens: np.ndarray, key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Masked positions, the log-prob table row answering each and the
-        backoff level it came from (NO_BUCKET for the smoothed empty row)."""
-        masked, base = self._state_codes(tokens)
+        """Masked positions, the table row answering every position, and the
+        backoff level that answered each masked one (NO_BUCKET: the empty row)."""
+        masked, base, index = self._state_codes(tokens)
         want = self._level_offsets.get(key, self._unknown_offsets) + base
         found = self._lookup_codes.searchsorted(want)
         hit = self._lookup_codes.take(found) == want
         first = np.where(hit, found + self._level_ranks, self._miss_rank).min(axis=0)
         level, rows = np.divmod(first, len(self._lookup_codes))
-        return masked, rows, level
+        index = index.copy()
+        index[masked] = rows
+        return masked, index, level
 
-    def predict(self, state: MaskedState, condition=None) -> dict[int, np.ndarray]:
-        masked, rows, _ = self._lookup(state.tokens, cond_key(condition))
-        return dict(zip(masked.tolist(), map(self._logp_rows.__getitem__, rows.tolist())))
+    def predict(self, state: MaskedState, condition=None) -> np.ndarray:
+        out = self._table.take(self._lookup(state.tokens, cond_key(condition))[1], axis=0)
+        out.flags.writeable = False
+        return out
 
     def n_buckets(self) -> int:
         return len(self.counts)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class MaskedState:
     @property
     def length(self) -> int:
         return int(self.tokens.size)
-
-    def masked_positions(self) -> np.ndarray:
-        return np.flatnonzero(self.tokens == MASK)
 
     def is_complete(self) -> bool:
         # a list scan beats an array comparison plus reduction at these lengths
@@ -97,14 +94,16 @@ class SamplerSchedule:
 class ConditionalModel(Protocol):
     """Per-position predictor over K tokens for partially unmasked grids.
 
-    predict(state, condition) returns one normalized log-probability vector
-    for every currently masked position of `state`. condition = None asks for
-    the unconditional distribution.
+    predict(state, condition) returns one read-only (L, K) float64 array of
+    log-probabilities. Row p of a masked position is its distribution given
+    the fixed slots, and the sampler reads no other; the package's models put
+    the point mass on its token (0 there, -inf elsewhere) at a fixed one.
+    condition = None asks for the unconditional distribution.
     """
 
     vocab_size: int
 
-    def predict(self, state: MaskedState, condition=None) -> Mapping[int, np.ndarray]: ...
+    def predict(self, state: MaskedState, condition=None) -> np.ndarray: ...
 
 
 @dataclass
@@ -198,6 +197,9 @@ def _select_positions(
 ) -> list[int]:
     """The first `take` open slots of the run's order, ascending.
 
+    A run that starts fully masked fixes its order front to back, so the
+    open slots are its last len(masked); the state must come from such a run.
+
     order None ranks by the max of row 0 of each masked position's memo entry
     in composed, highest first; masked ascends and sorted is stable, so ties
     go to the lower index. composed is not read otherwise.
@@ -205,14 +207,8 @@ def _select_positions(
     if order is None:
         ranked = sorted(masked, key=lambda p: -composed[p][0].max())
         return sorted(ranked[:take])
-    open_slots = set(masked)
-    picked = []
-    for p in order:
-        if p in open_slots:
-            picked.append(int(p))
-            if len(picked) == take:
-                break
-    return sorted(picked)
+    done = len(order) - len(masked)
+    return sorted(order[done : done + take])
 
 
 def composed_step(

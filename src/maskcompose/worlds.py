@@ -642,25 +642,18 @@ def enumerate_posterior(world: WorldJoint, conds: Sequence[ConditionSpec]) -> Po
 
 
 # The exact model's memo: each (state, condition) answer is charged its
-# log-prob block, its state bytes and condition key tuples, and fixed costs
-# that bound the rest: per entry the outer key tuple, the bytes and block
-# headers, the answer dict and the memo's slot; per position the row view's
-# header and its dict slot. The early-step states repeat across runs and
+# (L, K) log-prob array, its state bytes and condition key tuples, and a
+# fixed cost that bounds the rest: the outer key tuple, the bytes and array
+# headers and the memo's slot. The early-step states repeat across runs and
 # stay; deep states rarely repeat and age out.
 EXACT_MEMO_CAP_BYTES = 1 << 23
 _EXACT_ENTRY_BYTES = 512
-_EXACT_POSITION_BYTES = 160
 
 
-def _exact_charge(key: tuple, out: dict) -> int:
+def _exact_charge(key: tuple, out: np.ndarray) -> int:
     state, ckey = key
-    key_bytes = sys.getsizeof(ckey) + sum(
-        sys.getsizeof(x) for x in ckey if isinstance(x, tuple)
-    )
-    row_bytes = next(iter(out.values())).nbytes if out else 0
-    return _EXACT_ENTRY_BYTES + len(state) + key_bytes + len(out) * (
-        row_bytes + _EXACT_POSITION_BYTES
-    )
+    key_bytes = sum(sys.getsizeof(x) for x in (ckey, *ckey) if isinstance(x, tuple))
+    return _EXACT_ENTRY_BYTES + len(state) + key_bytes + out.nbytes
 
 
 def _weighted_counts(columns: np.ndarray, weights: np.ndarray, vocab_size: int) -> np.ndarray:
@@ -684,9 +677,9 @@ class ExactConditionalModel:
     one fixed slot at a time, gathers the prior times each condition's
     likelihood at those rows, and takes one weighted bincount per masked
     position. The sampler asks about one state n + 1 times in a row, so the
-    last state's row indices are kept. Answers are memoized per (state,
-    condition) in a two-generation memo of EXACT_MEMO_CAP_BYTES; callers must
-    treat returned vectors as read-only.
+    last state's row indices are kept. An answer is one read-only (L, K)
+    array, point masses at the fixed slots, memoized per (state, condition)
+    in a two-generation memo of EXACT_MEMO_CAP_BYTES.
 
     When a condition has zero probability given the already fixed slots the
     conditional is undefined; the expert then abstains and answers with the
@@ -701,6 +694,7 @@ class ExactConditionalModel:
         grids, logp = world.support()
         self._cols = np.ascontiguousarray(grids.T)
         self._prior = np.exp(logp)
+        self._point = np.where(np.eye(self.vocab_size, dtype=bool), 0.0, -np.inf)
         self._last: tuple[bytes, tuple] = (b"", ())
         self._lik: dict[tuple, np.ndarray] = {}
         self.memo = Memo(EXACT_MEMO_CAP_BYTES, _exact_charge)
@@ -716,7 +710,8 @@ class ExactConditionalModel:
 
     def _compatible(self, key: bytes, tokens: np.ndarray) -> tuple:
         """The rows that agree with every fixed slot: their indices, their
-        masked columns (M, n) and their prior, and the masked positions."""
+        masked columns (M, n) and their prior; the masked positions, and an
+        (L, K) array whose fixed rows hold the point masses on their tokens."""
         last = self._last  # one read: another thread may replace it
         if last[0] == key:
             return last[1]
@@ -731,17 +726,18 @@ class ExactConditionalModel:
                 idx = idx[cols[p][idx] == v]
         else:
             idx = np.arange(cols.shape[1])
-        rows = (idx, cols.take(idx, axis=1)[masked], self._prior[idx], masked)
+        # a masked slot takes the last point row; predict overwrites it
+        rows = (idx, cols.take(idx, axis=1)[masked], self._prior[idx], masked, self._point[tokens])
         self._last = (key, rows)
         return rows
 
-    def predict(self, state: MaskedState, condition=None) -> dict[int, np.ndarray]:
+    def predict(self, state: MaskedState, condition=None) -> np.ndarray:
         skey = state.key()
         key = (skey, cond_key(condition))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        idx, sub, w, masked = self._compatible(skey, state.tokens)
+        idx, sub, w, masked, points = self._compatible(skey, state.tokens)
         for cond in _iter_conditions(condition):
             w = w * self._exp_loglik(cond)[idx]
         total = float(w.sum())
@@ -750,9 +746,10 @@ class ExactConditionalModel:
                 raise AllMassZero("no support state agrees with the unmasked slots")
             out = self.predict(state, None)
         else:
+            out = points.copy()
             with np.errstate(divide="ignore"):
-                block = np.log(_weighted_counts(sub, w, self.vocab_size) / total)
-            out = dict(zip(masked, block))
+                out[masked] = np.log(_weighted_counts(sub, w, self.vocab_size) / total)
+            out.flags.writeable = False
         self.memo.put(key, out)
         return out
 

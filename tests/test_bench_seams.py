@@ -5,8 +5,10 @@ maskcompose.evalharness for counted wrappers and hands the suites a model
 proxy that counts every predict call. Its evaluation-count check holds only
 while every suite samples through evalharness.run_to_completion, one call per
 grid, each step makes n + 1 predict calls, and selection and draws go through
-sampler._select_positions and sampler.sample_token. The tracer is loaded from
-its file and used as it is.
+sampler._select_positions and sampler.sample_token. Its model spans,
+worlds.predict and countmodel.predict, count only while both models answer
+through a method of that name. The tracer is loaded from its file and used as
+it is.
 """
 
 import importlib.util
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from maskcompose import sampler
+from maskcompose.countmodel import fit_count_model
 from maskcompose.evalharness import fidelity_tv, run_error_eval
 from maskcompose.sampler import MODE_AUTOREGRESSIVE, ORDER_MAX_CONFIDENCE, SamplerSchedule
 from maskcompose.worlds import build_scene_world, exact_conditional_model, object_at_cell
@@ -41,6 +44,7 @@ SCHEDULES = {
     ),
 }
 N_FIDELITY, N_ERROR = 50, 30
+COUNT_MODEL = fit_count_model(WORLD, 2000, rng_seed=0)
 
 
 def traced_suites(sched):
@@ -55,6 +59,17 @@ def traced_suites(sched):
     return tracer
 
 
+def traced_count_suites(sched):
+    """A composed and a joint run_error_eval of the count model under the
+    tracer. A count model's grids may leave the support, so none is given."""
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        model = tracer.model(COUNT_MODEL)
+        run_error_eval(model, WORLD, 2, N_ERROR, sched=sched, rng_seed=2)
+        run_error_eval(model, WORLD, 2, N_ERROR, sched=sched, rng_seed=3, joint_prompt=True)
+    return tracer
+
+
 @pytest.mark.parametrize("order", sorted(SCHEDULES))
 def test_tracer_sees_the_evaluation_count_law(order):
     tracer = traced_suites(SCHEDULES[order])
@@ -62,8 +77,17 @@ def test_tracer_sees_the_evaluation_count_law(order):
     assert tracer.law_violations == []
     assert tracer.off_support == []
     assert tracer.model_calls == tracer.law_evaluations > 0
+    assert tracer.calls["worlds.predict"] == tracer.law_evaluations
     for span in ("sampler.step", "sampler.select", "sampler.draw"):
         assert tracer.calls[span] > 0, span
+
+
+@pytest.mark.parametrize("order", sorted(SCHEDULES))
+def test_tracer_counts_every_count_model_call(order):
+    tracer = traced_count_suites(SCHEDULES[order])
+    assert tracer.calls["sampler.run"] == 2 * N_ERROR
+    assert tracer.law_violations == []
+    assert tracer.calls["countmodel.predict"] == tracer.law_evaluations > 0
 
 
 def test_an_extra_predict_per_step_breaks_the_trace(monkeypatch):

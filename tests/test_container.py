@@ -148,7 +148,7 @@ class TestModelArtifacts:
         state = MaskedState.fully_masked(4)
         a = model.predict(state, None)
         b = back.predict(state, None)
-        for p in a:
+        for p in range(state.length):
             assert np.array_equal(a[p], b[p])
 
     def test_empty_model_roundtrip(self, tmp_path):

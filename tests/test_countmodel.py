@@ -6,6 +6,7 @@ import itertools
 import countmodel_oracle as oracle
 import numpy as np
 import pytest
+from answer_contract import assert_answer, masked_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,7 +72,7 @@ class TestPrediction:
     def test_empty_model_is_uniform(self):
         model = CountModel(grid_w=2, grid_h=1, vocab_size=3)
         out = model.predict(MaskedState.fully_masked(2))
-        for logp in out.values():
+        for logp in out:
             assert np.allclose(np.exp(logp), 1 / 3)
 
     def test_laplace_smoothing_values(self):
@@ -138,7 +139,7 @@ class TestFitting:
         state = MaskedState.fully_masked(4)
         uncond = model.predict(state, None)
         conded = model.predict(state, object_at_cell(0, 0))
-        for p in uncond:
+        for p in range(state.length):
             assert np.allclose(uncond[p], conded[p])
 
     def test_conditional_branch_shifts_toward_condition(self):
@@ -177,7 +178,7 @@ class TestFitting:
         pair = (object_at_cell(0, 0), object_at_cell(1, 1))
         joint = model.predict(state, pair)
         plain = model.predict(state, None)
-        for p in plain:
+        for p in range(state.length):
             assert np.allclose(joint[p], plain[p])
 
 
@@ -285,9 +286,9 @@ class TestOracleEquivalence:
             for cond in [None] + conds:
                 got = model.predict(MaskedState(tokens), cond)
                 want = oracle.predict(counts, neighbors, world.vocab_size, alpha, tokens, cond)
-                assert got.keys() == want.keys()
-                for p in want:
-                    assert got[p].tobytes() == want[p].tobytes(), (values, cond, p)
+                assert masked_rows(got, tokens) == {p: v.tobytes() for p, v in want.items()}, (
+                    values, cond
+                )
                 masked, _, level = model._lookup(tokens, cond_key(cond))
                 expected = [
                     oracle.bucket(
@@ -325,6 +326,35 @@ class TestOracleEquivalence:
             assert np.array_equal(model.counts[key], row), key
 
 
+class TestAnswerContract:
+    """predict answers one read-only (L, K) float64 array: the dict lookup's
+    vector at every masked position, the point mass on the token at every
+    fixed one."""
+
+    @given(
+        world_name=st.sampled_from(sorted(ORACLE_WORLDS)),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_answer_is_an_array_of_oracle_rows_and_point_masses(self, world_name, seed, data):
+        build, conds = ORACLE_WORLDS[world_name]
+        world = build()
+        model = fit_count_model(world, 300, rng_seed=seed)
+        counts = dict(model.counts)
+        neighbors = neighbor_lists(world.grid_w, world.grid_h)
+        symbols = st.integers(MASK, world.vocab_size - 1)
+        for _ in range(3):
+            values = data.draw(st.lists(symbols, min_size=world.length, max_size=world.length))
+            tokens = np.array(values, dtype=np.int16)
+            for cond in [None] + conds:
+                got = model.predict(MaskedState(tokens), cond)
+                want = oracle.predict(
+                    counts, neighbors, world.vocab_size, model.alpha, tokens, cond
+                )
+                assert_answer(got, tokens, want, world.vocab_size)
+
+
 class TestStateSlot:
     """The last state's signature codes, kept across its queries, change no
     answer: bytes and backoff levels match the dict lookup and a cold model."""
@@ -359,7 +389,7 @@ class TestStateSlot:
         cold = dataclasses.replace(model)
         for s, q in pairs:
             got = cold.predict(MaskedState(states[s]), queries[q])
-            assert {p: v.tobytes() for p, v in got.items()} == want[(s, q)], (s, q)
+            assert masked_rows(got, states[s]) == want[(s, q)], (s, q)
         for s, q in pairs:
             assert cold._lookup(states[s], cond_key(queries[q]))[2].tolist() == levels[(s, q)]
         # every state is visited twice in shuffled order; a visit asks each
@@ -370,7 +400,7 @@ class TestStateSlot:
             for q in rng.permutation(len(queries)).tolist():
                 for _ in range(repeat):
                     got = model.predict(MaskedState(states[s]), queries[q])
-                    assert {p: v.tobytes() for p, v in got.items()} == want[(s, q)], (s, q)
+                    assert masked_rows(got, states[s]) == want[(s, q)], (s, q)
                     level = model._lookup(states[s], cond_key(queries[q]))[2]
                     assert level.tolist() == levels[(s, q)], (s, q)
 

@@ -8,6 +8,7 @@ import countmodel_oracle as oracle
 import numpy as np
 import pytest
 import scene_oracle
+from answer_contract import assert_answer, oracle_answer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -430,7 +431,7 @@ class TestExactConditionalModel:
         cond = object_at_cell(1, 0)
         out = model.predict(MaskedState.fully_masked(4), cond)
         marg = world.enumerate_posterior([cond]).marginals()
-        for p, logp in out.items():
+        for p, logp in enumerate(out):
             assert np.allclose(np.exp(logp), marg[p], atol=1e-12)
 
     def test_partial_state_hand_case(self):
@@ -440,7 +441,8 @@ class TestExactConditionalModel:
         model = exact_conditional_model(world)
         state = MaskedState.fully_masked(4).with_fixed([0], [1])
         uncond = model.predict(state, None)
-        assert set(uncond) == {1, 2, 3}
+        assert uncond.shape == (4, 2)
+        assert np.array_equal(np.exp(uncond[0]), [0.0, 1.0])  # the fixed slot
         assert np.allclose(np.exp(uncond[3]), [0.5, 0.5])
         conded = model.predict(state, object_at_cell(1, 1))
         assert np.allclose(np.exp(conded[3]), [0.0, 1.0])
@@ -460,7 +462,7 @@ class TestExactConditionalModel:
         state = MaskedState.fully_masked(4).with_fixed([0], [0])
         out = model.predict(state, object_at_cell(0, 0))
         uncond = model.predict(state, None)
-        for p in uncond:
+        for p in np.flatnonzero(state.tokens == MASK):
             assert np.allclose(out[p], uncond[p])
 
     def test_no_compatible_support_state_is_named_as_the_cause(self):
@@ -514,12 +516,13 @@ def _answer(model, query, condition):
 
 
 def _same_answer(got, want) -> bool:
+    """Both raised the same error, or both answered the same (L, K) bytes."""
     if isinstance(want, tuple):
         return got == want
     return (
-        isinstance(got, dict)
-        and got.keys() == want.keys()
-        and all(got[p].tobytes() == want[p].tobytes() for p in want)
+        isinstance(got, np.ndarray)
+        and got.shape == want.shape
+        and got.tobytes() == want.tobytes()
     )
 
 
@@ -568,11 +571,13 @@ class TestExactOracleEquivalence:
             state, condition = MaskedState(states[s]), queries[q]
             got = _answer(warm, state, condition)
             want = _answer(oracle_model, states[s], condition)
+            if isinstance(want, dict):
+                want = oracle_answer(states[s], want, world.vocab_size)
             assert _same_answer(got, want), (states[s].tolist(), condition)
             if (s, q) in first:
                 # a memo hit hands back the object the miss computed
                 earlier = first[(s, q)]
-                assert got is earlier if isinstance(got, dict) else got == earlier
+                assert got is earlier if isinstance(got, np.ndarray) else got == earlier
             first[(s, q)] = got
             # a cold model computes the same answer from nothing
             cold = _answer(exact_conditional_model(world), state, condition)
@@ -589,6 +594,29 @@ class TestExactOracleEquivalence:
         # the refused tables left the condition as it was
         after = exact_conditional_model(world).predict(state, cell_table("c0"))
         assert _same_answer(before, after)
+
+
+class TestExactAnswerContract:
+    """predict answers one read-only (L, K) float64 array: the oracle's
+    vector at every masked position, the point mass on the token at every
+    fixed one. The states are support grids with some slots masked, so some
+    support state always agrees with them."""
+
+    @given(world_name=st.sampled_from(sorted(ORACLE_WORLDS)), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_answer_is_an_array_of_oracle_rows_and_point_masses(self, world_name, data):
+        world, conds = ORACLE_WORLDS[world_name]
+        model, oracle_model = exact_conditional_model(world), ExactOracle(world)
+        grids = world.support()[0]
+        for _ in range(3):
+            grid = grids[data.draw(st.integers(0, len(grids) - 1))]
+            hidden = data.draw(st.lists(st.booleans(), min_size=world.length,
+                                        max_size=world.length))
+            tokens = np.where(hidden, MASK, grid).astype(np.int16)
+            for condition in (None, conds[0], tuple(conds)):
+                want = oracle_model.predict(tokens, condition)
+                got = model.predict(MaskedState(tokens), condition)
+                assert_answer(got, tokens, want, world.vocab_size)
 
 
 class TestExactMemoBound:
