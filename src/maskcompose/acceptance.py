@@ -85,11 +85,11 @@ def criterion_poe_exactness() -> CriterionResult:
             3, 3, 5, n_conditions=2, cells_per_condition=2, seed=11
         )
         model = exact_conditional_model(world)
-        state = MaskedState.fully_masked(world.length)
+        tokens = MaskedState.fully_masked(world.length).tokens
         c0, c1 = cell_table("c0"), cell_table("c1")
-        uncond = model.predict(state, None)
-        d0 = model.predict(state, c0)
-        d1 = model.predict(state, c1)
+        uncond = model.predict(tokens, None)
+        d0 = model.predict(tokens, c0)
+        d1 = model.predict(tokens, c1)
         post = world.enumerate_posterior([c0, c1]).marginals()
         worst = 0.0
         for p in range(world.length):
@@ -243,9 +243,9 @@ class _UniformStub:
         self._logp = np.full(vocab_size, -math.log(vocab_size))
         self.calls = 0
 
-    def predict(self, state, condition=None):
+    def predict(self, tokens, condition=None):
         self.calls += 1
-        return np.broadcast_to(self._logp, (state.length, self.vocab_size))
+        return np.broadcast_to(self._logp, (tokens.size, self.vocab_size))
 
 
 def criterion_eval_count_law() -> CriterionResult:

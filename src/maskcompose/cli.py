@@ -42,7 +42,6 @@ from .errors import (
     AllMassZero,
     EmptyIntersection,
     MaskComposeError,
-    NoMaskedSlots,
     ValidationError,
 )
 from .evalharness import (
@@ -63,7 +62,7 @@ EXIT_VALIDATION = 2
 EXIT_SAMPLING = 3
 EXIT_SUITE = 4
 
-_SAMPLING_ERRORS = (AllMassZero, EmptyIntersection, NoMaskedSlots)
+_SAMPLING_ERRORS = (AllMassZero, EmptyIntersection)
 
 
 def _echo_section(cfg: RunConfig, command: str) -> Section:

@@ -43,7 +43,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import StateSpaceTooLarge, ValidationError
-from .sampler import MASK, MaskedState
+from .sampler import MASK
 from .worlds import UNCONDITIONAL_KEY, SceneWorld, WorldJoint, cond_key
 
 WINDOW_RADIUS = 1
@@ -274,8 +274,8 @@ class CountModel:
         index[masked] = rows
         return masked, index, level
 
-    def predict(self, state: MaskedState, condition=None) -> np.ndarray:
-        out = self._table.take(self._lookup(state.tokens, cond_key(condition))[1], axis=0)
+    def predict(self, tokens: np.ndarray, condition=None) -> np.ndarray:
+        out = self._table.take(self._lookup(tokens, cond_key(condition))[1], axis=0)
         out.flags.writeable = False
         return out
 

@@ -17,10 +17,6 @@ class NonPositiveTemperature(MaskComposeError):
     """Sampling temperature must be finite and strictly positive."""
 
 
-class NoMaskedSlots(MaskComposeError):
-    """A sampling step was requested on a fully specified state."""
-
-
 class EmptyIntersection(MaskComposeError):
     """No state in the world satisfies every supplied condition."""
 

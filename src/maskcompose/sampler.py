@@ -6,7 +6,9 @@ unmasking order, fixed before the first step; autoregressive is left to right,
 one token per step. At every step the backing model is queried once without a
 condition and once per condition, the per-position distributions are composed
 in log space, the schedule temperature is applied and tokens are drawn for the
-selected positions.
+selected positions. The grid goes from step to step, and to the model, as a
+plain (L,) int16 array; MaskedState only names the all-MASK grid a run starts
+from.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .compose import DEFAULT_TEMPERATURE, compose_logits, normalize_logits
-from .errors import NoMaskedSlots, NonPositiveTemperature, ShapeMismatch
+from .errors import NonPositiveTemperature, ShapeMismatch
 from .memo import Memo
 
 MASK = -1
@@ -31,7 +33,7 @@ ORDER_MAX_CONFIDENCE = "max_confidence"
 
 @dataclass(frozen=True)
 class MaskedState:
-    """A length-L token grid where unfixed slots hold the MASK sentinel."""
+    """The all-MASK grid a run starts from; steps work on plain token arrays."""
 
     tokens: np.ndarray
 
@@ -42,26 +44,6 @@ class MaskedState:
     @classmethod
     def fully_masked(cls, length: int) -> "MaskedState":
         return cls(np.full(length, MASK, dtype=np.int16))
-
-    @property
-    def length(self) -> int:
-        return int(self.tokens.size)
-
-    def is_complete(self) -> bool:
-        # a list scan beats an array comparison plus reduction at these lengths
-        return MASK not in self.tokens.tolist()
-
-    def key(self) -> bytes:
-        return self.tokens.tobytes()
-
-    def with_fixed(self, positions: Sequence[int], values: Sequence[int]) -> "MaskedState":
-        """Return a successor state; refuses to overwrite an unmasked slot."""
-        tokens = self.tokens.copy()
-        for p, v in zip(positions, values):
-            if tokens[p] != MASK:
-                raise ValueError(f"slot {p} is already fixed; unmasked slots never change")
-            tokens[p] = v
-        return MaskedState(tokens)
 
 
 @dataclass(frozen=True)
@@ -94,16 +76,18 @@ class SamplerSchedule:
 class ConditionalModel(Protocol):
     """Per-position predictor over K tokens for partially unmasked grids.
 
-    predict(state, condition) returns one read-only (L, K) float64 array of
-    log-probabilities. Row p of a masked position is its distribution given
-    the fixed slots, and the sampler reads no other; the package's models put
-    the point mass on its token (0 there, -inf elsewhere) at a fixed one.
-    condition = None asks for the unconditional distribution.
+    predict(tokens, condition) takes one (L,) int16 grid, MASK at the unfixed
+    slots, and returns one read-only (L, K) float64 array of log-probabilities.
+    The model must not write to tokens. Row p of a masked position is its
+    distribution given the fixed slots, and the sampler reads no other; the
+    package's models put the point mass on its token (0 there, -inf
+    elsewhere) at a fixed one. condition = None asks for the unconditional
+    distribution.
     """
 
     vocab_size: int
 
-    def predict(self, state: MaskedState, condition=None) -> np.ndarray: ...
+    def predict(self, tokens: np.ndarray, condition=None) -> np.ndarray: ...
 
 
 @dataclass
@@ -212,39 +196,36 @@ def _select_positions(
 
 
 def composed_step(
-    state: MaskedState,
+    tokens: np.ndarray,
     model: ConditionalModel,
     conds: Sequence,
-    weights: Sequence[float],
+    weights: tuple[float, ...],
     sched: SamplerSchedule,
     rng: np.random.Generator,
     order: Sequence[int] | None,
     stats: RunStats,
-) -> MaskedState:
+) -> np.ndarray:
     """Advance one step of a run: query, compose, select, draw.
 
-    The model is evaluated once unconditionally and once per condition,
-    regardless of how many positions get fixed. rng is the run's generator;
-    order is the run's unmasking order, or None for max-confidence order,
-    which composes every masked position to rank them; stats is the run's
-    counter. Composed vectors and their CDFs come from a memo keyed by the
-    content of the expert vectors, weights and temperature, so equal inputs
-    give the same read-only entry; each selected position takes one
-    sample_token draw from its CDF, in ascending position order. The draws go
-    into one copy of the tokens: the selected positions are masked ones, so
-    no fixed slot is overwritten.
+    tokens is the run's (L,) int16 grid and is not written to; the step
+    returns a fresh array, a copy of it with the selected masked slots
+    drawn, so no fixed slot is overwritten. weights is a tuple of floats,
+    one per condition, as run_to_completion passes it. The model is
+    evaluated once unconditionally and once per condition, regardless of how
+    many positions get fixed. rng is the run's generator; order is the run's
+    unmasking order, or None for max-confidence order, which composes every
+    masked position to rank them; stats is the run's counter. Composed
+    vectors and their CDFs come from a memo keyed by the content of the
+    expert vectors, weights and temperature, so equal inputs give the same
+    read-only entry; each selected position takes one sample_token draw from
+    its CDF, in ascending position order.
     """
-    if len(conds) != len(weights):
-        raise ShapeMismatch(f"{len(conds)} conditions vs {len(weights)} weights")
-    masked = [p for p, v in enumerate(state.tokens.tolist()) if v == MASK]
-    if not masked:
-        raise NoMaskedSlots("state has no masked slots left")
+    masked = [p for p, v in enumerate(tokens.tolist()) if v == MASK]
 
-    uncond = model.predict(state, None)
-    per_cond = [model.predict(state, c) for c in conds]
+    uncond = model.predict(tokens, None)
+    per_cond = [model.predict(tokens, c) for c in conds]
     stats.evaluations += 1 + len(per_cond)
 
-    weights = tuple(map(float, weights))  # hashable, for the memo key
     temperature = sched.temperature
     composed = None
     if order is None:
@@ -255,7 +236,7 @@ def composed_step(
     take = min(sched.tokens_per_step, len(masked))
     selected = _select_positions(masked, take, order, composed)
 
-    tokens = state.tokens.copy()
+    tokens = tokens.copy()
     for pos in selected:  # ascending position order fixes rng consumption
         if composed is not None:
             entry = composed[pos]
@@ -263,7 +244,7 @@ def composed_step(
             entry = _composed(uncond[pos], [d[pos] for d in per_cond], weights, temperature)
         tokens[pos] = sample_token(entry[1], rng)
     stats.steps += 1
-    return MaskedState(tokens)
+    return tokens
 
 
 def run_to_completion(
@@ -274,25 +255,31 @@ def run_to_completion(
     sched: SamplerSchedule,
     rng_seed: int = 0,
 ) -> tuple[np.ndarray, RunStats]:
-    """Drive composed_step until every slot is fixed.
+    """Run composed_step ceil(L / tokens_per_step) times from a fully masked
+    initial state, which fixes every slot; return the last step's tokens.
 
     The whole run is a pure function of (initial, model, conds, weights,
-    sched, rng_seed). A fresh generator is seeded from rng_seed, and the
-    order is fixed before the first step: left to right with no draw in
-    autoregressive mode, one permutation drawn up front in random order, and
-    None, a ranking at every step, in max-confidence order.
+    sched, rng_seed), and initial is left as it was. A fresh generator is
+    seeded from rng_seed, and the order is fixed before the first step: left
+    to right with no draw in autoregressive mode, one permutation drawn up
+    front in random order, and None, a ranking at every step, in
+    max-confidence order.
     """
-    if initial.tokens.tolist().count(MASK) != initial.length:
+    tokens = initial.tokens
+    length = tokens.size
+    if tokens.tolist().count(MASK) != length:
         raise ValueError("run_to_completion expects a fully masked initial state")
+    if len(conds) != len(weights):
+        raise ShapeMismatch(f"{len(conds)} conditions vs {len(weights)} weights")
+    weights = tuple(map(float, weights))  # hashable, for the memo key
     rng = np.random.default_rng(rng_seed)
     if sched.mode == MODE_AUTOREGRESSIVE:
-        order = list(range(initial.length))
+        order = list(range(length))
     elif sched.order_policy == ORDER_RANDOM:
-        order = rng.permutation(initial.length).tolist()
+        order = rng.permutation(length).tolist()
     else:
         order = None
     stats = RunStats()
-    state = initial
-    while not state.is_complete():
-        state = composed_step(state, model, conds, weights, sched, rng, order, stats)
-    return state.tokens.copy(), stats
+    for _ in range(math.ceil(length / sched.tokens_per_step)):
+        tokens = composed_step(tokens, model, conds, weights, sched, rng, order, stats)
+    return tokens, stats

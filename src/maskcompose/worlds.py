@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .memo import Memo
-from .sampler import MASK, MaskedState
+from .sampler import MASK
 
 STATE_SPACE_CAP = 10_000_000
 # grids hold int16 tokens, so ids run from 0 to 32767
@@ -731,20 +731,20 @@ class ExactConditionalModel:
         self._last = (key, rows)
         return rows
 
-    def predict(self, state: MaskedState, condition=None) -> np.ndarray:
-        skey = state.key()
+    def predict(self, tokens: np.ndarray, condition=None) -> np.ndarray:
+        skey = tokens.tobytes()
         key = (skey, cond_key(condition))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        idx, sub, w, masked, points = self._compatible(skey, state.tokens)
+        idx, sub, w, masked, points = self._compatible(skey, tokens)
         for cond in _iter_conditions(condition):
             w = w * self._exp_loglik(cond)[idx]
         total = float(w.sum())
         if not (total > 0.0):
             if idx.size == 0 or condition is None:
                 raise AllMassZero("no support state agrees with the unmasked slots")
-            out = self.predict(state, None)
+            out = self.predict(tokens, None)
         else:
             out = points.copy()
             with np.errstate(divide="ignore"):

@@ -4,9 +4,10 @@ The package's composed_step keeps each composed vector's CDF in the memo
 next to the vector, draws each token with one searchsorted on that CDF and
 writes the draws into one copy of the tokens. This module keeps the earlier
 formulation: the memo holds the composed log vector alone, every draw
-recomputes np.exp(logp).cumsum(), and the successor state is built with
-MaskedState.with_fixed. Tests check the fast path against it token for
-token, counter for counter and generator state for generator state.
+recomputes np.exp(logp).cumsum(), and the successor grid is built with
+with_fixed, which refuses to overwrite a fixed slot. Tests check the fast
+path against it token for token, counter for counter and generator state for
+generator state.
 """
 
 from __future__ import annotations
@@ -16,19 +17,32 @@ from typing import Sequence
 import numpy as np
 
 from maskcompose.compose import compose_logits, normalize_logits
-from maskcompose.errors import NoMaskedSlots, ShapeMismatch
+from maskcompose.errors import ShapeMismatch
 from maskcompose.memo import Memo
 from maskcompose.sampler import (
     MASK,
     MODE_AUTOREGRESSIVE,
     MODE_MASKED,
     ORDER_MAX_CONFIDENCE,
-    MaskedState,
     RunStats,
     SamplerSchedule,
 )
 
 _MEMO_CAP_BYTES = 1 << 21
+
+
+def with_fixed(tokens: np.ndarray, positions: Sequence[int], values: Sequence[int]) -> np.ndarray:
+    """A successor grid: a copy of tokens with the given slots fixed.
+
+    Refuses to overwrite a slot that is already fixed: unmasked slots never
+    change (the absorbing property).
+    """
+    tokens = tokens.copy()
+    for p, v in zip(positions, values):
+        if tokens[p] != MASK:
+            raise ValueError(f"slot {p} is already fixed; unmasked slots never change")
+        tokens[p] = v
+    return tokens
 
 
 def sample_token(logp: np.ndarray, rng: np.random.Generator) -> int:
@@ -92,7 +106,7 @@ def select_positions(
 
 
 def composed_step(
-    state: MaskedState,
+    tokens: np.ndarray,
     model,
     conds: Sequence,
     weights: Sequence[float],
@@ -100,19 +114,17 @@ def composed_step(
     rng: np.random.Generator,
     order: Sequence[int] | None,
     stats: RunStats,
-) -> MaskedState:
+) -> np.ndarray:
     """Advance one step of a run: query, compose, select, draw."""
     if len(conds) != len(weights):
         raise ShapeMismatch(f"{len(conds)} conditions vs {len(weights)} weights")
-    masked = [p for p, v in enumerate(state.tokens.tolist()) if v == MASK]
-    if not masked:
-        raise NoMaskedSlots("state has no masked slots left")
+    masked = [p for p, v in enumerate(tokens.tolist()) if v == MASK]
 
-    uncond = model.predict(state, None)
+    uncond = model.predict(tokens, None)
     stats.evaluations += 1
     per_cond = []
     for c in conds:
-        per_cond.append(model.predict(state, c))
+        per_cond.append(model.predict(tokens, c))
         stats.evaluations += 1
 
     weights = tuple(float(w) for w in weights)
@@ -130,6 +142,6 @@ def composed_step(
     for pos in selected:  # ascending position order fixes rng consumption
         dist = composed_all[pos] if composed_all is not None else composed_at(pos)
         values.append(sample_token(dist, rng))
-    new_state = state.with_fixed(selected, values)
+    new_tokens = with_fixed(tokens, selected, values)
     stats.steps += 1
-    return new_state
+    return new_tokens

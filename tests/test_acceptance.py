@@ -66,9 +66,9 @@ def test_criterion_7_counts_the_model_calls(monkeypatch):
     own RunStats does not count, fails the criterion."""
     real = sampler.composed_step
 
-    def one_extra_call(state, model, *args):
-        model.predict(state, None)
-        return real(state, model, *args)
+    def one_extra_call(tokens, model, *args):
+        model.predict(tokens, None)
+        return real(tokens, model, *args)
 
     monkeypatch.setattr(sampler, "composed_step", one_extra_call)
     result = criterion_eval_count_law()

@@ -93,9 +93,9 @@ def test_tracer_counts_every_count_model_call(order):
 def test_an_extra_predict_per_step_breaks_the_trace(monkeypatch):
     real = sampler.composed_step
 
-    def one_extra_call(state, model, *args):
-        model.predict(state, None)
-        return real(state, model, *args)
+    def one_extra_call(tokens, model, *args):
+        model.predict(tokens, None)
+        return real(tokens, model, *args)
 
     monkeypatch.setattr(sampler, "composed_step", one_extra_call)
     tracer = traced_suites(SCHEDULES["random"])

@@ -76,10 +76,10 @@ class TestFitModel:
         loaded = load_count_model(os.path.join(out, "model.dcw1"))
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
         direct = fit_count_model(world, 400, rng_seed=3)
-        state = MaskedState.fully_masked(4)
-        want = direct.predict(state, object_at_cell(0, 0))
-        got = loaded.predict(state, object_at_cell(0, 0))
-        for p in range(state.length):
+        tokens = MaskedState.fully_masked(4).tokens
+        want = direct.predict(tokens, object_at_cell(0, 0))
+        got = loaded.predict(tokens, object_at_cell(0, 0))
+        for p in range(tokens.size):
             assert np.allclose(got[p], want[p])
 
     def test_exact_kind_is_a_validation_error(self, tmp_path, capsys):

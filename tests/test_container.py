@@ -145,10 +145,10 @@ class TestModelArtifacts:
         assert back.counts.keys() == model.counts.keys()
         for key in model.counts:
             assert np.array_equal(back.counts[key], model.counts[key])
-        state = MaskedState.fully_masked(4)
-        a = model.predict(state, None)
-        b = back.predict(state, None)
-        for p in range(state.length):
+        tokens = MaskedState.fully_masked(4).tokens
+        a = model.predict(tokens, None)
+        b = back.predict(tokens, None)
+        for p in range(tokens.size):
             assert np.array_equal(a[p], b[p])
 
     def test_empty_model_roundtrip(self, tmp_path):

@@ -71,7 +71,7 @@ class TestSignatures:
 class TestPrediction:
     def test_empty_model_is_uniform(self):
         model = CountModel(grid_w=2, grid_h=1, vocab_size=3)
-        out = model.predict(MaskedState.fully_masked(2))
+        out = model.predict(MaskedState.fully_masked(2).tokens)
         for logp in out:
             assert np.allclose(np.exp(logp), 1 / 3)
 
@@ -81,7 +81,7 @@ class TestPrediction:
             grid_w=1, grid_h=1, vocab_size=2, alpha=0.5,
             counts={(0, (), cond_key(None)): np.array([2, 0], dtype=np.int64)},
         )
-        out = model.predict(MaskedState.fully_masked(1))
+        out = model.predict(MaskedState.fully_masked(1).tokens)
         assert np.allclose(np.exp(out[0]), [2.5 / 3.0, 0.5 / 3.0])
 
     def test_alpha_zero_keeps_exact_frequencies(self):
@@ -89,7 +89,7 @@ class TestPrediction:
             grid_w=1, grid_h=1, vocab_size=2, alpha=0.0,
             counts={(0, (), cond_key(None)): np.array([3, 1], dtype=np.int64)},
         )
-        out = model.predict(MaskedState.fully_masked(1))
+        out = model.predict(MaskedState.fully_masked(1).tokens)
         assert np.allclose(np.exp(out[0]), [0.75, 0.25])
 
     def test_unseen_condition_falls_back_to_unconditional(self):
@@ -97,8 +97,8 @@ class TestPrediction:
             grid_w=1, grid_h=1, vocab_size=2,
             counts={(0, (), cond_key(None)): np.array([5, 1], dtype=np.int64)},
         )
-        plain = model.predict(MaskedState.fully_masked(1), None)
-        fancy = model.predict(MaskedState.fully_masked(1), object_at_cell(0, 0))
+        plain = model.predict(MaskedState.fully_masked(1).tokens, None)
+        fancy = model.predict(MaskedState.fully_masked(1).tokens, object_at_cell(0, 0))
         assert np.allclose(plain[0], fancy[0])
 
     def test_validation(self):
@@ -136,25 +136,25 @@ class TestFitting:
     def test_full_dropout_makes_conditional_equal_unconditional(self):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
         model = fit_count_model(world, 2000, dropout_prob=1.0, rng_seed=2)
-        state = MaskedState.fully_masked(4)
-        uncond = model.predict(state, None)
-        conded = model.predict(state, object_at_cell(0, 0))
-        for p in range(state.length):
+        tokens = MaskedState.fully_masked(4).tokens
+        uncond = model.predict(tokens, None)
+        conded = model.predict(tokens, object_at_cell(0, 0))
+        for p in range(tokens.size):
             assert np.allclose(uncond[p], conded[p])
 
     def test_conditional_branch_shifts_toward_condition(self):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
         model = fit_count_model(world, 20_000, rng_seed=0)
-        state = MaskedState.fully_masked(4)
-        uncond = np.exp(model.predict(state, None)[0])
-        conded = np.exp(model.predict(state, object_at_cell(0, 0))[0])
+        tokens = MaskedState.fully_masked(4).tokens
+        uncond = np.exp(model.predict(tokens, None)[0])
+        conded = np.exp(model.predict(tokens, object_at_cell(0, 0))[0])
         assert conded[1] > uncond[1] + 0.2
 
     def test_training_max_objects_restricts_density(self):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=4)
         model = fit_count_model(world, 20_000, rng_seed=1, training_max_objects=1)
         # under the restricted prior an all-masked cell is empty w.p. 4/5
-        probs = np.exp(model.predict(MaskedState.fully_masked(4), None)[0])
+        probs = np.exp(model.predict(MaskedState.fully_masked(4).tokens, None)[0])
         assert probs[0] > 0.7
 
     def test_converges_to_factorized_tables(self):
@@ -163,22 +163,22 @@ class TestFitting:
             2, 2, 4, n_conditions=2, cells_per_condition=1, seed=5
         )
         model = fit_count_model(world, 100_000, rng_seed=0)
-        state = MaskedState.fully_masked(4)
+        tokens = MaskedState.fully_masked(4).tokens
         for name in ("c0", "c1"):
             cond = cell_table(name)
             truth = world.conditional_tables(cond)
-            learned = model.predict(state, cond)
+            learned = model.predict(tokens, cond)
             for p in range(4):
                 assert tv(np.exp(learned[p]), truth[p]) <= 0.05
 
     def test_joint_prompt_unseen_behaves_unconditionally(self):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
         model = fit_count_model(world, 5000, rng_seed=3)
-        state = MaskedState.fully_masked(4)
+        tokens = MaskedState.fully_masked(4).tokens
         pair = (object_at_cell(0, 0), object_at_cell(1, 1))
-        joint = model.predict(state, pair)
-        plain = model.predict(state, None)
-        for p in range(state.length):
+        joint = model.predict(tokens, pair)
+        plain = model.predict(tokens, None)
+        for p in range(tokens.size):
             assert np.allclose(joint[p], plain[p])
 
 
@@ -224,12 +224,12 @@ class TestFrozenTables:
                 (0, (), cond_key(None)): np.array([1, 3], dtype=np.int64),
             },
         )
-        state = MaskedState.fully_masked(1)
-        assert model.predict(state, cond)[0].tobytes() == model.predict(state)[0].tobytes()
-        _, _, level = model._lookup(state.tokens, cond_key(cond))
+        tokens = MaskedState.fully_masked(1).tokens
+        assert model.predict(tokens, cond)[0].tobytes() == model.predict(tokens)[0].tobytes()
+        _, _, level = model._lookup(tokens, cond_key(cond))
         assert level.tolist() == [2]
         empty = CountModel(grid_w=1, grid_h=1, vocab_size=2)
-        assert empty._lookup(state.tokens, cond_key(None))[2].tolist() == [NO_BUCKET]
+        assert empty._lookup(tokens, cond_key(None))[2].tolist() == [NO_BUCKET]
 
     def test_key_space_beyond_int64_is_refused(self):
         with pytest.raises(StateSpaceTooLarge):
@@ -284,7 +284,7 @@ class TestOracleEquivalence:
         for values in itertools.product(range(MASK, world.vocab_size), repeat=world.length):
             tokens = np.array(values, dtype=np.int16)
             for cond in [None] + conds:
-                got = model.predict(MaskedState(tokens), cond)
+                got = model.predict(tokens, cond)
                 want = oracle.predict(counts, neighbors, world.vocab_size, alpha, tokens, cond)
                 assert masked_rows(got, tokens) == {p: v.tobytes() for p, v in want.items()}, (
                     values, cond
@@ -348,7 +348,7 @@ class TestAnswerContract:
             values = data.draw(st.lists(symbols, min_size=world.length, max_size=world.length))
             tokens = np.array(values, dtype=np.int16)
             for cond in [None] + conds:
-                got = model.predict(MaskedState(tokens), cond)
+                got = model.predict(tokens, cond)
                 want = oracle.predict(
                     counts, neighbors, world.vocab_size, model.alpha, tokens, cond
                 )
@@ -388,7 +388,7 @@ class TestStateSlot:
         # calls in a row share a state and every answer is computed afresh
         cold = dataclasses.replace(model)
         for s, q in pairs:
-            got = cold.predict(MaskedState(states[s]), queries[q])
+            got = cold.predict(states[s], queries[q])
             assert masked_rows(got, states[s]) == want[(s, q)], (s, q)
         for s, q in pairs:
             assert cold._lookup(states[s], cond_key(queries[q]))[2].tolist() == levels[(s, q)]
@@ -399,7 +399,7 @@ class TestStateSlot:
         for s in rng.permutation(np.repeat(np.arange(len(states)), 2)).tolist():
             for q in rng.permutation(len(queries)).tolist():
                 for _ in range(repeat):
-                    got = model.predict(MaskedState(states[s]), queries[q])
+                    got = model.predict(states[s], queries[q])
                     assert masked_rows(got, states[s]) == want[(s, q)], (s, q)
                     level = model._lookup(states[s], cond_key(queries[q]))[2]
                     assert level.tolist() == levels[(s, q)], (s, q)
@@ -417,9 +417,9 @@ class TestBackoffLevels:
         class Recorder:
             vocab_size = model.vocab_size
 
-            def predict(self, state, condition=None):
-                queries.append((state.tokens, condition))
-                return model.predict(state, condition)
+            def predict(self, tokens, condition=None):
+                queries.append((tokens, condition))
+                return model.predict(tokens, condition)
 
         for joint in (False, True):
             run_error_eval(Recorder(), world, 2, 100, rng_seed=0, joint_prompt=joint)

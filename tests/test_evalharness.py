@@ -26,7 +26,7 @@ from maskcompose.evalharness import (
     tv_to_marginals,
     two_sigma_bound,
 )
-from maskcompose.sampler import MASK, SamplerSchedule
+from maskcompose.sampler import SamplerSchedule
 from maskcompose.worlds import (
     build_factorized_world,
     build_random_factorized_world,
@@ -376,19 +376,20 @@ class _AlwaysAborts:
     def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
 
-    def predict(self, state, condition=None):
+    def predict(self, tokens, condition=None):
         raise AllMassZero("no support state agrees with the unmasked slots")
 
 
 class _FillsEveryCell:
-    """A model of two tokens that puts every masked cell's mass on one."""
+    """A model of two tokens that puts every masked cell's mass on one; it
+    answers one read-only (L, K) array with that row at every position."""
 
     def __init__(self, token: int):
         with np.errstate(divide="ignore"):
             self.logp = np.log(np.eye(2)[token])
 
-    def predict(self, state, condition=None):
-        return {int(p): self.logp for p in np.flatnonzero(state.tokens == MASK)}
+    def predict(self, tokens, condition=None):
+        return np.broadcast_to(self.logp, (tokens.size, 2))
 
 
 class TestAbortPolicy:

@@ -14,7 +14,7 @@ import sampler_oracle as oracle
 from maskcompose import sampler
 from maskcompose.compose import compose_logits, normalize_logits
 from maskcompose.countmodel import fit_count_model
-from maskcompose.errors import AllMassZero, NoMaskedSlots, NonPositiveTemperature, ShapeMismatch
+from maskcompose.errors import AllMassZero, NonPositiveTemperature, ShapeMismatch
 from maskcompose.memo import Memo
 from maskcompose.sampler import (
     MASK,
@@ -53,7 +53,7 @@ class TableModel:
         self.cond_tables = cond_tables or {}
         self.calls = 0
 
-    def predict(self, state, condition=None):
+    def predict(self, tokens, condition=None):
         self.calls += 1
         tables = self.cond_tables.get(condition, self.tables)
         with np.errstate(divide="ignore"):
@@ -70,35 +70,39 @@ def uniform_model(length, k):
     return TableModel(np.full((length, k), 1.0 / k))
 
 
-def step(state, model, conds, weights, sched, order=None):
-    """One composed_step with a fresh generator and counter."""
+def masked(length):
+    """The all-MASK (L,) int16 grid a run starts from."""
+    return MaskedState.fully_masked(length).tokens
+
+
+def step(tokens, model, conds, weights, sched, order=None):
+    """One composed_step with a fresh generator and counter; weights become
+    the float tuple run_to_completion hands every step."""
     return composed_step(
-        state, model, conds, weights, sched, np.random.default_rng(0), order, RunStats()
+        tokens, model, conds, tuple(map(float, weights)), sched, np.random.default_rng(0),
+        order, RunStats(),
     )
 
 
 class TestMaskedState:
+    """The all-MASK start of a run, and the oracle's successor grids built
+    from it with with_fixed."""
+
     def test_fully_masked(self):
         s = MaskedState.fully_masked(5)
-        assert s.length == 5
-        assert not s.is_complete()
+        assert s.tokens.dtype == np.int16
         assert s.tokens.tolist() == [MASK] * 5
 
     def test_with_fixed_steps_time_and_preserves_original(self):
-        s = MaskedState.fully_masked(3)
-        s2 = s.with_fixed([1], [7])
-        assert list(s2.tokens) == [MASK, 7, MASK]
-        assert list(s.tokens) == [MASK, MASK, MASK]
+        s = masked(3)
+        s2 = oracle.with_fixed(s, [1], [7])
+        assert list(s2) == [MASK, 7, MASK]
+        assert list(s) == [MASK, MASK, MASK]
 
     def test_refuses_to_overwrite(self):
-        s = MaskedState.fully_masked(2).with_fixed([0], [3])
+        s = oracle.with_fixed(masked(2), [0], [3])
         with pytest.raises(ValueError):
-            s.with_fixed([0], [1])
-
-    def test_key_distinguishes_states(self):
-        a = MaskedState.fully_masked(2).with_fixed([0], [1])
-        b = MaskedState.fully_masked(2).with_fixed([0], [2])
-        assert a.key() != b.key()
+            oracle.with_fixed(s, [0], [1])
 
 
 class TestScheduleValidation:
@@ -175,26 +179,23 @@ class TestRunLoop:
     def test_autoregressive_fixes_left_to_right(self):
         model = uniform_model(9, 2)
         sched = SamplerSchedule(mode=MODE_AUTOREGRESSIVE)
-        state = MaskedState.fully_masked(9)
+        tokens = masked(9)
         for i in range(9):
-            state = step(state, model, [], [], sched, order=list(range(9)))
-            fixed = np.flatnonzero(state.tokens != MASK)
+            tokens = step(tokens, model, [], [], sched, order=list(range(9)))
+            fixed = np.flatnonzero(tokens != MASK)
             assert list(fixed) == list(range(i + 1))
-        assert state.is_complete()
+        assert not (tokens == MASK).any()
 
     def test_requires_fully_masked_initial(self):
-        partial = MaskedState.fully_masked(3).with_fixed([0], [1])
+        partial = MaskedState(oracle.with_fixed(masked(3), [0], [1]))
         with pytest.raises(ValueError):
             run_to_completion(partial, uniform_model(3, 2), [], [], SamplerSchedule())
 
-    def test_step_on_complete_state_raises(self):
-        state = MaskedState.fully_masked(1).with_fixed([0], [0])
-        with pytest.raises(NoMaskedSlots):
-            step(state, uniform_model(1, 2), [], [], SamplerSchedule())
-
     def test_mismatched_weights_raise(self):
+        model = uniform_model(2, 2)
         with pytest.raises(ShapeMismatch):
-            step(MaskedState.fully_masked(2), uniform_model(2, 2), ["a"], [], SamplerSchedule())
+            run_to_completion(MaskedState.fully_masked(2), model, ["a"], [], SamplerSchedule())
+        assert model.calls == 0  # refused before the first step
 
     def test_determinism_same_seed_same_tokens(self):
         model = TableModel(np.array([[0.7, 0.2, 0.1]] * 6))
@@ -229,17 +230,50 @@ class TestRunLoop:
         sched = SamplerSchedule(tokens_per_step=tokens_per_step, order_policy=policy)
         run_rng = np.random.default_rng(seed)
         order = run_rng.permutation(length) if policy == ORDER_RANDOM else None
-        state = MaskedState.fully_masked(length)
+        tokens = masked(length)
         stats = RunStats()
-        while not state.is_complete():
-            remaining = int((state.tokens == MASK).sum())
-            prev = state.tokens.copy()
-            state = composed_step(state, model, [], [], sched, run_rng, order, stats)
+        while (tokens == MASK).any():
+            remaining = int((tokens == MASK).sum())
+            given, prev = tokens, tokens.copy()
+            tokens = composed_step(given, model, [], (), sched, run_rng, order, stats)
+            # the step leaves its input as it was and answers a fresh array
+            assert np.array_equal(given, prev) and not np.shares_memory(tokens, given)
             was_fixed = prev != MASK
-            assert np.array_equal(state.tokens[was_fixed], prev[was_fixed])
-            newly = int((state.tokens != MASK).sum() - was_fixed.sum())
+            assert np.array_equal(tokens[was_fixed], prev[was_fixed])
+            newly = int((tokens != MASK).sum() - was_fixed.sum())
             assert newly == min(tokens_per_step, remaining)
         assert stats.steps == math.ceil(length / tokens_per_step)
+
+
+class TestArrayContract:
+    """The grid reaches the model as a plain (L,) int16 array, once per
+    expert per step, and the run leaves its initial state all MASK."""
+
+    @pytest.mark.parametrize("sched", [
+        SamplerSchedule(tokens_per_step=2),
+        SamplerSchedule(mode=MODE_AUTOREGRESSIVE),
+        SamplerSchedule(tokens_per_step=2, order_policy=ORDER_MAX_CONFIDENCE),
+    ], ids=["random", "autoregressive", "max_confidence"])
+    def test_model_sees_only_int16_grids(self, sched):
+        length, conds = 5, ["a", "b"]
+        tables = np.random.default_rng(0).dirichlet(np.ones(3), size=length)
+        seen = []
+
+        class Recorder(TableModel):
+            def predict(self, tokens, condition=None):
+                seen.append(tokens)
+                return super().predict(tokens, condition)
+
+        initial = MaskedState.fully_masked(length)
+        tokens, stats = run_to_completion(
+            initial, Recorder(tables, {"a": tables[::-1]}), conds, [1.0, -0.5], sched, 3
+        )
+        assert len(seen) == math.ceil(length / sched.tokens_per_step) * (len(conds) + 1)
+        assert len(seen) == stats.evaluations
+        for t in seen + [tokens]:
+            assert type(t) is np.ndarray and t.shape == (length,) and t.dtype == np.int16
+        assert not (tokens == MASK).any()
+        assert initial.tokens.tolist() == [MASK] * length
 
 
 class TestSampling:
@@ -310,16 +344,16 @@ class TestSampling:
         tables = np.array([[0.5, 0.5], [0.99, 0.01]])
         model = TableModel(tables)
         sched = SamplerSchedule(order_policy=ORDER_MAX_CONFIDENCE, temperature=1.0)
-        state = step(MaskedState.fully_masked(2), model, [], [], sched)
-        assert state.tokens[1] != MASK
-        assert state.tokens[0] == MASK
+        tokens = step(masked(2), model, [], [], sched)
+        assert tokens[1] != MASK
+        assert tokens[0] == MASK
 
     def test_max_confidence_tie_breaks_low_index(self):
         tables = np.array([[0.5, 0.5]] * 3)
         model = TableModel(tables)
         sched = SamplerSchedule(order_policy=ORDER_MAX_CONFIDENCE)
-        state = step(MaskedState.fully_masked(3), model, [], [], sched)
-        assert state.tokens[0] != MASK
+        tokens = step(masked(3), model, [], [], sched)
+        assert tokens[0] != MASK
 
     def test_condition_tables_shift_samples(self):
         """A strongly weighted condition overrides the unconditional table."""
@@ -362,7 +396,7 @@ class TestComposedMemo:
         monkeypatch.setattr(sampler, "sample_token", spy_draw)
         model = TableModel([uncond], cond_tables={"c": np.array([cond])})
         step(
-            MaskedState.fully_masked(1), model, ["c"], [weight],
+            masked(1), model, ["c"], [weight],
             SamplerSchedule(temperature=temperature), order=[0],
         )
         (entry,), (cdf,) = entries, cdfs
@@ -505,10 +539,11 @@ def lockstep_run(model, conds, weights, sched, length, seed):
         oracle_order = rngs[1].permutation(length).tolist()
         assert order == oracle_order
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-    states = [MaskedState.fully_masked(length)] * 2
+    states = [masked(length)] * 2
     stats = [RunStats(), RunStats()]
     steppers = ((composed_step, order), (oracle.composed_step, oracle_order))
-    while not states[1].is_complete():
+    weights = tuple(map(float, weights))
+    while (states[1] == MASK).any():
         outcomes = []
         for i, (stepper, stepper_order) in enumerate(steppers):
             try:
@@ -520,12 +555,12 @@ def lockstep_run(model, conds, weights, sched, length, seed):
         assert outcomes[0] is outcomes[1]
         if outcomes[0] is not None:
             return None
-        assert states[0].tokens.dtype == states[1].tokens.dtype
-        assert states[0].tokens.tolist() == states[1].tokens.tolist()
+        assert states[0].dtype == states[1].dtype
+        assert states[0].tolist() == states[1].tolist()
         assert stats[0] == stats[1]
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-    assert states[0].is_complete()
-    return states[0].tokens.tolist(), rngs[0].bit_generator.state
+    assert not (states[0] == MASK).any()
+    return states[0].tolist(), rngs[0].bit_generator.state
 
 
 def oracle_case(model_name, prompt, order, tokens_per_step, temperature):
@@ -588,11 +623,11 @@ class TestStepMatchesOracle:
         )
         first_step, step_rngs = [], set()
 
-        def spy(state, model, conds, weights, sched, rng, order, stats):
+        def spy(tokens, model, conds, weights, sched, rng, order, stats):
             if not first_step:
                 first_step.append((rng, rng.bit_generator.state))
             step_rngs.add(id(rng))
-            return composed_step(state, model, conds, weights, sched, rng, order, stats)
+            return composed_step(tokens, model, conds, weights, sched, rng, order, stats)
 
         with fresh_memos():
             expect = lockstep_run(model, conds, weights, sched, 4, seed)

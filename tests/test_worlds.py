@@ -429,7 +429,7 @@ class TestExactConditionalModel:
         world = build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=2)
         model = exact_conditional_model(world)
         cond = object_at_cell(1, 0)
-        out = model.predict(MaskedState.fully_masked(4), cond)
+        out = model.predict(MaskedState.fully_masked(4).tokens, cond)
         marg = world.enumerate_posterior([cond]).marginals()
         for p, logp in enumerate(out):
             assert np.allclose(np.exp(logp), marg[p], atol=1e-12)
@@ -439,19 +439,19 @@ class TestExactConditionalModel:
         # one half unconditionally and at one under the cell-(1,1) condition
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=4)
         model = exact_conditional_model(world)
-        state = MaskedState.fully_masked(4).with_fixed([0], [1])
-        uncond = model.predict(state, None)
+        tokens = np.array([1, MASK, MASK, MASK], dtype=np.int16)
+        uncond = model.predict(tokens, None)
         assert uncond.shape == (4, 2)
         assert np.array_equal(np.exp(uncond[0]), [0.0, 1.0])  # the fixed slot
         assert np.allclose(np.exp(uncond[3]), [0.5, 0.5])
-        conded = model.predict(state, object_at_cell(1, 1))
+        conded = model.predict(tokens, object_at_cell(1, 1))
         assert np.allclose(np.exp(conded[3]), [0.0, 1.0])
 
     def test_joint_condition_tuple(self):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=4)
         model = exact_conditional_model(world)
         pair = (object_at_cell(0, 0), object_at_cell(1, 1))
-        out = model.predict(MaskedState.fully_masked(4), pair)
+        out = model.predict(MaskedState.fully_masked(4).tokens, pair)
         assert np.allclose(np.exp(out[0]), [0.0, 1.0])
         assert np.allclose(np.exp(out[3]), [0.0, 1.0])
         assert np.allclose(np.exp(out[1]), [0.5, 0.5])
@@ -459,10 +459,10 @@ class TestExactConditionalModel:
     def test_incompatible_condition_abstains_by_default(self):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=4)
         model = exact_conditional_model(world)
-        state = MaskedState.fully_masked(4).with_fixed([0], [0])
-        out = model.predict(state, object_at_cell(0, 0))
-        uncond = model.predict(state, None)
-        for p in np.flatnonzero(state.tokens == MASK):
+        tokens = np.array([0, MASK, MASK, MASK], dtype=np.int16)
+        out = model.predict(tokens, object_at_cell(0, 0))
+        uncond = model.predict(tokens, None)
+        for p in np.flatnonzero(tokens == MASK):
             assert np.allclose(out[p], uncond[p])
 
     def test_no_compatible_support_state_is_named_as_the_cause(self):
@@ -474,7 +474,7 @@ class TestExactConditionalModel:
         sched = SamplerSchedule(tokens_per_step=2)
         with pytest.raises(AllMassZero, match="no support state agrees with the unmasked slots"):
             run_to_completion(MaskedState.fully_masked(9), model, [], [], sched, 15)
-        crowded = MaskedState(np.array([1, 1, 1, 1, MASK, MASK, MASK, MASK, MASK], dtype=np.int16))
+        crowded = np.array([1, 1, 1, 1, MASK, MASK, MASK, MASK, MASK], dtype=np.int16)
         for cond in (None, object_at_cell(2, 2)):
             with pytest.raises(AllMassZero, match="no support state agrees"):
                 model.predict(crowded, cond)
@@ -482,8 +482,8 @@ class TestExactConditionalModel:
     def test_memoization_returns_same_object(self):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
         model = exact_conditional_model(world)
-        state = MaskedState.fully_masked(4)
-        assert model.predict(state, None) is model.predict(state, None)
+        tokens = MaskedState.fully_masked(4).tokens
+        assert model.predict(tokens, None) is model.predict(tokens, None)
 
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=20, deadline=None)
@@ -494,12 +494,12 @@ class TestExactConditionalModel:
         model = exact_conditional_model(world)
         rng = np.random.default_rng(seed)
         post = world.enumerate_posterior([])
-        first = np.exp(model.predict(MaskedState.fully_masked(2), None)[0])
+        first = np.exp(model.predict(MaskedState.fully_masked(2).tokens, None)[0])
         v0 = int(rng.integers(world.vocab_size))
         if first[v0] == 0.0:
             return
-        state = MaskedState.fully_masked(2).with_fixed([0], [v0])
-        second = np.exp(model.predict(state, None)[1])
+        tokens = np.array([v0, MASK], dtype=np.int16)
+        second = np.exp(model.predict(tokens, None)[1])
         for v1 in range(world.vocab_size):
             joint = float(
                 post.probs[(post.grids[:, 0] == v0) & (post.grids[:, 1] == v1)].sum()
@@ -568,8 +568,8 @@ class TestExactOracleEquivalence:
         order = [order[i] for i in rng.permutation(len(order)) for _ in range(repeat)]
         first = {}
         for s, q in order:
-            state, condition = MaskedState(states[s]), queries[q]
-            got = _answer(warm, state, condition)
+            condition = queries[q]
+            got = _answer(warm, states[s], condition)
             want = _answer(oracle_model, states[s], condition)
             if isinstance(want, dict):
                 want = oracle_answer(states[s], want, world.vocab_size)
@@ -580,19 +580,19 @@ class TestExactOracleEquivalence:
                 assert got is earlier if isinstance(got, np.ndarray) else got == earlier
             first[(s, q)] = got
             # a cold model computes the same answer from nothing
-            cold = _answer(exact_conditional_model(world), state, condition)
+            cold = _answer(exact_conditional_model(world), states[s], condition)
             assert _same_answer(cold, got)
 
 
     def test_reregistering_a_condition_raises(self):
         world = build_random_factorized_world(2, 2, 3, n_conditions=1, seed=2)
-        state = MaskedState.fully_masked(4)
-        before = exact_conditional_model(world).predict(state, cell_table("c0"))
+        tokens = MaskedState.fully_masked(4).tokens
+        before = exact_conditional_model(world).predict(tokens, cell_table("c0"))
         cell = sorted(world.table_conditions["c0"])[0]
         with pytest.raises(InvalidTable, match="'c0' is already registered"):
             world.add_condition("c0", {cell: [0.2, 0.3, 0.5]})
         # the refused tables left the condition as it was
-        after = exact_conditional_model(world).predict(state, cell_table("c0"))
+        after = exact_conditional_model(world).predict(tokens, cell_table("c0"))
         assert _same_answer(before, after)
 
 
@@ -615,7 +615,7 @@ class TestExactAnswerContract:
             tokens = np.where(hidden, MASK, grid).astype(np.int16)
             for condition in (None, conds[0], tuple(conds)):
                 want = oracle_model.predict(tokens, condition)
-                got = model.predict(MaskedState(tokens), condition)
+                got = model.predict(tokens, condition)
                 assert_answer(got, tokens, want, world.vocab_size)
 
 
@@ -652,7 +652,7 @@ class TestExactMemoBound:
             tokens[rng.permutation(9)[: rng.integers(1, 10)]] = MASK
             condition = conds[rng.integers(len(conds))]
             asked.add((tokens.tobytes(), cond_key(condition)))
-            model.predict(MaskedState(tokens), condition)
+            model.predict(tokens, condition)
         memo = model.memo
         assert len(asked) > 8000
         assert 0 < len(memo) < len(asked)  # entries were dropped on the way
