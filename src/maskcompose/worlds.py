@@ -23,6 +23,7 @@ alike.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -133,10 +134,10 @@ class Posterior:
     vocab_size: int
 
     def marginals(self) -> np.ndarray:
-        """Per-position token marginals, shape (L, K)."""
-        return _weighted_counts(
-            np.ascontiguousarray(self.grids.T), self.probs, self.vocab_size
-        )
+        """Per-position token marginals, shape (L, K): one bincount per
+        position, which adds the probabilities in row order."""
+        k = self.vocab_size
+        return np.array([np.bincount(col, weights=self.probs, minlength=k) for col in self.grids.T])
 
 
 class WorldJoint:
@@ -647,24 +648,21 @@ def enumerate_posterior(world: WorldJoint, conds: Sequence[ConditionSpec]) -> Po
 # headers and the memo's slot. The early-step states repeat across runs and
 # stay; deep states rarely repeat and age out.
 EXACT_MEMO_CAP_BYTES = 1 << 23
+# An entry holds about 560 live bytes and is charged about 980, 1.75x. The
+# charge stays loose on purpose: exact-3x3's memo is full (about 21.7k
+# misses per round), and a charge near the live bytes (94 here) raised that
+# workload's peak memory from 45.3 to 49.8 MiB, past its 3% bound.
 _EXACT_ENTRY_BYTES = 512
 
 
-def _exact_charge(key: tuple, out: np.ndarray) -> int:
+def _exact_charge(key_bytes: dict, key: tuple, out: np.ndarray) -> int:
+    """An entry's charge; key_bytes keeps each condition key's tuple bytes,
+    so they are measured once per key."""
     state, ckey = key
-    key_bytes = sum(sys.getsizeof(x) for x in (ckey, *ckey) if isinstance(x, tuple))
-    return _EXACT_ENTRY_BYTES + len(state) + key_bytes + out.nbytes
-
-
-def _weighted_counts(columns: np.ndarray, weights: np.ndarray, vocab_size: int) -> np.ndarray:
-    """(M, K) weighted token counts, one row per row of the (M, n) columns.
-
-    Each row is one np.bincount, which adds the weights in column order.
-    """
-    out = np.empty((columns.shape[0], vocab_size))
-    for i, col in enumerate(columns):
-        out[i] = np.bincount(col, weights=weights, minlength=vocab_size)
-    return out
+    n = key_bytes.get(ckey)
+    if n is None:
+        n = key_bytes[ckey] = sum(sys.getsizeof(x) for x in (ckey, *ckey) if isinstance(x, tuple))
+    return _EXACT_ENTRY_BYTES + len(state) + n + out.nbytes
 
 
 class ExactConditionalModel:
@@ -673,13 +671,14 @@ class ExactConditionalModel:
     For every masked position the marginal is obtained by summing the world's
     joint over all support states that agree with the unmasked slots (and
     fall inside the condition's likelihood when one is given). The support is
-    held column-major, (L, S), so a query narrows the compatible row indices
-    one fixed slot at a time, gathers the prior times each condition's
-    likelihood at those rows, and takes one weighted bincount per masked
-    position. The sampler asks about one state n + 1 times in a row, so the
-    last state's row indices are kept. An answer is one read-only (L, K)
-    array, point masses at the fixed slots, memoized per (state, condition)
-    in a two-generation memo of EXACT_MEMO_CAP_BYTES.
+    held column-major, (L, S), so a query narrows compatible row indices one
+    fixed slot at a time, gathers the prior times each condition's likelihood
+    at those rows, and takes one weighted bincount per masked position. The
+    last state's tokens and row indices are kept: the sampler asks about one
+    state n + 1 times in a row, and its next state fixes more slots, so that
+    state narrows the kept rows by its newly fixed slots only. An answer is
+    one read-only (L, K) array, point masses at the fixed slots, memoized per
+    (state, condition) in a two-generation memo of EXACT_MEMO_CAP_BYTES.
 
     When a condition has zero probability given the already fixed slots the
     conditional is undefined; the expert then abstains and answers with the
@@ -694,10 +693,13 @@ class ExactConditionalModel:
         grids, logp = world.support()
         self._cols = np.ascontiguousarray(grids.T)
         self._prior = np.exp(logp)
-        self._point = np.where(np.eye(self.vocab_size, dtype=bool), 0.0, -np.inf)
-        self._last: tuple[bytes, tuple] = (b"", ())
+        self._onehot = np.eye(self.vocab_size)
+        self._last: tuple[bytes, list, tuple] = (b"", [], ())
         self._lik: dict[tuple, np.ndarray] = {}
-        self.memo = Memo(EXACT_MEMO_CAP_BYTES, _exact_charge)
+        # a partial, not a bound method: a memo that refers back to its model
+        # would make a cycle, which keeps a dropped model alive until the
+        # cyclic collector runs
+        self.memo = Memo(EXACT_MEMO_CAP_BYTES, functools.partial(_exact_charge, {}))
 
     def _exp_loglik(self, cond: ConditionSpec) -> np.ndarray:
         """exp(condition_loglik), computed once per condition."""
@@ -709,26 +711,30 @@ class ExactConditionalModel:
         return hit
 
     def _compatible(self, key: bytes, tokens: np.ndarray) -> tuple:
-        """The rows that agree with every fixed slot: their indices, their
-        masked columns (M, n) and their prior; the masked positions, and an
-        (L, K) array whose fixed rows hold the point masses on their tokens."""
-        last = self._last  # one read: another thread may replace it
-        if last[0] == key:
-            return last[1]
+        """The rows that agree with every fixed slot: their ascending indices,
+        their masked columns (M, n) and their prior; the masked positions,
+        and an (L, K) array whose fixed rows are one-hot on their tokens. A
+        state that keeps every token of the last state narrows that
+        state's rows by the slots it newly fixed; any other state narrows the
+        full support."""
+        last_key, seen, rows = self._last  # one read: another thread may replace it
+        if last_key == key:
+            return rows
         cols = self._cols
         values = tokens.tolist()
-        fixed = [(p, v) for p, v in enumerate(values) if v != MASK]
-        masked = [p for p, v in enumerate(values) if v == MASK]
-        if fixed:
-            p, v = fixed[0]
-            idx = np.flatnonzero(cols[p] == v)
-            for p, v in fixed[1:]:
-                idx = idx[cols[p][idx] == v]
+        if seen and all(u == MASK or u == v for u, v in zip(seen, values)):
+            idx, fixed = rows[0], [(p, v) for p, (u, v) in enumerate(zip(seen, values)) if u != v]
         else:
+            idx, fixed = None, [(p, v) for p, v in enumerate(values) if v != MASK]
+        for p, v in fixed:
+            idx = np.flatnonzero(cols[p] == v) if idx is None else idx[cols[p][idx] == v]
+        if idx is None:
             idx = np.arange(cols.shape[1])
-        # a masked slot takes the last point row; predict overwrites it
-        rows = (idx, cols.take(idx, axis=1)[masked], self._prior[idx], masked, self._point[tokens])
-        self._last = (key, rows)
+        masked = [p for p, v in enumerate(values) if v == MASK]
+        # a masked slot takes the last one-hot row; predict overwrites it
+        onehot = self._onehot.take(tokens, axis=0)
+        rows = (idx, cols.take(idx, axis=1)[masked], self._prior[idx], masked, onehot)
+        self._last = (key, values, rows)
         return rows
 
     def predict(self, tokens: np.ndarray, condition=None) -> np.ndarray:
@@ -737,7 +743,7 @@ class ExactConditionalModel:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        idx, sub, w, masked, points = self._compatible(skey, tokens)
+        idx, sub, w, masked, onehot = self._compatible(skey, tokens)
         for cond in _iter_conditions(condition):
             w = w * self._exp_loglik(cond)[idx]
         total = float(w.sum())
@@ -746,9 +752,13 @@ class ExactConditionalModel:
                 raise AllMassZero("no support state agrees with the unmasked slots")
             out = self.predict(tokens, None)
         else:
-            out = points.copy()
+            # a fixed row holds total on its token, so dividing by total and
+            # taking the log leaves the exact point mass there
+            out = onehot * total
+            for p, col in zip(masked, sub):
+                out[p] = np.bincount(col, weights=w, minlength=self.vocab_size)
             with np.errstate(divide="ignore"):
-                out[masked] = np.log(_weighted_counts(sub, w, self.vocab_size) / total)
+                np.log(np.divide(out, total, out=out), out=out)
             out.flags.writeable = False
         self.memo.put(key, out)
         return out

@@ -1,8 +1,9 @@
 """Reference exact conditional model: a boolean mask over row-major support.
 
 The package's ExactConditionalModel keeps the support column-major, narrows
-the compatible row indices one fixed slot at a time and holds its answers in
-a bounded memo. This module keeps the direct formulation: the prior times
+the compatible row indices one fixed slot at a time, starting from the last
+state's rows when the new state keeps every token of it, and holds its
+answers in a bounded memo. This module keeps the direct formulation: the prior times
 each condition's likelihood over the whole support, a boolean mask built
 from every fixed slot, and one bincount per masked position over the masked
 rows, with no memo. Tests check the fast path against it bit for bit.

@@ -3,6 +3,7 @@ tolerance and budget. One pass/fail line prints per criterion."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from maskcompose import acceptance, sampler
@@ -18,6 +19,7 @@ from maskcompose.acceptance import (
     criterion_vq_codec,
 )
 from maskcompose.evalharness import EvalReport, two_sigma_bound
+from maskcompose.sampler import MASK
 
 
 def check(result):
@@ -74,6 +76,29 @@ def test_criterion_7_counts_the_model_calls(monkeypatch):
     result = criterion_eval_count_law()
     assert not result.passed, result.line()
     assert "model calls" in result.detail
+
+
+class _BlindModel:
+    """Answers every state as if it were fully masked: it ignores the fixed slots."""
+
+    def __init__(self, model):
+        self.model = model
+        self.vocab_size = model.vocab_size
+
+    def predict(self, tokens, condition=None):
+        return self.model.predict(np.full_like(tokens, MASK), condition)
+
+
+def test_criterion_3_fails_a_model_that_ignores_the_fixed_slots(monkeypatch):
+    # the blind model reads about 0.42 joint TV; 5 000 runs per arm show it
+    real_model, real_tv = acceptance.exact_conditional_model, acceptance.fidelity_tv
+    monkeypatch.setattr(acceptance, "exact_conditional_model",
+                        lambda world: _BlindModel(real_model(world)))
+    monkeypatch.setattr(acceptance, "fidelity_tv",
+                        lambda world, cond, n, **kw: real_tv(world, cond, min(n, 5_000), **kw))
+    result = criterion_sampler_fidelity()
+    assert not result.passed, result.line()
+    assert "joint TV masked" in result.detail
 
 
 def _error_eval_one_composed_abort(model, world, n_components, n_samples, joint_prompt=False,

@@ -45,6 +45,8 @@ SCHEDULES = {
 }
 N_FIDELITY, N_ERROR = 50, 30
 COUNT_MODEL = fit_count_model(WORLD, 2000, rng_seed=0)
+# the exact-3x3 workload's world: S=5989, L=9, K=5
+WORLD_3X3 = build_scene_world(3, 3, n_shapes=2, n_colors=2, max_objects=3)
 
 
 def traced_suites(sched):
@@ -88,6 +90,20 @@ def test_tracer_counts_every_count_model_call(order):
     assert tracer.calls["sampler.run"] == 2 * N_ERROR
     assert tracer.law_violations == []
     assert tracer.calls["countmodel.predict"] == tracer.law_evaluations > 0
+
+
+def test_tracer_counts_every_exact_model_call_on_the_3x3_world():
+    """Composed runs on the exact-3x3 workload's world, where most states
+    narrow the rows of the state before them."""
+    n = 20
+    tracer = tracing.Tracer({g.tobytes() for g in WORLD_3X3.support()[0]})
+    with tracer.patched():
+        model = tracer.model(exact_conditional_model(WORLD_3X3))
+        run_error_eval(model, WORLD_3X3, 2, n, rng_seed=4)
+    assert tracer.calls["sampler.run"] == n
+    assert tracer.law_violations == []
+    assert tracer.off_support == []
+    assert tracer.calls["worlds.predict"] == tracer.law_evaluations > 0
 
 
 def test_an_extra_predict_per_step_breaks_the_trace(monkeypatch):

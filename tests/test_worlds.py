@@ -534,6 +534,11 @@ def _oracle_worlds():
             build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=3),
             [object_at_cell(0, 0), object_at_cell(1, 1)],
         ),
+        # three objects already leave no compatible row while a slot is masked
+        "scene-2x2-sparse": (
+            build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=2),
+            [object_at_cell(0, 0), object_at_cell(1, 1)],
+        ),
         "scene-3x1": (
             relational,
             [relation("left_of", ("shape", 0), ("shape", 1)), object_at_cell(2, 0)],
@@ -594,6 +599,92 @@ class TestExactOracleEquivalence:
         # the refused tables left the condition as it was
         after = exact_conditional_model(world).predict(tokens, cell_table("c0"))
         assert _same_answer(before, after)
+
+
+def _fresh_conditions(conds):
+    """None, each condition alone, then joint prompts that repeat one
+    condition once more each round: no two of them share a memo key."""
+    yield None
+    yield from conds
+    for n in itertools.count(1):
+        for c in conds:
+            yield (c,) * n
+
+
+class TestExactNarrowingChains:
+    """One warm model asked a chain of states, each answer against the oracle
+    bit for bit. A chain extends, repeats, changes, re-masks and replaces
+    states, and extends a state that no support row agrees with, so the
+    model narrows both the last state's rows and the full support. Each
+    query has a condition of its own, so no answer comes from the memo."""
+
+    OPS = ("extend", "repeat", "change", "remask", "unrelated", "dead-end")
+
+    @pytest.mark.parametrize("world_name", sorted(ORACLE_WORLDS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_chain_answers_match_oracle(self, world_name, data):
+        world, conds = ORACLE_WORLDS[world_name]
+        model, oracle_model = exact_conditional_model(world), ExactOracle(world)
+        length, k = world.length, world.vocab_size
+
+        def slots(tokens, masked, n_max):
+            where = np.flatnonzero((tokens == MASK) == masked).tolist()
+            n = data.draw(st.integers(min(1, len(where)), min(n_max, len(where))))
+            return data.draw(st.lists(st.sampled_from(where), min_size=n, max_size=n,
+                                      unique=True)) if n else []
+
+        def extend(tokens):
+            out = tokens.copy()
+            for p in slots(tokens, True, 2):
+                out[p] = data.draw(st.integers(0, k - 1))
+            return out
+
+        def change(tokens):
+            out = tokens.copy()
+            for p in slots(tokens, False, 1):
+                out[p] = (out[p] + data.draw(st.integers(1, k - 1))) % k
+            return out
+
+        def remask(tokens):
+            out = tokens.copy()
+            out[slots(tokens, False, 1)] = MASK
+            return out
+
+        def chain_step(op, tokens):
+            """The states an op asks about, in order."""
+            if op == "extend":
+                return [extend(tokens)]
+            if op == "repeat":
+                return [tokens]
+            if op == "unrelated":
+                return [np.array(data.draw(st.lists(st.integers(MASK, k - 1), min_size=length,
+                                                    max_size=length)), dtype=np.int16)]
+            if op == "dead-end":
+                # all but one slot hold objects, then the last one is fixed too
+                crowd = np.full(length, MASK, dtype=np.int16)
+                for p in data.draw(st.permutations(range(length)))[: length - 1]:
+                    crowd[p] = data.draw(st.integers(1, k - 1))
+                return [crowd, extend(crowd)]
+            # change or remask: a fully masked state gets some slots fixed first
+            first = [extend(tokens)] if (tokens == MASK).all() else []
+            return first + [(change if op == "change" else remask)((first or [tokens])[0])]
+
+        ops = list(data.draw(st.permutations(self.OPS)))
+        ops += data.draw(st.lists(st.sampled_from(self.OPS), max_size=6))
+        tokens = np.full(length, MASK, dtype=np.int16)
+        fresh = _fresh_conditions(conds)
+        asked = [tokens]
+        for op in ops:
+            for tokens in chain_step(op, tokens):
+                asked.append(tokens)
+        for tokens in asked:
+            condition = next(fresh)
+            got = _answer(model, tokens, condition)
+            want = _answer(oracle_model, tokens, condition)
+            if isinstance(want, dict):
+                want = oracle_answer(tokens, want, world.vocab_size)
+            assert _same_answer(got, want), (tokens.tolist(), condition)
 
 
 class TestExactAnswerContract:
