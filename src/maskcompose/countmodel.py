@@ -21,12 +21,15 @@ single conditions has no buckets for that key at any level, so joint
 prompts fall through to the unconditional branch.
 
 A model is frozen at construction. Each bucket key becomes one integer code
-(condition id, position, signature rank), the populated buckets become a
-sorted code array with one precomputed log-probability row each, and a query
-looks up all masked positions and all four backoff levels with one
-np.searchsorted; the answer takes one table row per position, the point
-mass on its token at a fixed one. A state's codes are kept for the next
-query, since the sampler asks about each state once per expert.
+(condition id, position, signature rank), and the populated buckets become
+one precomputed log-probability row each. The backoff chain is resolved
+then, once: a column is a distinct (position, signature) of a live bucket, a
+fallback for a signature no bucket has at that position, or a token's point
+mass, and a row is a condition id or any key the model never saw. Each
+(row, column) holds the table row that answers it and its backoff level. A
+state's columns come from one np.searchsorted and are kept for the next
+query, since the sampler asks about each state once per expert; a query is
+two takes, its condition's row of columns and then the table rows.
 Fitting counts the codes of all masked training positions with np.unique,
 FIT_CHUNK samples at a time, drawing each chunk's masks as it goes; a
 sample is one grid row and one condition index, never a Python object.
@@ -59,11 +62,8 @@ FIT_CHUNK = 1024
 # 3 both dropped; NO_BUCKET when no populated bucket answers.
 NO_BUCKET = 4
 
-# Which backoff levels keep the signature.
-_KEEPS_SIGNATURE = np.array([[1], [0], [1], [0]])
-
-# Ends the lookup's code array, so a search never runs off its end. Every
-# (bucket code, token) pair stays below it.
+# Ends the sorted bucket and column code arrays, so a search never runs off
+# their end. Every (bucket code, token) pair stays below it.
 _CODE_END = np.iinfo(np.int64).max
 
 
@@ -150,7 +150,9 @@ class CountModel:
 
     counts maps (pos, signature, condition key) to a length-K count row; the
     model keeps a read-only copy, and `counts` reads that copy back. predict
-    answers a read-only (L, K) array of rows gathered from one table.
+    answers a read-only (L, K) array of rows gathered from one table: the
+    condition's row of the resolved backoff table maps each of the state's
+    (L,) columns to the table row that answers it.
     """
 
     grid_w: int
@@ -206,13 +208,6 @@ class CountModel:
         rows.flags.writeable = False
         object.__setattr__(self, "counts", MappingProxyType(dict(zip(keys, rows))))
         object.__setattr__(self, "_codec", codec)
-        # per condition key, the code offset of each backoff level; an unknown
-        # condition gets a negative offset, which no bucket code has
-        span = codec.length * codec.n_sigs
-        object.__setattr__(self, "_level_offsets", {
-            key: np.array([[c * span], [c * span], [0], [0]]) for key, c in cond_ids.items()
-        })
-        object.__setattr__(self, "_unknown_offsets", np.array([[-span], [-span], [0], [0]]))
 
         # zero-sum buckets never answer a lookup
         order = np.argsort(codes)
@@ -226,56 +221,81 @@ class CountModel:
                 miss = np.log(np.full(k, 1.0 / k))
             else:
                 miss = np.log((np.zeros(k, dtype=np.int64) + self.alpha) / empty)
-        # one row per bucket, the smoothed empty row, then the point masses:
-        # the one on token t is row t - k
+        # one row per bucket, the smoothed empty row, then the point masses
         table = np.vstack([logp, miss, np.where(np.eye(k, dtype=bool), 0.0, -np.inf)])
-        lookup = np.append(codes[order], _CODE_END)
-        table.flags.writeable = lookup.flags.writeable = False
+        table.flags.writeable = False
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_lookup_codes", lookup)
-        # a hit at backoff level l in row r ranks l * n + r, so the least rank
-        # is the first level that answers; a miss ranks as the empty row at
-        # level NO_BUCKET
-        object.__setattr__(self, "_level_ranks", np.arange(4)[:, None] * lookup.size)
-        object.__setattr__(self, "_miss_rank", NO_BUCKET * lookup.size + lookup.size - 1)
+
+        # columns: each distinct (position, signature rank) of a live bucket,
+        # then one fallback per position for a signature no bucket has, then
+        # one point mass per token; rows: each condition id, then an unseen key
+        lookup = np.append(codes[order], _CODE_END)
+        span = codec.length * codec.n_sigs
+        distinct = np.sort(lookup[:-1] % span)
+        distinct = distinct[np.diff(distinct, prepend=-1) != 0]
+        sig_codes = np.concatenate((distinct, codec.position_codes))
+        keeps_sig = np.arange(sig_codes.size) < distinct.size
+        pos_codes = sig_codes - sig_codes % codec.n_sigs
+        row_codes = np.append(np.arange(len(cond_ids)) * span, -span)[:, None]
+        # the backoff chain, level by level: (condition offset, column code,
+        # whether a fallback column may hit); the last level goes first, so an
+        # earlier one that hits overwrites it
+        chain = [(row_codes, sig_codes, keeps_sig), (row_codes, pos_codes, True),
+                 (0, sig_codes, keeps_sig), (0, pos_codes, True)]
+        n_cols = sig_codes.size
+        resolved = np.full((row_codes.size, n_cols + k), live.shape[0])
+        # a point column answers with its token's point-mass row
+        resolved[:, n_cols:] = live.shape[0] + 1 + np.arange(k)
+        levels = np.full((row_codes.size, n_cols), NO_BUCKET)
+        for level in reversed(range(4)):
+            offset, col_codes, may_hit = chain[level]
+            want = col_codes + offset
+            at = lookup.searchsorted(want)
+            hit = (lookup.take(at) == want) & may_hit
+            np.copyto(resolved[:, :n_cols], at, where=hit)
+            np.copyto(levels, level, where=hit)
+        resolved.flags.writeable = levels.flags.writeable = False
+        object.__setattr__(self, "_rows", cond_ids)
+        object.__setattr__(self, "_resolved", resolved)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_col_codes", np.append(distinct, _CODE_END))
         object.__setattr__(self, "_last", (None, None))
 
     @property
     def length(self) -> int:
         return self.grid_w * self.grid_h
 
-    def _state_codes(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Masked positions (M,), their bucket codes at every backoff level
-        without the condition's offset (4, M), and each position's point-mass
-        row in the table (L,), meaningless at a masked one. The sampler asks
-        about one state n + 1 times in a row, so the last state's are kept."""
+    def _state_columns(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Masked positions (M,) and each position's column (L,): a masked
+        one's (position, signature) column or its position's fallback, a
+        fixed one's point mass. The sampler asks about one state n + 1 times
+        in a row, so the last state's are kept."""
         key = tokens.tobytes()
         last = self._last  # one read: another thread may replace it
         if last[0] == key:
             return last[1]
         codec = self._codec
         masked = (tokens == MASK).nonzero()[0]
-        sig = codec.signature_ranks(tokens[codec.index[masked]])
-        base = codec.position_codes[masked] + _KEEPS_SIGNATURE * sig
-        codes = (masked, base, tokens - np.intp(self.vocab_size))
-        object.__setattr__(self, "_last", (key, codes))
-        return codes
+        want = codec.position_codes[masked] + codec.signature_ranks(tokens[codec.index[masked]])
+        at = self._col_codes.searchsorted(want)
+        n_found = self._col_codes.size - 1
+        cols = tokens + np.intp(n_found + codec.length)
+        cols[masked] = np.where(self._col_codes.take(at) == want, at, masked + n_found)
+        state = (masked, cols)
+        object.__setattr__(self, "_last", (key, state))
+        return state
 
     def _lookup(self, tokens: np.ndarray, key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Masked positions, the table row answering every position, and the
         backoff level that answered each masked one (NO_BUCKET: the empty row)."""
-        masked, base, index = self._state_codes(tokens)
-        want = self._level_offsets.get(key, self._unknown_offsets) + base
-        found = self._lookup_codes.searchsorted(want)
-        hit = self._lookup_codes.take(found) == want
-        first = np.where(hit, found + self._level_ranks, self._miss_rank).min(axis=0)
-        level, rows = np.divmod(first, len(self._lookup_codes))
-        index = index.copy()
-        index[masked] = rows
-        return masked, index, level
+        masked, cols = self._state_columns(tokens)
+        row = self._rows.get(key, len(self._rows))
+        return masked, self._resolved[row].take(cols), self._levels[row].take(cols[masked])
 
     def predict(self, tokens: np.ndarray, condition=None) -> np.ndarray:
-        out = self._table.take(self._lookup(tokens, cond_key(condition))[1], axis=0)
+        cols = self._state_columns(tokens)[1]
+        row = self._rows.get(cond_key(condition), len(self._rows))
+        out = self._table.take(self._resolved[row].take(cols), axis=0)
         out.flags.writeable = False
         return out
 

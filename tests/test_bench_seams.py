@@ -47,6 +47,8 @@ N_FIDELITY, N_ERROR = 50, 30
 COUNT_MODEL = fit_count_model(WORLD, 2000, rng_seed=0)
 # the exact-3x3 workload's world: S=5989, L=9, K=5
 WORLD_3X3 = build_scene_world(3, 3, n_shapes=2, n_colors=2, max_objects=3)
+# the count-3x3 workload's world: L=9, K=2
+WORLD_COUNT_3X3 = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=2)
 
 
 def traced_suites(sched):
@@ -104,6 +106,21 @@ def test_tracer_counts_every_exact_model_call_on_the_3x3_world():
     assert tracer.law_violations == []
     assert tracer.off_support == []
     assert tracer.calls["worlds.predict"] == tracer.law_evaluations > 0
+
+
+def test_tracer_counts_every_count_model_call_on_the_3x3_world():
+    """Composed and joint runs of the count-3x3 workload's model, whose
+    queries answer from the resolved backoff table."""
+    n = 20
+    model = fit_count_model(WORLD_COUNT_3X3, 30_000, rng_seed=0)
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        traced = tracer.model(model)
+        run_error_eval(traced, WORLD_COUNT_3X3, 2, n, rng_seed=5)
+        run_error_eval(traced, WORLD_COUNT_3X3, 2, n, rng_seed=6, joint_prompt=True)
+    assert tracer.calls["sampler.run"] == 2 * n
+    assert tracer.law_violations == []
+    assert tracer.calls["countmodel.predict"] == tracer.law_evaluations > 0
 
 
 def test_an_extra_predict_per_step_breaks_the_trace(monkeypatch):

@@ -21,6 +21,7 @@ from maskcompose.errors import StateSpaceTooLarge
 from maskcompose.evalharness import run_error_eval
 from maskcompose.sampler import MASK, MaskedState
 from maskcompose.worlds import (
+    UNCONDITIONAL_KEY,
     ConditionSpec,
     attribute_present,
     build_random_factorized_world,
@@ -324,6 +325,36 @@ class TestOracleEquivalence:
         for key, row in expected.items():
             assert model.counts[key].dtype == np.int64
             assert np.array_equal(model.counts[key], row), key
+
+
+class TestUnseenConditionRow:
+    """A condition key the model never saw, a joint prompt or an untrained
+    condition, answers along the unconditional chain: the same masked rows,
+    each from the level two further down."""
+
+    @given(
+        world_name=st.sampled_from(sorted(ORACLE_WORLDS)),
+        n_samples=st.integers(0, 400),
+        seed=st.integers(0, 2**16),
+        dropout_prob=st.sampled_from([0.0, 0.1, 1.0]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_unseen_keys_answer_as_unconditional_two_levels_down(
+        self, world_name, n_samples, seed, dropout_prob
+    ):
+        build, conds = ORACLE_WORLDS[world_name]
+        world = build()
+        model = fit_count_model(world, n_samples, dropout_prob=dropout_prob, rng_seed=seed)
+        unseen = conds[1:]  # the joint prompt and the untrained condition
+        assert not {key[2] for key in model.counts} & {cond_key(c) for c in unseen}
+        for values in itertools.product(range(MASK, world.vocab_size), repeat=world.length):
+            tokens = np.array(values, dtype=np.int16)
+            plain = masked_rows(model.predict(tokens), tokens)
+            base = model._lookup(tokens, UNCONDITIONAL_KEY)[2].tolist()
+            want = [v if v == NO_BUCKET else v + 2 for v in base]
+            for cond in unseen:
+                assert masked_rows(model.predict(tokens, cond), tokens) == plain, (values, cond)
+                assert model._lookup(tokens, cond_key(cond))[2].tolist() == want, (values, cond)
 
 
 class TestAnswerContract:
