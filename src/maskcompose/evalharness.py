@@ -7,11 +7,11 @@ variation between token histograms (the desk-scale stand-in for a learned
 image distance). Evaluation counts are checked against the exact law
 steps * (n + 1) on every run; a mismatch is an error, never a statistic.
 
-Every suite samples through one loop, _sample_arm, under one abort policy: a
-run that ends in AllMassZero gives no grid, stays in its arm's run count and
-adds to no hit or distinct count. So it counts as an error where conditions
-are scored and as mass off the support in a joint TV. Each result reports
-its aborts per arm.
+Every suite samples through one loop, _sample_arm, whose runs all draw from
+the arm's one generator. Under its abort policy a run that ends in AllMassZero
+gives no grid, stays in its arm's run count and adds to no hit or distinct
+count: an error where conditions are scored, mass off the support in a joint
+TV. Each result reports its aborts per arm.
 
 Reports serialize as line-delimited JSON records plus a fixed-width text
 table. Wall-clock fields are measurement noise by nature and are the only
@@ -40,7 +40,6 @@ from .worlds import WorldJoint, cond_key, object_at_cell
 
 TIMING_FIELDS = ("wall_time_per_sample", "wall_per_run")
 
-_SEED_BOUND = 2**63 - 1
 # condition-set draws before a set size counts as unsatisfiable
 _MAX_SET_DRAWS = 200
 
@@ -207,8 +206,8 @@ def _sample_arm(
     model, length: int, conds: Sequence, weights: Sequence[float],
     sched: SamplerSchedule, rng: np.random.Generator, n: int,
 ) -> tuple[np.ndarray, int]:
-    """Sample n grids, each under a seed drawn from rng; check the
-    evaluation-count law on every run.
+    """Sample n grids, each run drawing from rng in place, one after the
+    other; check the evaluation-count law on every run.
 
     Every suite samples through here, one run_to_completion call per grid.
     The runs share one frozen initial state: a step copies the tokens before
@@ -221,9 +220,8 @@ def _sample_arm(
     block = np.empty((n, length), dtype=np.int16)
     kept = 0
     for _ in range(n):
-        seed = int(rng.integers(_SEED_BOUND))
         try:
-            tokens, stats = run_to_completion(initial, model, conds, weights, sched, seed)
+            tokens, stats = run_to_completion(initial, model, conds, weights, sched, rng)
         except AllMassZero:
             continue
         if stats.evaluations != expect:
@@ -266,7 +264,7 @@ def run_error_eval(
     joint_prompt=True concatenates each set into one opaque condition, the
     non-composed baseline; it changes the per-sample evaluation count from
     (n+1) to 2 model queries per step. Each set is drawn just before its run,
-    so the set draws and the run seeds share one stream.
+    so the set draws and the runs share one generator.
     """
     sampler = _ConditionSetSampler(world, pool if pool is not None else predicate_pool(world))
     rng = np.random.default_rng(rng_seed)
@@ -350,10 +348,11 @@ def run_ood_eval(
     Fits a CountModel on the world restricted to scenes of at most
     train_max_objects objects. Composed generation (one weight per
     condition) is paired against the joint-prompt baseline on the same
-    condition set and the same run seeds. A grid off the world's support
-    (more objects than its budget) can still satisfy the set, so each arm
-    also reports its off-support share and its distinct grids that lie in
-    the support and satisfy the set.
+    condition set. Both arms start from one generator state and stay in
+    step while no run aborts. A grid off the world's support (more objects
+    than its budget) can still satisfy the set, so each arm also reports its
+    off-support share and its distinct grids that lie in the support and
+    satisfy the set.
     """
     if test_n_conditions <= train_max_objects:
         raise ValidationError(

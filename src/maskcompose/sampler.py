@@ -174,24 +174,24 @@ def _composed(
 
 
 def _select_positions(
-    masked: list[int],
+    n_open: int,
     take: int,
     order: Sequence[int] | None,
     composed: dict[int, np.ndarray] | None,
 ) -> list[int]:
-    """The first `take` open slots of the run's order, ascending.
+    """The first `take` of the n_open open slots in the run's order, ascending.
 
     A run that starts fully masked fixes its order front to back, so the
-    open slots are its last len(masked); the state must come from such a run.
+    open slots are its last n_open; the state must come from such a run.
 
-    order None ranks by the max of row 0 of each masked position's memo entry
-    in composed, highest first; masked ascends and sorted is stable, so ties
-    go to the lower index. composed is not read otherwise.
+    order None ranks the keys of composed, the masked positions, by the max
+    of row 0 of each memo entry, highest first; the keys ascend and sorted
+    is stable, so ties go to the lower index. composed is read only then.
     """
     if order is None:
-        ranked = sorted(masked, key=lambda p: -composed[p][0].max())
+        ranked = sorted(composed, key=lambda p: -composed[p][0].max())
         return sorted(ranked[:take])
-    done = len(order) - len(masked)
+    done = len(order) - n_open
     return sorted(order[done : done + take])
 
 
@@ -213,14 +213,15 @@ def composed_step(
     one per condition, as run_to_completion passes it. The model is
     evaluated once unconditionally and once per condition, regardless of how
     many positions get fixed. rng is the run's generator; order is the run's
-    unmasking order, or None for max-confidence order, which composes every
-    masked position to rank them; stats is the run's counter. Composed
-    vectors and their CDFs come from a memo keyed by the content of the
-    expert vectors, weights and temperature, so equal inputs give the same
-    read-only entry; each selected position takes one sample_token draw from
-    its CDF, in ascending position order.
+    unmasking order, which needs only the count of open slots, or None for
+    max-confidence order, which lists and composes every masked position to
+    rank them; stats is the run's counter. Composed vectors and their CDFs
+    come from a memo keyed by the content of the expert vectors, weights and
+    temperature, so equal inputs give the same read-only entry; each
+    selected position takes one sample_token draw from its CDF, ascending.
     """
-    masked = [p for p, v in enumerate(tokens.tolist()) if v == MASK]
+    values = tokens.tolist()
+    n_open = values.count(MASK)
 
     uncond = model.predict(tokens, None)
     per_cond = [model.predict(tokens, c) for c in conds]
@@ -231,10 +232,10 @@ def composed_step(
     if order is None:
         composed = {
             p: _composed(uncond[p], [d[p] for d in per_cond], weights, temperature)
-            for p in masked
+            for p, v in enumerate(values) if v == MASK
         }
-    take = min(sched.tokens_per_step, len(masked))
-    selected = _select_positions(masked, take, order, composed)
+    take = min(sched.tokens_per_step, n_open)
+    selected = _select_positions(n_open, take, order, composed)
 
     tokens = tokens.copy()
     for pos in selected:  # ascending position order fixes rng consumption
@@ -253,17 +254,17 @@ def run_to_completion(
     conds: Sequence,
     weights: Sequence[float],
     sched: SamplerSchedule,
-    rng_seed: int = 0,
+    rng_seed: int | np.random.Generator = 0,
 ) -> tuple[np.ndarray, RunStats]:
     """Run composed_step ceil(L / tokens_per_step) times from a fully masked
     initial state, which fixes every slot; return the last step's tokens.
 
-    The whole run is a pure function of (initial, model, conds, weights,
-    sched, rng_seed), and initial is left as it was. A fresh generator is
-    seeded from rng_seed, and the order is fixed before the first step: left
-    to right with no draw in autoregressive mode, one permutation drawn up
-    front in random order, and None, a ranking at every step, in
-    max-confidence order.
+    The run is a function of (initial, model, conds, weights, sched) and of
+    rng_seed: an int seeds a fresh generator, and a Generator is drawn from
+    in place, from the state it is in. initial is left as it was. The order
+    is fixed before the first step: left to right with no draw in
+    autoregressive mode, one permutation drawn up front in random order, and
+    None, a ranking at every step, in max-confidence order.
     """
     tokens = initial.tokens
     length = tokens.size

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from maskcompose import evalharness
+from maskcompose import evalharness, sampler
 from maskcompose.errors import AllMassZero, ValidationError
 from maskcompose.countmodel import fit_count_model
 from maskcompose.evalharness import (
@@ -26,7 +26,12 @@ from maskcompose.evalharness import (
     tv_to_marginals,
     two_sigma_bound,
 )
-from maskcompose.sampler import SamplerSchedule
+from maskcompose.sampler import (
+    ORDER_MAX_CONFIDENCE,
+    MaskedState,
+    SamplerSchedule,
+    run_to_completion,
+)
 from maskcompose.worlds import (
     build_factorized_world,
     build_random_factorized_world,
@@ -318,6 +323,54 @@ class TestFidelity:
         world = build_scene_world(2, 1, n_shapes=1, n_colors=2, max_objects=2)
         tv = fidelity_tv(world, None, 4000, rng_seed=5, model=exact_conditional_model(world))
         assert tv <= 0.05
+
+
+class TestArmGenerator:
+    """Every run of an arm draws from the generator handed to _sample_arm, in
+    place, one run after the other."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        """(model, length, conds, weights, sched) of an arm in which some runs
+        abort: max-confidence order draws three tokens at once from
+        per-position marginals, which can leave this world's support."""
+        world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=3)
+        sched = SamplerSchedule(
+            tokens_per_step=3, order_policy=ORDER_MAX_CONFIDENCE, temperature=1.0
+        )
+        return exact_conditional_model(world), world.length, [object_at_cell(0, 0)], [1.0], sched
+
+    def test_every_step_draws_from_the_arms_generator(self, case, monkeypatch):
+        seen = []
+        real = sampler.composed_step
+
+        def spy(tokens, model, conds, weights, sched, rng, order, stats):
+            seen.append(rng)
+            return real(tokens, model, conds, weights, sched, rng, order, stats)
+
+        monkeypatch.setattr(sampler, "composed_step", spy)
+        rng = np.random.default_rng(0)
+        _, aborts = evalharness._sample_arm(*case, rng, 20)
+        assert len(seen) >= 20 * 3 - 2 * aborts  # three steps per completed run
+        assert all(r is rng for r in seen)
+
+    def test_arm_equals_a_hand_loop_over_one_generator(self, case):
+        model, length, conds, weights, sched = case
+        rng = np.random.default_rng(0)
+        block, aborts = evalharness._sample_arm(model, length, conds, weights, sched, rng, 50)
+        hand = np.random.default_rng(0)
+        initial = MaskedState.fully_masked(length)
+        grids, hand_aborts = [], 0
+        for _ in range(50):
+            try:
+                grids.append(
+                    run_to_completion(initial, model, conds, weights, sched, hand)[0].tolist()
+                )
+            except AllMassZero:
+                hand_aborts += 1
+        assert aborts == hand_aborts > 0
+        assert block.tolist() == grids
+        assert rng.bit_generator.state == hand.bit_generator.state
 
 
 class TestEvaluationCountLaw:

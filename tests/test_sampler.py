@@ -370,6 +370,43 @@ class TestSampling:
         assert ones / 500 > 0.9
 
 
+class TestSelectPositions:
+    """_select_positions(n_open, take, order, composed) on the states a run
+    passes through."""
+
+    @given(data=st.data(), length=st.integers(1, 9))
+    def test_known_order_takes_the_first_open_slots_of_the_order(self, data, length):
+        order = data.draw(st.permutations(range(length)))
+        n_open = data.draw(st.integers(1, length))
+        take = data.draw(st.integers(1, n_open))
+        # a run fixes its order front to back: the open slots are its last n_open
+        open_slots = set(order[length - n_open:])
+        expect = sorted([p for p in order if p in open_slots][:take])
+        assert sampler._select_positions(n_open, take, order, None) == expect
+
+    @given(data=st.data(), length=st.integers(1, 9))
+    def test_max_confidence_takes_the_most_confident_ties_to_the_lower_index(
+        self, data, length
+    ):
+        masked_slots = sorted(data.draw(st.sets(st.integers(0, length - 1), min_size=1)))
+        take = data.draw(st.integers(1, len(masked_slots)))
+        # three levels of confidence, so that most draws have ties
+        peaks = data.draw(st.lists(st.sampled_from([0.5, 0.7, 0.9]),
+                                   min_size=len(masked_slots), max_size=len(masked_slots)))
+        composed = {}
+        for p, peak in zip(masked_slots, peaks):
+            logp = np.log([peak, 1.0 - peak])
+            composed[p] = np.array((logp, np.exp(logp).cumsum()))
+        expect = sorted(sorted(masked_slots, key=lambda p: (-composed[p][0].max(), p))[:take])
+        assert sampler._select_positions(len(masked_slots), take, None, composed) == expect
+
+    def test_max_confidence_ties_go_to_the_lower_index(self):
+        logp = np.log([0.5, 0.5])
+        flat = np.array((logp, np.exp(logp).cumsum()))
+        composed = {1: flat, 3: flat, 4: flat, 6: flat}
+        assert sampler._select_positions(4, 2, None, composed) == [1, 3]
+
+
 class TestComposedMemo:
     """composed_step memoizes composed vectors by the content of their inputs."""
 
