@@ -26,10 +26,11 @@ one precomputed log-probability row each. The backoff chain is resolved
 then, once: a column is a distinct (position, signature) of a live bucket, a
 fallback for a signature no bucket has at that position, or a token's point
 mass, and a row is a condition id or any key the model never saw. Each
-(row, column) holds the table row that answers it and its backoff level. A
-state's columns come from one np.searchsorted and are kept for the next
-query, since the sampler asks about each state once per expert; a query is
-two takes, its condition's row of columns and then the table rows.
+(row, column) holds the table row that answers it and its backoff level.
+Every slot's column comes from one gather of its neighbors' tokens, one sort
+and one np.searchsorted of the codes, and a state's columns are kept for the
+next query, since the sampler asks about each state once per expert; a query
+is two takes, its condition's row of columns and then the table rows.
 Fitting counts the codes of all masked training positions with np.unique,
 FIT_CHUNK samples at a time, drawing each chunk's masks as it goes; a
 sample is one grid row and one condition index, never a Python object.
@@ -107,26 +108,28 @@ class _KeyCodes:
                 f"{n_conds} condition keys do not fit in 64 bits"
             )
         # a short neighborhood is padded with its own position, which is
-        # masked whenever its signature is asked for
+        # masked whenever its signature is used
         self.index = np.empty((self.length, width), dtype=np.intp)
         for p, nb in enumerate(neighbors):
             self.index[p, : len(nb)] = nb
             self.index[p, len(nb) :] = p
         self.width = width
-        # digit values C(b, i + 1) at [b, i] for b < K + width
+        # digit values C(b, i + 1) at [i, b] for b < K + width
         self.ranks = np.array(
-            [math.comb(b, i + 1) for b in range(vocab_size + width) for i in range(width)],
+            [[math.comb(b, i + 1) for b in range(vocab_size + width)] for i in range(width)],
             dtype=np.int64,
-        ).reshape(vocab_size + width, width)
-        # digit i of token t sits at flat index (t + 1 + i) * width + i
-        self._offsets = (1 + np.arange(width)) * width + np.arange(width)
+        )
+        # digit i of token t sits at flat index t + offsets[i] = i * (K + width) + t + 1 + i
+        self.offsets = np.arange(width) * (vocab_size + width + 1) + 1
         self.position_codes = np.arange(self.length) * self.n_sigs
 
     def signature_ranks(self, nbr_tokens: np.ndarray) -> np.ndarray:
         """Ranks of (..., width) neighbor tokens, MASK for absent, any order."""
-        index = np.multiply(np.sort(nbr_tokens, axis=-1), self.width, dtype=np.intp)
-        index += self._offsets
-        return self.ranks.take(index).sum(axis=-1)
+        return self.sorted_ranks(np.sort(nbr_tokens, axis=-1))
+
+    def sorted_ranks(self, nbr_tokens: np.ndarray) -> np.ndarray:
+        """Ranks of (..., width) neighbor tokens sorted along the last axis."""
+        return self.ranks.take(nbr_tokens + self.offsets).sum(axis=-1)
 
     def codes(self, cond_ids, positions, nbr_tokens: np.ndarray) -> np.ndarray:
         return (cond_ids * self.length + positions) * self.n_sigs + self.signature_ranks(nbr_tokens)
@@ -138,8 +141,8 @@ class _KeyCodes:
         cond_ids, positions = np.divmod(rest, self.length)
         sig = np.empty((codes.size, self.width), dtype=np.int64)
         for i in reversed(range(self.width)):  # greedy: the largest digit first
-            b = np.searchsorted(self.ranks[:, i], r, side="right") - 1
-            r = r - self.ranks[b, i]
+            b = np.searchsorted(self.ranks[i], r, side="right") - 1
+            r = r - self.ranks[i, b]
             sig[:, i] = b - i - 1
         return cond_ids, positions, sig
 
@@ -259,41 +262,60 @@ class CountModel:
         object.__setattr__(self, "_resolved", resolved)
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_col_codes", np.append(distinct, _CODE_END))
+        # per (position p, token t or MASK) at p * (K + 1) + t + 1: the code a
+        # slot's signature rank is added to, and the column it takes when that
+        # sum is no column. A masked slot adds its position code and falls back
+        # to its position's column; a fixed slot's sum is negative, so it never
+        # is a column, and it takes its token's point mass.
+        length, n_found = codec.length, distinct.size
+        slot_codes = np.empty((length, k + 1), dtype=np.int64)
+        slot_codes[:, 0] = codec.position_codes
+        slot_codes[:, 1:] = -codec.n_sigs
+        slot_misses = np.empty((length, k + 1), dtype=np.intp)
+        slot_misses[:, 0] = n_found + np.arange(length)
+        slot_misses[:, 1:] = n_found + length + np.arange(k)
+        object.__setattr__(self, "_slot_base", np.arange(length) * (k + 1) + 1)
+        object.__setattr__(self, "_slot_codes", slot_codes.ravel())
+        object.__setattr__(self, "_slot_misses", slot_misses.ravel())
         object.__setattr__(self, "_last", (None, None))
 
     @property
     def length(self) -> int:
         return self.grid_w * self.grid_h
 
-    def _state_columns(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Masked positions (M,) and each position's column (L,): a masked
-        one's (position, signature) column or its position's fallback, a
-        fixed one's point mass. The sampler asks about one state n + 1 times
-        in a row, so the last state's are kept."""
+    def _state_columns(self, tokens: np.ndarray) -> np.ndarray:
+        """Each position's column (L,): a masked one's (position, signature)
+        column or its position's fallback, a fixed one's point mass. Every
+        slot's code comes from one gather, one sort and one searchsorted,
+        with no list of masked slots: a fixed slot's code is negative, never
+        a column, and one np.where sends it to its point column. The sampler
+        asks about one state n + 1 times in a row, so the last state's
+        columns are kept."""
         key = tokens.tobytes()
         last = self._last  # one read: another thread may replace it
         if last[0] == key:
             return last[1]
         codec = self._codec
-        masked = (tokens == MASK).nonzero()[0]
-        want = codec.position_codes[masked] + codec.signature_ranks(tokens[codec.index[masked]])
+        nbrs = tokens.take(codec.index)
+        nbrs.sort()
+        want = codec.sorted_ranks(nbrs)
+        slot = tokens + self._slot_base
+        want += self._slot_codes.take(slot)
         at = self._col_codes.searchsorted(want)
-        n_found = self._col_codes.size - 1
-        cols = tokens + np.intp(n_found + codec.length)
-        cols[masked] = np.where(self._col_codes.take(at) == want, at, masked + n_found)
-        state = (masked, cols)
-        object.__setattr__(self, "_last", (key, state))
-        return state
+        cols = np.where(self._col_codes.take(at) == want, at, self._slot_misses.take(slot))
+        object.__setattr__(self, "_last", (key, cols))
+        return cols
 
     def _lookup(self, tokens: np.ndarray, key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Masked positions, the table row answering every position, and the
         backoff level that answered each masked one (NO_BUCKET: the empty row)."""
-        masked, cols = self._state_columns(tokens)
+        cols = self._state_columns(tokens)
+        masked = (tokens == MASK).nonzero()[0]
         row = self._rows.get(key, len(self._rows))
         return masked, self._resolved[row].take(cols), self._levels[row].take(cols[masked])
 
     def predict(self, tokens: np.ndarray, condition=None) -> np.ndarray:
-        cols = self._state_columns(tokens)[1]
+        cols = self._state_columns(tokens)
         row = self._rows.get(cond_key(condition), len(self._rows))
         out = self._table.take(self._resolved[row].take(cols), axis=0)
         out.flags.writeable = False

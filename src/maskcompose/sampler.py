@@ -127,13 +127,16 @@ def sample_token(cdf: np.ndarray, rng: np.random.Generator) -> int:
 # slot and object headers take; the two-generation memo keeps the entries
 # that keep being asked for within _MEMO_CAP_BYTES. Being
 # keyed by content, one memo can serve every caller in the process without
-# changing a result. The cap is sized to the largest working set measured:
-# criterion 4's count model composes about 3.4k distinct vectors, and a
-# 256 KiB cap missed on 7.6k of its 18k steps a round. On the benchmark's
-# count-3x3 world a composed and a joint error eval of 1000 grids each compose
-# 2.7k distinct vectors, charged 1.36 MiB with their CDFs (1.32 MiB without),
-# more than one generation holds, so some age out and are composed again.
-_MEMO_CAP_BYTES = 1 << 21
+# changing a result. The cap is sized so that one generation, half of it,
+# holds the largest working set measured (distinct entries, charged bytes):
+# - count-3x3 of the benchmark, a composed and a joint error eval of 1000
+#   grids each: 2 738 entries, 1.37 MiB a round; 3 862 and 1.94 MiB over 40
+#   rounds on different seeds;
+# - criterion 4, 10 000 grids an arm on the same world: 3 636, 1.82 MiB;
+# - exact-3x3: 244, 0.15 MiB; fidelity-2x2: 19, 0.008 MiB.
+# At 2 MiB a generation held 1 MiB, so count-3x3 composed about 1.5k of its
+# vectors again whenever a round was rerun.
+_MEMO_CAP_BYTES = 1 << 22
 _MEMO_ENTRY_BYTES = 256
 _MEMO_VECTOR_BYTES = 64
 

@@ -15,6 +15,7 @@ from maskcompose import sampler
 from maskcompose.compose import compose_logits, normalize_logits
 from maskcompose.countmodel import fit_count_model
 from maskcompose.errors import AllMassZero, NonPositiveTemperature, ShapeMismatch
+from maskcompose.evalharness import run_error_eval
 from maskcompose.memo import Memo
 from maskcompose.sampler import (
     MASK,
@@ -523,6 +524,34 @@ class TestComposedMemo:
             for key, out in memo.items()
         )
         assert held <= sampler._MEMO_CAP_BYTES
+
+
+class TestComposedWorkingSet:
+    def test_rerun_of_a_count_round_composes_nothing(self, monkeypatch):
+        """One generation of the memo holds the count-3x3 benchmark's working
+        set: a composed and a joint error eval, run a second time with the
+        same seed, find every composed vector in the memo. 408 grids an arm
+        is the fewest whose vectors outgrew a 1 MiB generation."""
+        world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=2)
+        model = fit_count_model(world, 30_000, rng_seed=0)
+        pool = [object_at_cell(c, r) for r in range(3) for c in range(3)]
+        composed = []
+
+        def spy(*args):
+            composed.append(args)
+            return compose_logits(*args)
+
+        monkeypatch.setattr(sampler, "compose_logits", spy)
+        passes = []
+        with fresh_memos():
+            for _ in range(2):
+                composed.clear()
+                for joint in (False, True):
+                    run_error_eval(model, world, 2, 408, rng_seed=0, pool=pool,
+                                   joint_prompt=joint)
+                passes.append(len(composed))
+        assert passes[0] > 1000
+        assert passes[1] == 0
 
 
 @functools.cache
