@@ -13,6 +13,12 @@ gives no grid, stays in its arm's run count and adds to no hit or distinct
 count: an error where conditions are scored, mass off the support in a joint
 TV. Each result reports its aborts per arm.
 
+Condition sets come from one list: every satisfiable k-subset of the pool,
+those some support state satisfies. The error suite draws a run count for
+every listed set at once and samples each drawn set as one arm; the ood
+suite draws its one set from the same list. Both draw uniformly among the
+satisfiable sets.
+
 Reports serialize as line-delimited JSON records plus a fixed-width text
 table. Wall-clock fields are measurement noise by nature and are the only
 fields excluded from determinism comparisons.
@@ -20,6 +26,7 @@ fields excluded from determinism comparisons.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -40,8 +47,8 @@ from .worlds import WorldJoint, cond_key, object_at_cell
 
 TIMING_FIELDS = ("wall_time_per_sample", "wall_per_run")
 
-# condition-set draws before a set size counts as unsatisfiable
-_MAX_SET_DRAWS = 200
+# bools held at once while the satisfiable sets are listed
+_COVER_CHUNK = 1 << 24
 
 
 def two_sigma_bound(p: float, n: int) -> float:
@@ -157,51 +164,6 @@ def format_table(reports: Sequence[EvalReport]) -> str:
     return "\n".join(lines)
 
 
-class _ConditionSetSampler:
-    """Rejection sampler for mutually satisfiable condition sets; caches the
-    satisfiability verdict and the exact posterior marginals per set."""
-
-    def __init__(self, world: WorldJoint, pool: Sequence):
-        if not pool:
-            raise ValidationError("condition pool is empty")
-        self.world = world
-        self.pool = list(pool)
-        self._verdict: dict[tuple, bool] = {}
-        self._marginals: dict[tuple, np.ndarray] = {}
-
-    def _key(self, conds) -> tuple:
-        return tuple(sorted(cond_key(c) for c in conds))
-
-    def draw(self, n_components: int, rng: np.random.Generator) -> list:
-        if n_components > len(self.pool):
-            raise ValidationError(
-                f"cannot draw {n_components} distinct conditions from a pool of {len(self.pool)}"
-            )
-        if n_components == 0:
-            return []
-        for _ in range(_MAX_SET_DRAWS):
-            idx = rng.choice(len(self.pool), size=n_components, replace=False)
-            conds = [self.pool[int(i)] for i in sorted(idx)]
-            key = self._key(conds)
-            verdict = self._verdict.get(key)
-            if verdict is None:
-                try:
-                    post = self.world.enumerate_posterior(conds)
-                    self._marginals[key] = post.marginals()
-                    verdict = True
-                except EmptyIntersection:
-                    verdict = False
-                self._verdict[key] = verdict
-            if verdict:
-                return conds
-        raise EmptyIntersection(
-            f"no satisfiable {n_components}-condition set found in {_MAX_SET_DRAWS} draws"
-        )
-
-    def marginals(self, conds) -> np.ndarray:
-        return self._marginals[self._key(conds)]
-
-
 def _sample_arm(
     model, length: int, conds: Sequence, weights: Sequence[float],
     sched: SamplerSchedule, rng: np.random.Generator, n: int,
@@ -235,8 +197,8 @@ def _sample_arm(
 
 
 def _row_keys(grids: np.ndarray) -> np.ndarray:
-    """One opaque scalar per row of (N, L) token grids, equal exactly when
-    the rows are; np.unique and np.isin compare them."""
+    """One opaque scalar per row of (N, L) token grids or other small ints,
+    equal exactly when the rows are; np.unique and np.isin compare them."""
     grids = np.ascontiguousarray(grids, dtype=np.int16)
     return grids.view(np.dtype((np.void, grids.itemsize * grids.shape[1]))).ravel()
 
@@ -244,6 +206,34 @@ def _row_keys(grids: np.ndarray) -> np.ndarray:
 def _hits(world: WorldJoint, grids: np.ndarray, conds: Sequence) -> int:
     """How many of the (N, L) grids satisfy every condition."""
     return int(world.check_conditions(grids, conds).all(axis=0).sum())
+
+
+def _satisfiable_sets(world: WorldJoint, pool: Sequence, k: int) -> list[tuple]:
+    """Every k-subset of the pool that some support state satisfies, in
+    itertools.combinations order: one distinct row of the (S, P) matrix of
+    which state can hold which condition is true on all its members."""
+    pool = list(pool)
+    if not pool:
+        raise ValidationError("condition pool is empty")
+    if k > len(pool):
+        raise ValidationError(
+            f"cannot draw {k} distinct conditions from a pool of {len(pool)}"
+        )
+    holds = np.column_stack([np.isfinite(world.condition_loglik(c)) for c in pool])
+    _, first = np.unique(_row_keys(holds), return_index=True)
+    holds = holds[first]
+    # (C, k), one row per subset; C >= 1 as k <= len(pool)
+    combos = np.array(list(itertools.combinations(range(len(pool)), k)), dtype=np.intp)
+    chunk = max(1, _COVER_CHUNK // max(1, holds.shape[0] * k))
+    ok = np.concatenate([
+        holds[:, combos[lo:lo + chunk]].all(axis=2).any(axis=0)
+        for lo in range(0, len(combos), chunk)
+    ])
+    if not ok.any():
+        raise EmptyIntersection(
+            f"no {k}-condition subset of the {len(pool)}-condition pool is satisfiable"
+        )
+    return [tuple(pool[i] for i in combo) for combo in combos[ok]]
 
 
 def run_error_eval(
@@ -260,40 +250,42 @@ def run_error_eval(
 ) -> EvalReport:
     """Sample satisfiable condition sets, generate, score every condition.
 
+    Sets are drawn uniformly among the pool's satisfiable n_components-sets:
+    one multinomial draw gives every set its run count, and each set with
+    runs is sampled as one arm. The draw and the arms share one generator.
     A run errs if any condition of its set is unsatisfied or if it aborts.
     joint_prompt=True concatenates each set into one opaque condition, the
     non-composed baseline; it changes the per-sample evaluation count from
-    (n+1) to 2 model queries per step. Each set is drawn just before its run,
-    so the set draws and the runs share one generator.
+    (n+1) to 2 model queries per step.
     """
-    sampler = _ConditionSetSampler(world, pool if pool is not None else predicate_pool(world))
+    t0 = time.perf_counter()
+    sets = _satisfiable_sets(
+        world, pool if pool is not None else predicate_pool(world), n_components
+    )
     rng = np.random.default_rng(rng_seed)
+    counts = rng.multinomial(n_samples, np.full(len(sets), 1.0 / len(sets)))
     length = world.length
     joint = joint_prompt and n_components > 0
-    completed = np.empty((n_samples, length), dtype=np.int16)
-    kept = 0
+    blocks = []
     mixture = np.zeros((length, world.vocab_size))
     errors = 0
-    t0 = time.perf_counter()
-    for _ in range(n_samples):
-        conds = sampler.draw(n_components, rng)
-        if joint:
-            run_conds, run_weights = [tuple(conds)], [weight]
-        else:
-            run_conds, run_weights = conds, [weight] * n_components
-        grids, aborted = _sample_arm(model, length, run_conds, run_weights, sched, rng, 1)
-        if aborted:
+    for conds, n in zip(sets, counts):
+        if not n:
             continue
-        if conds and _hits(world, grids, conds) == 0:
-            errors += 1
-        completed[kept] = grids[0]
-        kept += 1
-        mixture += sampler.marginals(conds) if conds else world.prior_marginals()
+        run_conds = [conds] if joint else conds
+        weights = [weight] * len(run_conds)
+        grids, _ = _sample_arm(model, length, run_conds, weights, sched, rng, int(n))
+        if conds:
+            errors += len(grids) - _hits(world, grids, conds)
+        mixture += len(grids) * world.enumerate_posterior(conds).marginals()
+        blocks.append(grids)
     elapsed = time.perf_counter() - t0
 
+    completed = np.concatenate(blocks)
+    kept = len(completed)
     aborts = n_samples - kept
     p = (errors + aborts) / n_samples
-    tv = tv_to_marginals(completed[:kept], mixture / kept) if kept else 1.0
+    tv = tv_to_marginals(completed, mixture / kept) if kept else 1.0
     return EvalReport(
         label=label or ("joint_prompt" if joint_prompt else "composed"),
         n_components=n_components,
@@ -348,11 +340,12 @@ def run_ood_eval(
     Fits a CountModel on the world restricted to scenes of at most
     train_max_objects objects. Composed generation (one weight per
     condition) is paired against the joint-prompt baseline on the same
-    condition set. Both arms start from one generator state and stay in
-    step while no run aborts. A grid off the world's support (more objects
-    than its budget) can still satisfy the set, so each arm also reports its
-    off-support share and its distinct grids that lie in the support and
-    satisfy the set.
+    condition set, drawn uniformly among the satisfiable
+    test_n_conditions-subsets of the cell pool. Both arms start from one
+    generator state and stay in step while no run aborts. A grid off the
+    world's support (more objects than its budget) can still satisfy the
+    set, so each arm also reports its off-support share and its distinct
+    grids that lie in the support and satisfy the set.
     """
     if test_n_conditions <= train_max_objects:
         raise ValidationError(
@@ -362,8 +355,8 @@ def run_ood_eval(
         world, n_train, alpha=alpha, dropout_prob=dropout_prob,
         rng_seed=rng_seed, training_max_objects=train_max_objects,
     )
-    rng = np.random.default_rng(rng_seed)
-    conds = _ConditionSetSampler(world, predicate_pool(world)).draw(test_n_conditions, rng)
+    sets = _satisfiable_sets(world, predicate_pool(world), test_n_conditions)
+    conds = list(sets[np.random.default_rng(rng_seed).integers(len(sets))])
     support = _row_keys(world.support()[0])
     arms = {}
     for arm, run_conds, weights in (

@@ -245,6 +245,28 @@ class TestEval:
         records = [json.loads(ln) for ln in open(os.path.join(out, "reports.jsonl"))]
         assert 0.0 < records[1]["tv"] <= 1.0
 
+    @pytest.mark.parametrize(
+        "grid_h, code, needle",
+        [
+            # two cells hold at most two conditions of the cell pool
+            (1, EXIT_VALIDATION, "cannot draw 3 distinct conditions from a pool of 2"),
+            # four cells, but no scene holds more than two objects
+            (2, EXIT_SAMPLING, "3-condition"),
+        ],
+        ids=["over-cell-count", "over-max-objects"],
+    )
+    def test_error_suite_rejects_three_components(self, tmp_path, capsys, grid_h, code, needle):
+        cfg = write_cfg(
+            tmp_path,
+            SMALL_WORLD.replace("world.grid_h = 2", f"world.grid_h = {grid_h}")
+            + "model.kind = exact\neval.n_samples = 20\neval.n_components = 3\n",
+        )
+        out = str(tmp_path / "run")
+        assert main(["eval", "--config", cfg, "--out", out, "--suite", "error"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert needle in err
+
     def test_negation_needs_a_condition(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         cfg = self.eval_cfg(tmp_path)

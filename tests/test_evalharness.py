@@ -1,5 +1,6 @@
 """Evaluation harness: metrics, reports, directional comparisons, benches."""
 
+import itertools
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from maskcompose import evalharness, sampler
-from maskcompose.errors import AllMassZero, ValidationError
+from maskcompose.errors import AllMassZero, EmptyIntersection, ValidationError
 from maskcompose.countmodel import fit_count_model
 from maskcompose.evalharness import (
     BenchRow,
@@ -33,6 +34,7 @@ from maskcompose.sampler import (
     run_to_completion,
 )
 from maskcompose.worlds import (
+    attribute_present,
     build_factorized_world,
     build_random_factorized_world,
     build_scene_world,
@@ -175,6 +177,76 @@ class TestErrorEval:
         r = run_error_eval(model, world, 0, 50, rng_seed=0)
         assert r.error_rate == 0.0
         assert r.evaluations_per_sample == 4
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_finds_the_few_satisfiable_sets_of_a_large_pool(self, seed):
+        # one object of 200 colors on two cells: of the pool's 20 100 pairs
+        # only the 200 (color i, cell 0) pairs are satisfiable
+        world = build_scene_world(2, 1, n_shapes=1, n_colors=200, max_objects=1)
+        pool = [attribute_present("color", i) for i in range(200)] + [object_at_cell(0, 0)]
+        report = run_error_eval(
+            exact_conditional_model(world), world, 2, 50, rng_seed=seed, pool=pool,
+        )
+        assert (report.error_rate, report.aborts) == (0.0, 0)
+
+    def test_one_arm_per_drawn_set(self, monkeypatch):
+        world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
+        pool = predicate_pool(world)
+        sets = evalharness._satisfiable_sets(world, pool, 2)
+        calls = []
+        real = evalharness._sample_arm
+
+        def spy(model, length, conds, weights, sched, rng, n):
+            calls.append((tuple(conds), n))
+            return real(model, length, conds, weights, sched, rng, n)
+
+        monkeypatch.setattr(evalharness, "_sample_arm", spy)
+        run_error_eval(exact_conditional_model(world), world, 2, 30, rng_seed=4)
+        counts = np.random.default_rng(4).multinomial(30, np.full(len(sets), 1 / len(sets)))
+        drawn = [(s, int(c)) for s, c in zip(sets, counts) if c]
+        assert calls == drawn
+        assert sum(n for _, n in calls) == 30
+
+
+class TestSatisfiableSets:
+    """The listed k-subsets are exactly those the posterior accepts."""
+
+    # one object of two shapes and two colors on four cells: two cells, two
+    # shapes or two colors together are unsatisfiable
+    WORLD = build_scene_world(2, 2, n_shapes=2, n_colors=2, max_objects=1)
+    POOL = [object_at_cell(0, 0), attribute_present("shape", 0), object_at_cell(1, 1),
+            attribute_present("color", 1), attribute_present("shape", 1), object_at_cell(1, 0)]
+
+    def brute_force(self, k):
+        out = []
+        for subset in itertools.combinations(self.POOL, k):
+            try:
+                self.WORLD.enumerate_posterior(list(subset))
+            except EmptyIntersection:
+                continue
+            out.append(subset)
+        return out
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_equals_a_brute_force_list(self, k):
+        listed = evalharness._satisfiable_sets(self.WORLD, self.POOL, k)
+        assert listed == self.brute_force(k)
+        assert 0 < len(listed) <= math.comb(len(self.POOL), k)
+
+    def test_some_subsets_are_unsatisfiable(self):
+        assert len(self.brute_force(2)) < math.comb(len(self.POOL), 2)
+        assert len(self.brute_force(3)) < math.comb(len(self.POOL), 3)
+
+    def test_no_satisfiable_subset_is_an_empty_intersection(self):
+        cells = [c for c in self.POOL if c.kind == "object_at_cell"]
+        with pytest.raises(EmptyIntersection):
+            evalharness._satisfiable_sets(self.WORLD, cells, 2)
+
+    @pytest.mark.parametrize("pool, k", [([], 0), ([], 1), (POOL, len(POOL) + 1)])
+    def test_empty_pool_or_too_many_conditions_is_a_validation_error(self, pool, k):
+        with pytest.raises(ValidationError):
+            evalharness._satisfiable_sets(self.WORLD, pool, k)
 
 
 class TestOodEval:
