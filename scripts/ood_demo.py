@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from maskcompose.countmodel import fit_count_model
-from maskcompose.evalharness import predicate_pool, run_ood_eval
-from maskcompose.sampler import MaskedState, SamplerSchedule, run_to_completion
+from maskcompose.evalharness import predicate_pool, run_ood_eval, sample_arm
+from maskcompose.sampler import SamplerSchedule
 from maskcompose.worlds import build_scene_world
 
 
@@ -77,16 +77,14 @@ def main(argv=None) -> int:
         world, args.n_train, rng_seed=args.seed,
         training_max_objects=args.train_max,
     )
-    sched = SamplerSchedule()
-    weights = [1.0] * len(conds)
+    grids, aborts = sample_arm(
+        model, world.length, conds, [1.0] * len(conds), SamplerSchedule(),
+        np.random.default_rng(args.seed * 1000), args.runs,
+    )
     legend = "(digit: object token, . empty, _ requested but empty)"
-    print(f"composed samples {legend}:")
+    print(f"composed samples {legend}, {aborts} of {args.runs} runs aborted:")
     blocks = []
-    for i in range(args.runs):
-        tokens, _ = run_to_completion(
-            MaskedState.fully_masked(world.length), model, conds, weights, sched,
-            args.seed * 1000 + i,
-        )
+    for tokens in grids:
         ok = bool(world.check_conditions(tokens, conds).all())
         rows = ascii_grid(tokens, world.grid_w, world.grid_h, marked)
         blocks.append(rows + ["ok" if ok else "miss"])

@@ -45,16 +45,18 @@ from .errors import (
     ValidationError,
 )
 from .evalharness import (
+    _satisfiable_sets,
     fidelity_tv,
     format_table,
+    predicate_pool,
     record_line,
     run_bench,
     run_error_eval,
     run_negation_eval,
     run_ood_eval,
+    sample_arm,
     strip_timing,
 )
-from .sampler import MaskedState, run_to_completion
 from .worlds import SceneWorld, exact_conditional_model, render_tokens_to_image
 
 EXIT_OK = 0
@@ -190,12 +192,16 @@ def cmd_sample(cfg: RunConfig) -> int:
             )
         codebook = load_codebook(cb_path)
 
+    n_runs = cfg["sample.n_runs"]
+    grids, aborts = sample_arm(
+        model, world.length, conds, weights, sched,
+        np.random.default_rng(cfg["schedule.seed"]), n_runs,
+    )
+    if aborts:
+        # no samples.txt and no sample_*.ppm unless every run gave a grid
+        raise AllMassZero(f"{aborts} of {n_runs} runs aborted with no mass left on any token")
     lines = [f"# command = sample"] + [f"# {ln}" for ln in config_lines(cfg)]
-    initial = MaskedState.fully_masked(world.length)
-    for i in range(cfg["sample.n_runs"]):
-        tokens, _ = run_to_completion(
-            initial, model, conds, weights, sched, cfg["schedule.seed"] + i
-        )
+    for i, tokens in enumerate(grids):
         sat = world.check_conditions(tokens, conds) if conds else np.array([], bool)
         lines.append(
             f"run={i} tokens={','.join(str(int(t)) for t in tokens)}"
@@ -208,36 +214,24 @@ def cmd_sample(cfg: RunConfig) -> int:
     path = os.path.join(out, "samples.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"wrote {path} ({cfg['sample.n_runs']} runs)")
+    print(f"wrote {path} ({n_runs} runs)")
     return EXIT_OK
 
 
 def _eval_error(cfg: RunConfig, world, model, sched) -> tuple[list[dict], str]:
-    reports = []
     n_comp = cfg["eval.n_components"]
-    n_samples = cfg["eval.n_samples"]
-    seed = cfg["schedule.seed"]
-    if n_comp == 0:
-        reports.append(
-            run_error_eval(
-                model, world, 0, n_samples, sched=sched, rng_seed=seed,
-                label="unconditional",
-            )
+    if n_comp:
+        # a set size the pool or the world cannot hold fails before any k samples
+        _satisfiable_sets(world, predicate_pool(world), n_comp)
+    arms = [(n, False, f"composed-{n}") for n in range(1, n_comp + 1)]
+    arms.append((n_comp, True, f"joint-{n_comp}") if n_comp else (0, False, "unconditional"))
+    reports = [
+        run_error_eval(
+            model, world, n, cfg["eval.n_samples"], sched=sched,
+            rng_seed=cfg["schedule.seed"], joint_prompt=joint, label=label,
         )
-    for n in range(1, n_comp + 1):
-        reports.append(
-            run_error_eval(
-                model, world, n, n_samples, sched=sched, rng_seed=seed,
-                label=f"composed-{n}",
-            )
-        )
-    if n_comp >= 1:
-        reports.append(
-            run_error_eval(
-                model, world, n_comp, n_samples, sched=sched, rng_seed=seed,
-                joint_prompt=True, label=f"joint-{n_comp}",
-            )
-        )
+        for n, joint, label in arms
+    ]
     return [r.to_record() for r in reports], format_table(reports)
 
 

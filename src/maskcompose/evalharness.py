@@ -7,11 +7,12 @@ variation between token histograms (the desk-scale stand-in for a learned
 image distance). Evaluation counts are checked against the exact law
 steps * (n + 1) on every run; a mismatch is an error, never a statistic.
 
-Every suite samples through one loop, _sample_arm, whose runs all draw from
-the arm's one generator. Under its abort policy a run that ends in AllMassZero
-gives no grid, stays in its arm's run count and adds to no hit or distinct
-count: an error where conditions are scored, mass off the support in a joint
-TV. Each result reports its aborts per arm.
+Every caller samples through one loop, sample_arm: the suites here, the
+sample command, scripts/ood_demo.py and the eval-count-law criterion. All
+runs of an arm draw from the arm's one generator. Under its abort policy a
+run that ends in AllMassZero gives no grid, stays in its arm's run count and
+adds to no hit or distinct count: an error where conditions are scored, mass
+off the support in a joint TV. Each result reports its aborts per arm.
 
 Condition sets come from one list: every satisfiable k-subset of the pool,
 those some support state satisfies. The error suite draws a run count for
@@ -164,14 +165,15 @@ def format_table(reports: Sequence[EvalReport]) -> str:
     return "\n".join(lines)
 
 
-def _sample_arm(
+def sample_arm(
     model, length: int, conds: Sequence, weights: Sequence[float],
     sched: SamplerSchedule, rng: np.random.Generator, n: int,
 ) -> tuple[np.ndarray, int]:
     """Sample n grids, each run drawing from rng in place, one after the
     other; check the evaluation-count law on every run.
 
-    Every suite samples through here, one run_to_completion call per grid.
+    Every caller in the package samples through here, one run_to_completion
+    call per grid; nothing else calls run_to_completion.
     The runs share one frozen initial state: a step copies the tokens before
     it writes. A run that aborts with AllMassZero gives no grid. Returns the
     completed grids in run order as an (n - aborts, L) int16 block, and the
@@ -274,7 +276,7 @@ def run_error_eval(
             continue
         run_conds = [conds] if joint else conds
         weights = [weight] * len(run_conds)
-        grids, _ = _sample_arm(model, length, run_conds, weights, sched, rng, int(n))
+        grids, _ = sample_arm(model, length, run_conds, weights, sched, rng, int(n))
         if conds:
             errors += len(grids) - _hits(world, grids, conds)
         mixture += len(grids) * world.enumerate_posterior(conds).marginals()
@@ -363,7 +365,7 @@ def run_ood_eval(
         ("composed", conds, [weight] * len(conds)),
         ("baseline", [tuple(conds)], [weight]),
     ):
-        grids, aborts = _sample_arm(
+        grids, aborts = sample_arm(
             model, world.length, run_conds, weights, sched,
             np.random.default_rng(rng_seed + 1), n_runs,
         )
@@ -450,13 +452,13 @@ def run_negation_eval(
     rng = np.random.default_rng(rng_seed)
     rates, aborts = [], []
     for w in weights:
-        grids, arm_aborts = _sample_arm(model, world.length, [cond], [w], sched, rng, n_samples)
+        grids, arm_aborts = sample_arm(model, world.length, [cond], [w], sched, rng, n_samples)
         rates.append(_hits(world, grids, [cond]) / n_samples)
         aborts.append(arm_aborts)
     if 0.0 in weights:
         p0_measured, p0_aborts = rates[weights.index(0.0)], 0
     else:
-        grids, p0_aborts = _sample_arm(model, world.length, [], [], sched, rng, n_samples)
+        grids, p0_aborts = sample_arm(model, world.length, [], [], sched, rng, n_samples)
         p0_measured = _hits(world, grids, [cond]) / n_samples
     return NegationResult(
         condition_key=cond_key(cond),
@@ -514,9 +516,9 @@ def run_bench(
         for n in n_conditions_grid:
             conds = [pool[int(i)] for i in rng.choice(len(pool), size=n, replace=False)]
             t0 = time.perf_counter()
-            _, aborts = _sample_arm(model, world.length, conds, [1.0] * n, run_sched, rng, n_runs)
+            _, aborts = sample_arm(model, world.length, conds, [1.0] * n, run_sched, rng, n_runs)
             elapsed = time.perf_counter() - t0
-            # _sample_arm checked every run's evaluations against the law, and
+            # sample_arm checked every run's evaluations against the law, and
             # a run makes n + 1 evaluations per step
             evaluations = count_evaluations(run_sched, world.length, n)
             rows.append(
@@ -548,7 +550,7 @@ def fidelity_tv(
     aborted runs count as mass off the support."""
     conds = [cond] if cond is not None else []
     post = world.enumerate_posterior(conds)
-    samples, aborts = _sample_arm(
+    samples, aborts = sample_arm(
         model, world.length, conds, [1.0] * len(conds), sched,
         np.random.default_rng(rng_seed), n_samples,
     )

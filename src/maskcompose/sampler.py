@@ -257,14 +257,14 @@ def run_to_completion(
     conds: Sequence,
     weights: Sequence[float],
     sched: SamplerSchedule,
-    rng_seed: int | np.random.Generator = 0,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, RunStats]:
     """Run composed_step ceil(L / tokens_per_step) times from a fully masked
     initial state, which fixes every slot; return the last step's tokens.
 
     The run is a function of (initial, model, conds, weights, sched) and of
-    rng_seed: an int seeds a fresh generator, and a Generator is drawn from
-    in place, from the state it is in. initial is left as it was. The order
+    the state rng is in; it draws from rng in place. evalharness.sample_arm
+    is its one caller in the package. initial is left as it was. The order
     is fixed before the first step: left to right with no draw in
     autoregressive mode, one permutation drawn up front in random order, and
     None, a ranking at every step, in max-confidence order.
@@ -276,7 +276,6 @@ def run_to_completion(
     if len(conds) != len(weights):
         raise ShapeMismatch(f"{len(conds)} conditions vs {len(weights)} weights")
     weights = tuple(map(float, weights))  # hashable, for the memo key
-    rng = np.random.default_rng(rng_seed)
     if sched.mode == MODE_AUTOREGRESSIVE:
         order = list(range(length))
     elif sched.order_policy == ORDER_RANDOM:

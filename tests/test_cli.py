@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from maskcompose import evalharness
 from maskcompose.cli import (
     EXIT_OK,
     EXIT_SAMPLING,
@@ -160,6 +161,21 @@ class TestSample:
         assert main(["sample", "--config", cfg, "--out", out]) == EXIT_SAMPLING
         assert "object_at_cell" in capsys.readouterr().err
 
+    def test_an_aborted_run_fails_the_command(self, tmp_path, capsys):
+        # three tokens drawn at once from per-position marginals can leave
+        # the support; a run that does so aborts, and sample writes nothing
+        cfg = write_cfg(
+            tmp_path,
+            "world.grid_w = 3\nworld.grid_h = 3\nworld.n_shapes = 1\nworld.n_colors = 2\n"
+            "world.max_objects = 4\nmodel.kind = exact\nsample.n_runs = 50\n"
+            "schedule.order_policy = max_confidence\nschedule.tokens_per_step = 3\n"
+            "schedule.temperature = 1.0\n",
+        )
+        out = str(tmp_path / "run")
+        assert main(["sample", "--config", cfg, "--out", out]) == EXIT_SAMPLING
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(os.path.join(out, "samples.txt"))
+
     def test_seed_flag_changes_samples(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_WORLD + "model.kind = exact\n")
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -255,17 +271,28 @@ class TestEval:
         ],
         ids=["over-cell-count", "over-max-objects"],
     )
-    def test_error_suite_rejects_three_components(self, tmp_path, capsys, grid_h, code, needle):
+    def test_error_suite_rejects_three_components(
+        self, tmp_path, capsys, monkeypatch, grid_h, code, needle
+    ):
         cfg = write_cfg(
             tmp_path,
             SMALL_WORLD.replace("world.grid_h = 2", f"world.grid_h = {grid_h}")
             + "model.kind = exact\neval.n_samples = 20\neval.n_components = 3\n",
         )
+        runs = []
+        real = evalharness.run_to_completion
+
+        def spy(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(evalharness, "run_to_completion", spy)
         out = str(tmp_path / "run")
         assert main(["eval", "--config", cfg, "--out", out, "--suite", "error"]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert needle in err
+        assert runs == []  # k = 1 and 2 did not sample before k = 3 failed
 
     def test_negation_needs_a_condition(self, tmp_path, capsys):
         out = str(tmp_path / "run")

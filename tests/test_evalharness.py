@@ -1,12 +1,15 @@
 """Evaluation harness: metrics, reports, directional comparisons, benches."""
 
+import ast
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maskcompose
 from maskcompose import evalharness, sampler
 from maskcompose.errors import AllMassZero, EmptyIntersection, ValidationError
 from maskcompose.countmodel import fit_count_model
@@ -79,7 +82,7 @@ class TestMetrics:
         samples = np.stack([
             run_to_completion(
                 MaskedState.fully_masked(4), model, [cond], [1.0], sched,
-                int(rng.integers(2**63 - 1)),
+                np.random.default_rng(int(rng.integers(2**63 - 1))),
             )[0]
             for _ in range(5000)
         ])
@@ -195,13 +198,13 @@ class TestErrorEval:
         pool = predicate_pool(world)
         sets = evalharness._satisfiable_sets(world, pool, 2)
         calls = []
-        real = evalharness._sample_arm
+        real = evalharness.sample_arm
 
         def spy(model, length, conds, weights, sched, rng, n):
             calls.append((tuple(conds), n))
             return real(model, length, conds, weights, sched, rng, n)
 
-        monkeypatch.setattr(evalharness, "_sample_arm", spy)
+        monkeypatch.setattr(evalharness, "sample_arm", spy)
         run_error_eval(exact_conditional_model(world), world, 2, 30, rng_seed=4)
         counts = np.random.default_rng(4).multinomial(30, np.full(len(sets), 1 / len(sets)))
         drawn = [(s, int(c)) for s, c in zip(sets, counts) if c]
@@ -398,7 +401,7 @@ class TestFidelity:
 
 
 class TestArmGenerator:
-    """Every run of an arm draws from the generator handed to _sample_arm, in
+    """Every run of an arm draws from the generator handed to sample_arm, in
     place, one run after the other."""
 
     @pytest.fixture(scope="class")
@@ -422,14 +425,14 @@ class TestArmGenerator:
 
         monkeypatch.setattr(sampler, "composed_step", spy)
         rng = np.random.default_rng(0)
-        _, aborts = evalharness._sample_arm(*case, rng, 20)
+        _, aborts = evalharness.sample_arm(*case, rng, 20)
         assert len(seen) >= 20 * 3 - 2 * aborts  # three steps per completed run
         assert all(r is rng for r in seen)
 
     def test_arm_equals_a_hand_loop_over_one_generator(self, case):
         model, length, conds, weights, sched = case
         rng = np.random.default_rng(0)
-        block, aborts = evalharness._sample_arm(model, length, conds, weights, sched, rng, 50)
+        block, aborts = evalharness.sample_arm(model, length, conds, weights, sched, rng, 50)
         hand = np.random.default_rng(0)
         initial = MaskedState.fully_masked(length)
         grids, hand_aborts = [], 0
@@ -454,8 +457,8 @@ class TestEvaluationCountLaw:
         real = evalharness.run_to_completion
 
         def install(which=lambda conds: True):
-            def run(initial, model, conds, weights, sched, rng_seed):
-                tokens, stats = real(initial, model, conds, weights, sched, rng_seed)
+            def run(initial, model, conds, weights, sched, rng):
+                tokens, stats = real(initial, model, conds, weights, sched, rng)
                 if which(conds):
                     stats.evaluations += 1
                 return tokens, stats
@@ -568,3 +571,45 @@ class TestAbortPolicy:
         assert (result.rates, result.aborts, result.p0_aborts) == ((0.0, 0.0), (10, 10), 10)
         rows = run_bench(model, world, (1, 2), (0, 1), n_runs=3)
         assert [r.aborts for r in rows] == [3] * 4
+
+
+class _RunCallers(ast.NodeVisitor):
+    """The enclosing function, dotted, of every call to run_to_completion."""
+
+    def __init__(self):
+        self.scope, self.callers = [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "run_to_completion":
+            self.callers.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+class TestOneSamplingLoop:
+    """Every caller in the package and its scripts samples through
+    evalharness.sample_arm, the one caller of run_to_completion."""
+
+    def test_only_sample_arm_calls_run_to_completion(self):
+        root = Path(__file__).resolve().parents[1]
+        files = sorted((root / "src" / "maskcompose").glob("*.py"))
+        files += sorted((root / "scripts").glob("*.py"))
+        assert len(files) > 10
+        callers = []
+        for path in files:
+            visitor = _RunCallers()
+            visitor.visit(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            callers += [(path.stem, scope) for scope in visitor.callers]
+        assert callers == [("evalharness", "sample_arm")]
+
+    def test_the_package_exports_the_loop(self):
+        assert maskcompose.sample_arm is evalharness.sample_arm
+        assert "run_to_completion" not in maskcompose.__all__

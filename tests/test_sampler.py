@@ -158,7 +158,8 @@ class TestEvaluationCount:
         model = uniform_model(length, 3)
         conds = [f"c{i}" for i in range(n)]
         tokens, stats = run_to_completion(
-            MaskedState.fully_masked(length), model, conds, [1.0] * n, sched, 3
+            MaskedState.fully_masked(length), model, conds, [1.0] * n, sched,
+            np.random.default_rng(3),
         )
         assert stats.evaluations == count_evaluations(sched, length, n)
         assert stats.evaluations == model.calls
@@ -171,7 +172,7 @@ class TestRunLoop:
         model = uniform_model(4, 2)
         sched = SamplerSchedule(tokens_per_step=4)
         tokens, stats = run_to_completion(
-            MaskedState.fully_masked(4), model, ["a"], [1.0], sched, 1
+            MaskedState.fully_masked(4), model, ["a"], [1.0], sched, np.random.default_rng(1)
         )
         assert stats.steps == 1
         assert stats.evaluations == 2
@@ -190,19 +191,28 @@ class TestRunLoop:
     def test_requires_fully_masked_initial(self):
         partial = MaskedState(oracle.with_fixed(masked(3), [0], [1]))
         with pytest.raises(ValueError):
-            run_to_completion(partial, uniform_model(3, 2), [], [], SamplerSchedule())
+            run_to_completion(
+                partial, uniform_model(3, 2), [], [], SamplerSchedule(), np.random.default_rng(0)
+            )
 
     def test_mismatched_weights_raise(self):
         model = uniform_model(2, 2)
         with pytest.raises(ShapeMismatch):
-            run_to_completion(MaskedState.fully_masked(2), model, ["a"], [], SamplerSchedule())
+            run_to_completion(
+                MaskedState.fully_masked(2), model, ["a"], [], SamplerSchedule(),
+                np.random.default_rng(0),
+            )
         assert model.calls == 0  # refused before the first step
 
     def test_determinism_same_seed_same_tokens(self):
         model = TableModel(np.array([[0.7, 0.2, 0.1]] * 6))
         sched = SamplerSchedule(tokens_per_step=2)
-        a, _ = run_to_completion(MaskedState.fully_masked(6), model, [], [], sched, 42)
-        b, _ = run_to_completion(MaskedState.fully_masked(6), model, [], [], sched, 42)
+        a, _ = run_to_completion(
+            MaskedState.fully_masked(6), model, [], [], sched, np.random.default_rng(42)
+        )
+        b, _ = run_to_completion(
+            MaskedState.fully_masked(6), model, [], [], sched, np.random.default_rng(42)
+        )
         assert np.array_equal(a, b)
 
     def test_different_seeds_eventually_differ(self):
@@ -211,7 +221,7 @@ class TestRunLoop:
         for seed in range(6):
             tokens, _ = run_to_completion(
                 MaskedState.fully_masked(8), model, [], [],
-                SamplerSchedule(tokens_per_step=2), seed,
+                SamplerSchedule(tokens_per_step=2), np.random.default_rng(seed),
             )
             outs.add(tokens.tobytes())
         assert len(outs) > 1
@@ -267,7 +277,8 @@ class TestArrayContract:
 
         initial = MaskedState.fully_masked(length)
         tokens, stats = run_to_completion(
-            initial, Recorder(tables, {"a": tables[::-1]}), conds, [1.0, -0.5], sched, 3
+            initial, Recorder(tables, {"a": tables[::-1]}), conds, [1.0, -0.5], sched,
+            np.random.default_rng(3),
         )
         assert len(seen) == math.ceil(length / sched.tokens_per_step) * (len(conds) + 1)
         assert len(seen) == stats.evaluations
@@ -319,7 +330,7 @@ class TestSampling:
         for seed in range(n):
             tokens, _ = run_to_completion(
                 MaskedState.fully_masked(1), model, [], [],
-                SamplerSchedule(temperature=1.0), seed,
+                SamplerSchedule(temperature=1.0), np.random.default_rng(seed),
             )
             hits += int(tokens[0] == 1)
         assert abs(hits / n - 0.5) <= 0.01
@@ -334,7 +345,7 @@ class TestSampling:
             for seed in range(2_000):
                 tokens, _ = run_to_completion(
                     MaskedState.fully_masked(1), hot, [], [],
-                    SamplerSchedule(temperature=temp), seed,
+                    SamplerSchedule(temperature=temp), np.random.default_rng(seed),
                 )
                 wins += int(tokens[0] == 0)
             rates[temp] = wins / 2_000
@@ -365,7 +376,7 @@ class TestSampling:
         for seed in range(500):
             tokens, _ = run_to_completion(
                 MaskedState.fully_masked(1), model, ["flip"], [2.0],
-                SamplerSchedule(temperature=1.0), seed,
+                SamplerSchedule(temperature=1.0), np.random.default_rng(seed),
             )
             ones += int(tokens[0] == 1)
         assert ones / 500 > 0.9
@@ -452,7 +463,8 @@ class TestComposedMemo:
                     runs.append([
                         run_to_completion(
                             MaskedState.fully_masked(4), model, ["c"], [-0.5],
-                            SamplerSchedule(order_policy=policy, temperature=temp), seed,
+                            SamplerSchedule(order_policy=policy, temperature=temp),
+                            np.random.default_rng(seed),
                         )[0].tolist()
                         for seed in range(20)
                     ])
@@ -681,7 +693,7 @@ class TestStepMatchesOracle:
     @settings(max_examples=60, deadline=None)
     def test_whole_run_matches(self, model_name, prompt, order, tokens_per_step, temperature,
                                seed):
-        """run_to_completion(..., sched, seed) gives the oracle's tokens and
+        """run_to_completion(..., sched, default_rng(seed)) gives the oracle's tokens and
         final generator state, and draws only the random order's permutation
         before its first step: nothing in autoregressive order."""
         model, conds, weights, sched = oracle_case(
@@ -700,7 +712,7 @@ class TestStepMatchesOracle:
             saved, sampler.composed_step = sampler.composed_step, spy
             try:
                 got = run_to_completion(
-                    MaskedState.fully_masked(4), model, conds, weights, sched, seed
+                    MaskedState.fully_masked(4), model, conds, weights, sched, np.random.default_rng(seed)
                 )
             except AllMassZero:
                 got = None

@@ -15,7 +15,7 @@ one weight must fail the check against another weight's law.
 import numpy as np
 import pytest
 
-from maskcompose.evalharness import _sample_arm, joint_tv
+from maskcompose.evalharness import joint_tv, sample_arm
 from maskcompose.sampler import SamplerSchedule
 from maskcompose.worlds import build_random_factorized_world, cell_table, exact_conditional_model
 
@@ -64,11 +64,11 @@ def laws(world):
 
 @pytest.fixture(scope="module")
 def arms(world):
-    """weight -> (grids sampled through _sample_arm, aborted runs)."""
+    """weight -> (grids sampled through sample_arm, aborted runs)."""
     model = exact_conditional_model(world)
     return {
-        w: _sample_arm(model, world.length, [cell_table("c0")], [w], SCHEDULE,
-                       np.random.default_rng(i), RUNS)
+        w: sample_arm(model, world.length, [cell_table("c0")], [w], SCHEDULE,
+                      np.random.default_rng(i), RUNS)
         for i, w in enumerate(WEIGHTS)
     }
 

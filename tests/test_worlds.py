@@ -473,7 +473,7 @@ class TestExactConditionalModel:
         model = exact_conditional_model(world)
         sched = SamplerSchedule(tokens_per_step=2)
         with pytest.raises(AllMassZero, match="no support state agrees with the unmasked slots"):
-            run_to_completion(MaskedState.fully_masked(9), model, [], [], sched, 15)
+            run_to_completion(MaskedState.fully_masked(9), model, [], [], sched, np.random.default_rng(15))
         crowded = np.array([1, 1, 1, 1, MASK, MASK, MASK, MASK, MASK], dtype=np.int16)
         for cond in (None, object_at_cell(2, 2)):
             with pytest.raises(AllMassZero, match="no support state agrees"):
