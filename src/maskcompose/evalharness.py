@@ -177,8 +177,10 @@ def sample_arm(
     The runs share one frozen initial state: a step copies the tokens before
     it writes. A run that aborts with AllMassZero gives no grid. Returns the
     completed grids in run order as an (n - aborts, L) int16 block, and the
-    aborts.
+    aborts. n < 1 raises ValidationError.
     """
+    if n < 1:
+        raise ValidationError(f"sampling needs at least one run, got {n}")
     expect = count_evaluations(sched, length, len(conds))
     initial = MaskedState.fully_masked(length)
     block = np.empty((n, length), dtype=np.int16)
@@ -260,6 +262,8 @@ def run_error_eval(
     non-composed baseline; it changes the per-sample evaluation count from
     (n+1) to 2 model queries per step.
     """
+    if n_samples < 1:
+        raise ValidationError(f"error eval needs at least one sample, got {n_samples}")
     t0 = time.perf_counter()
     sets = _satisfiable_sets(
         world, pool if pool is not None else predicate_pool(world), n_components
@@ -353,6 +357,8 @@ def run_ood_eval(
         raise ValidationError(
             "out-of-distribution test needs test_n_conditions > train_max_objects"
         )
+    if n_runs < 1:
+        raise ValidationError(f"ood eval needs at least one run per arm, got {n_runs}")
     model = fit_count_model(
         world, n_train, alpha=alpha, dropout_prob=dropout_prob,
         rng_seed=rng_seed, training_max_objects=train_max_objects,

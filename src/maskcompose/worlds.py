@@ -680,11 +680,14 @@ class ExactConditionalModel:
     one read-only (L, K) array, point masses at the fixed slots, memoized per
     (state, condition) in a two-generation memo of EXACT_MEMO_CAP_BYTES.
 
-    When a condition has zero probability given the already fixed slots the
-    conditional is undefined; the expert then abstains and answers with the
-    unconditional distribution (no remaining evidence), the graceful
-    degradation a bounded-logit network would exhibit. An unconditional query
-    with no compatible support state raises AllMassZero.
+    A condition that the fixed slots decide either way answers with the
+    unconditional answer, the same array object, which the memo then holds
+    under both keys. When the condition has zero probability given the fixed
+    slots the conditional is undefined; the expert abstains (no remaining
+    evidence), the graceful degradation a bounded-logit network would exhibit.
+    When its likelihood is exactly one on every compatible support state it is
+    certain, and its likelihood ratio is one. An unconditional query with no
+    compatible support state raises AllMassZero.
     """
 
     def __init__(self, world: WorldJoint):
@@ -744,9 +747,19 @@ class ExactConditionalModel:
         if hit is not None:
             return hit
         idx, sub, w, masked, onehot = self._compatible(skey, tokens)
+        decided = condition is not None
         for cond in _iter_conditions(condition):
-            w = w * self._exp_loglik(cond)[idx]
-        total = float(w.sum())
+            lik = self._exp_loglik(cond)[idx]
+            # exactly one on every compatible row: the fixed slots make the
+            # condition certain, and w * 1.0 == w bit for bit
+            if (lik == 1.0).all():
+                continue
+            w = w * lik
+            decided = False
+        # the fixed slots decide the prompt when every condition is certain
+        # or one is impossible (total 0): either way the answer is the
+        # unconditional one, held in the memo under both keys
+        total = 0.0 if decided else float(w.sum())
         if not (total > 0.0):
             if idx.size == 0 or condition is None:
                 raise AllMassZero("no support state agrees with the unmasked slots")

@@ -498,6 +498,33 @@ class TestEvaluationCountLaw:
             run_negation_eval(model, world, object_at_cell(1, 1), 3, weights=(1.0,))
 
 
+class TestZeroRuns:
+    """A suite asked for zero runs refuses with a ValidationError before it
+    fits a model, lists condition sets or samples."""
+
+    @pytest.mark.parametrize(
+        "suite",
+        [
+            lambda w, m: fidelity_tv(w, object_at_cell(0, 0), 0, model=m),
+            lambda w, m: run_error_eval(m, w, 1, 0),
+            lambda w, m: run_ood_eval(w, train_max_objects=1, test_n_conditions=2, n_runs=0),
+            lambda w, m: run_negation_eval(m, w, object_at_cell(1, 1), 0, weights=(0.0, 1.0)),
+            lambda w, m: run_bench(m, w, (1,), (1,), n_runs=0),
+        ],
+        ids=["fidelity", "error", "ood", "negation", "bench"],
+    )
+    def test_every_suite_rejects_zero_runs(self, suite, monkeypatch):
+        world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached before the run count was checked")
+
+        for name in ("fit_count_model", "_satisfiable_sets", "run_to_completion"):
+            monkeypatch.setattr(evalharness, name, refuse)
+        with pytest.raises(ValidationError, match="at least one"):
+            suite(world, exact_conditional_model(world))
+
+
 class _AlwaysAborts:
     """A model left with no support for any state: every run aborts."""
 

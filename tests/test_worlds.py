@@ -710,6 +710,79 @@ class TestExactAnswerContract:
                 assert_answer(got, tokens, want, world.vocab_size)
 
 
+def _certain(world, tokens, condition) -> bool:
+    """Some support state agrees with the fixed slots, and every condition's
+    likelihood is exactly one on each of those states."""
+    grids = world.support()[0]
+    fixed = tokens != MASK
+    sel = (grids[:, fixed] == tokens[fixed]).all(axis=1)
+    conds = (condition,) if isinstance(condition, ConditionSpec) else condition
+    return bool(sel.any()) and all(
+        (np.exp(world.condition_loglik(c))[sel] == 1.0).all() for c in conds
+    )
+
+
+class TestExactDecidedConditions:
+    """A condition that the fixed slots make certain answers with the state's
+    unconditional array, the same object, and that array is still the
+    oracle's answer bit for bit."""
+
+    @staticmethod
+    def check_state(model, oracle_model, world, tokens, condition) -> bool:
+        """Check one query against the oracle; True when it was certain."""
+        got = model.predict(tokens, condition)
+        want = oracle_answer(tokens, oracle_model.predict(tokens, condition), world.vocab_size)
+        assert _same_answer(got, want), (tokens.tolist(), condition)
+        certain = _certain(world, tokens, condition)
+        assert (got is model.predict(tokens, None)) == certain, (tokens.tolist(), condition)
+        # the memo holds the answer under the condition's key too
+        assert model.memo.get((tokens.tobytes(), cond_key(condition))) is got
+        return certain
+
+    @staticmethod
+    def states(world):
+        for v in itertools.product(range(MASK, world.vocab_size), repeat=world.length):
+            yield np.array(v, dtype=np.int16)
+
+    @pytest.mark.parametrize("world_name", sorted(ORACLE_WORLDS))
+    def test_certain_condition_answers_with_the_unconditional_array(self, world_name):
+        world, conds = ORACLE_WORLDS[world_name]
+        model, oracle_model = exact_conditional_model(world), ExactOracle(world)
+        certain = {conds[0]: 0, tuple(conds): 0}
+        for tokens in self.states(world):
+            for condition in certain:
+                # a certain query has a compatible support state, so the
+                # oracle answers it
+                if not _certain(world, tokens, condition):
+                    continue
+                assert self.check_state(model, oracle_model, world, tokens, condition)
+                certain[condition] += 1
+        # a single condition and a joint prompt are each certain somewhere
+        assert all(certain.values()), certain
+
+    def test_a_likelihood_one_ulp_below_one_is_not_certain(self):
+        """Cells 0 and 3 each have a condition whose likelihood is 1.0 on one
+        token and the largest double below 1.0 on the other: only the first
+        token makes it certain, so a tolerance in the test shows here."""
+        below = np.nextafter(0.5, 0.0)
+        prior = np.array([[0.5, 0.5], [0.3, 0.7], [0.6, 0.4], [0.5, 0.5]])
+        world = build_factorized_world(
+            2, 2, 2, {"a": {0: [0.5, below]}, "b": {3: [0.5, below]}}, prior_tables=prior
+        )
+        a, b = cell_table("a"), cell_table("b")
+        for cond in (a, b):
+            lik = np.exp(world.condition_loglik(cond))
+            assert set(lik.tolist()) == {1.0, float(np.nextafter(1.0, 0.0))}
+        model, oracle_model = exact_conditional_model(world), ExactOracle(world)
+        certain = {a: 0, (a, b): 0}
+        for tokens in self.states(world):
+            for condition in certain:
+                certain[condition] += self.check_state(model, oracle_model, world, tokens, condition)
+        # token 0 at cell 0, and at cell 3 for the joint prompt; the other
+        # cells masked or fixed either way
+        assert certain == {a: 27, (a, b): 9}
+
+
 class TestExactMemoBound:
     @staticmethod
     def live_bytes(memo) -> int:
