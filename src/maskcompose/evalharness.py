@@ -8,11 +8,13 @@ image distance). Evaluation counts are checked against the exact law
 steps * (n + 1) on every run; a mismatch is an error, never a statistic.
 
 Every caller samples through one loop, sample_arm: the suites here, the
-sample command, scripts/ood_demo.py and the eval-count-law criterion. All
-runs of an arm draw from the arm's one generator. Under its abort policy a
-run that ends in AllMassZero gives no grid, stays in its arm's run count and
-adds to no hit or distinct count: an error where conditions are scored, mass
-off the support in a joint TV. Each result reports its aborts per arm.
+sample command, scripts/ood_demo.py and the eval-count-law criterion. An arm
+draws its runs' uniforms and order keys up front, one row per run, as one
+float64 block from the arm's one generator, and run i is a function of row
+i. Under its abort policy a run that ends in AllMassZero gives no grid,
+stays in its arm's run count and adds to no hit or distinct count: an error
+where conditions are scored, mass off the support in a joint TV. Each result
+reports its aborts per arm.
 
 Condition sets come from one list: every satisfiable k-subset of the pool,
 those some support state satisfies. The error suite draws a run count for
@@ -42,6 +44,7 @@ from .sampler import (
     MaskedState,
     SamplerSchedule,
     count_evaluations,
+    draw_runs,
     run_to_completion,
 )
 from .worlds import WorldJoint, cond_key, object_at_cell
@@ -50,6 +53,9 @@ TIMING_FIELDS = ("wall_time_per_sample", "wall_per_run")
 
 # bools held at once while the satisfiable sets are listed
 _COVER_CHUNK = 1 << 24
+# runs whose draws sample_arm holds at once as Python lists; chunking bounds
+# that memory whatever the arm's run count
+_DRAW_ROWS = 256
 
 
 def two_sigma_bound(p: float, n: int) -> float:
@@ -82,19 +88,23 @@ def joint_tv(
     """Exact total variation between the empirical distribution over whole
     grids and an enumerated distribution (mass off the support included).
 
-    Each of the `aborts` runs that gave no grid is mass off the support.
+    grids are distinct. Each of the `aborts` runs that gave no grid is mass
+    off the support.
     """
     samples = np.asarray(samples, dtype=np.int16)
+    probs = np.asarray(probs, dtype=np.float64)
     n = samples.shape[0] + aborts
-    freq: dict[bytes, float] = {}
-    for row in samples:
-        key = row.tobytes()
-        freq[key] = freq.get(key, 0.0) + 1.0 / n
-    tv = 0.0
-    for g, p in zip(np.asarray(grids, dtype=np.int16), probs):
-        tv += abs(freq.pop(g.tobytes(), 0.0) - float(p))
-    tv += sum(freq.values()) + aborts / n  # empirical mass outside the support
-    return 0.5 * tv
+    keys, counts = np.unique(_row_keys(samples), return_counts=True)
+    support = _row_keys(grids)
+    # the count of each support grid among the samples, 0 where it is absent
+    at = np.searchsorted(keys, support)
+    found = at < keys.size
+    found[found] = keys[at[found]] == support[found]
+    hits = counts[at[found]]
+    freq = np.zeros(support.size)
+    freq[found] = hits / n
+    off = n - int(hits.sum())  # runs off the support, aborted ones included
+    return 0.5 * (float(np.abs(freq - probs).sum()) + off / n)
 
 
 def predicate_pool(world: WorldJoint) -> list:
@@ -169,11 +179,16 @@ def sample_arm(
     model, length: int, conds: Sequence, weights: Sequence[float],
     sched: SamplerSchedule, rng: np.random.Generator, n: int,
 ) -> tuple[np.ndarray, int]:
-    """Sample n grids, each run drawing from rng in place, one after the
-    other; check the evaluation-count law on every run.
+    """Sample n grids from the rows of one block of uniforms; check the
+    evaluation-count law on every run.
 
-    Every caller in the package samples through here, one run_to_completion
-    call per grid; nothing else calls run_to_completion.
+    The block is rng.random((n, width)), drawn in chunks of at most
+    _DRAW_ROWS rows, which gives the same doubles; row i holds run i's
+    uniforms and, in random order, its order keys (sampler.draw_runs). So
+    the arm takes exactly n * width doubles from rng, whether or not its runs
+    abort, and run i is a function of row i. Every caller in the package
+    samples through here, one run_to_completion call per grid; nothing else
+    calls run_to_completion.
     The runs share one frozen initial state: a step copies the tokens before
     it writes. A run that aborts with AllMassZero gives no grid. Returns the
     completed grids in run order as an (n - aborts, L) int16 block, and the
@@ -185,18 +200,21 @@ def sample_arm(
     initial = MaskedState.fully_masked(length)
     block = np.empty((n, length), dtype=np.int16)
     kept = 0
-    for _ in range(n):
-        try:
-            tokens, stats = run_to_completion(initial, model, conds, weights, sched, rng)
-        except AllMassZero:
-            continue
-        if stats.evaluations != expect:
-            raise ValidationError(
-                f"evaluation-count law violated: measured {stats.evaluations}, "
-                f"law gives {expect}"
-            )
-        block[kept] = tokens
-        kept += 1
+    for lo in range(0, n, _DRAW_ROWS):
+        for order, uniforms in zip(*draw_runs(sched, length, rng, min(_DRAW_ROWS, n - lo))):
+            try:
+                tokens, stats = run_to_completion(
+                    initial, model, conds, weights, sched, order, uniforms
+                )
+            except AllMassZero:
+                continue
+            if stats.evaluations != expect:
+                raise ValidationError(
+                    f"evaluation-count law violated: measured {stats.evaluations}, "
+                    f"law gives {expect}"
+                )
+            block[kept] = tokens
+            kept += 1
     return block[:kept], n - kept
 
 
@@ -347,11 +365,12 @@ def run_ood_eval(
     train_max_objects objects. Composed generation (one weight per
     condition) is paired against the joint-prompt baseline on the same
     condition set, drawn uniformly among the satisfiable
-    test_n_conditions-subsets of the cell pool. Both arms start from one
-    generator state and stay in step while no run aborts. A grid off the
-    world's support (more objects than its budget) can still satisfy the
-    set, so each arm also reports its off-support share and its distinct
-    grids that lie in the support and satisfy the set.
+    test_n_conditions-subsets of the cell pool. Both arms draw their block
+    from one generator state, so run i of each arm has the same row of
+    uniforms and order keys. A grid off the world's support (more objects
+    than its budget) can still satisfy the set, so each arm also reports
+    its off-support share and its distinct grids that lie in the support and
+    satisfy the set.
     """
     if test_n_conditions <= train_max_objects:
         raise ValidationError(

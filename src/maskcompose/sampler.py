@@ -9,6 +9,12 @@ in log space, the schedule temperature is applied and tokens are drawn for the
 selected positions. The grid goes from step to step, and to the model, as a
 plain (L,) int16 array; MaskedState only names the all-MASK grid a run starts
 from.
+
+A run's randomness is one row of uniforms drawn before its first step (see
+draw_runs): slot p's token is the inverse-CDF draw at the row's p-th uniform,
+whichever step fixes p, and in random order the row's last L entries are the
+keys whose stable argsort is the run's order. So a run is a function of its
+row, and a step draws nothing from a generator.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ class MaskedState:
 
 @dataclass(frozen=True)
 class SamplerSchedule:
-    """How a run unmasks its grid; the run's seed is an argument of the run.
+    """How a run unmasks its grid; the run's draws are arguments of the run.
 
     A run finishes in exactly ceil(L / tokens_per_step) steps. Autoregressive
     mode requires tokens_per_step = 1 and ignores order_policy in favor of
@@ -101,17 +107,44 @@ def count_evaluations(sched: SamplerSchedule, length: int, n_conditions: int) ->
     return math.ceil(length / sched.tokens_per_step) * (n_conditions + 1)
 
 
-def sample_token(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw: one searchsorted of a uniform scaled to the total mass.
+def sample_token(cdf: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw: one searchsorted of the uniform u in [0, 1) scaled
+    to the total mass.
 
     cdf is the float64 running sum of a composed vector's probabilities,
     np.exp(logp).cumsum(), as the composed-vector memo holds it; the draw
     stays in float64 so that rounding cannot shift mass between tokens.
-    rng.random() < 1 keeps the scaled uniform below the total; the clip to
-    K - 1 guards the index all the same.
+    u < 1 keeps the scaled uniform below the total; the clip to K - 1 guards
+    the index all the same.
     """
-    idx = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
+    idx = int(cdf.searchsorted(u * cdf[-1], side="right"))
     return min(idx, cdf.size - 1)
+
+
+def draw_runs(
+    sched: SamplerSchedule, length: int, rng: np.random.Generator, n: int
+) -> tuple[list, list[list[float]]]:
+    """The unmasking orders and draw uniforms of n runs, from one float64
+    block rng.random((n, width)).
+
+    Row i is run i's: its first L entries are the uniforms, slot p's at
+    column p. In random order L order keys follow, so width is 2L, and the
+    run's order is the stable argsort of its keys; otherwise width is L, the
+    order is left to right in autoregressive mode and None, a ranking at
+    every step, in max-confidence order. Drawing a + b rows in two calls
+    gives the same doubles as one call of a + b rows, so a caller may draw an
+    arm in chunks. Returns the n orders and the n rows of uniforms as lists.
+    """
+    random_order = sched.mode == MODE_MASKED and sched.order_policy == ORDER_RANDOM
+    block = rng.random((n, 2 * length if random_order else length))
+    uniforms = block[:, :length].tolist()
+    if random_order:
+        orders = block[:, length:].argsort(axis=1, kind="stable").tolist()
+    elif sched.mode == MODE_AUTOREGRESSIVE:
+        orders = [list(range(length))] * n
+    else:
+        orders = [None] * n
+    return orders, uniforms
 
 
 # Composed vectors, temperature applied, keyed by the content of their inputs:
@@ -204,8 +237,8 @@ def composed_step(
     conds: Sequence,
     weights: tuple[float, ...],
     sched: SamplerSchedule,
-    rng: np.random.Generator,
     order: Sequence[int] | None,
+    uniforms: Sequence[float],
     stats: RunStats,
 ) -> np.ndarray:
     """Advance one step of a run: query, compose, select, draw.
@@ -215,13 +248,14 @@ def composed_step(
     drawn, so no fixed slot is overwritten. weights is a tuple of floats,
     one per condition, as run_to_completion passes it. The model is
     evaluated once unconditionally and once per condition, regardless of how
-    many positions get fixed. rng is the run's generator; order is the run's
-    unmasking order, which needs only the count of open slots, or None for
-    max-confidence order, which lists and composes every masked position to
-    rank them; stats is the run's counter. Composed vectors and their CDFs
-    come from a memo keyed by the content of the expert vectors, weights and
-    temperature, so equal inputs give the same read-only entry; each
-    selected position takes one sample_token draw from its CDF, ascending.
+    many positions get fixed. order is the run's unmasking order, which
+    needs only the count of open slots, or None for max-confidence order,
+    which lists and composes every masked position to rank them; uniforms
+    is the run's row of L draw uniforms; stats is the run's counter.
+    Composed vectors and their CDFs come from a memo keyed by the content of
+    the expert vectors, weights and temperature, so equal inputs give the
+    same read-only entry; each selected position p takes one sample_token
+    draw from its CDF at uniforms[p].
     """
     values = tokens.tolist()
     n_open = values.count(MASK)
@@ -241,12 +275,12 @@ def composed_step(
     selected = _select_positions(n_open, take, order, composed)
 
     tokens = tokens.copy()
-    for pos in selected:  # ascending position order fixes rng consumption
+    for pos in selected:
         if composed is not None:
             entry = composed[pos]
         else:
             entry = _composed(uncond[pos], [d[pos] for d in per_cond], weights, temperature)
-        tokens[pos] = sample_token(entry[1], rng)
+        tokens[pos] = sample_token(entry[1], uniforms[pos])
     stats.steps += 1
     return tokens
 
@@ -257,17 +291,17 @@ def run_to_completion(
     conds: Sequence,
     weights: Sequence[float],
     sched: SamplerSchedule,
-    rng: np.random.Generator,
+    order: Sequence[int] | None,
+    uniforms: Sequence[float],
 ) -> tuple[np.ndarray, RunStats]:
     """Run composed_step ceil(L / tokens_per_step) times from a fully masked
     initial state, which fixes every slot; return the last step's tokens.
 
     The run is a function of (initial, model, conds, weights, sched) and of
-    the state rng is in; it draws from rng in place. evalharness.sample_arm
-    is its one caller in the package. initial is left as it was. The order
-    is fixed before the first step: left to right with no draw in
-    autoregressive mode, one permutation drawn up front in random order, and
-    None, a ranking at every step, in max-confidence order.
+    its row of draw_runs: its order and its L uniforms, slot p's token being
+    the inverse-CDF draw at uniforms[p]. evalharness.sample_arm is its one
+    caller in the package. initial is left as it was. order is None exactly
+    in max-confidence order, which ranks the masked positions at every step.
     """
     tokens = initial.tokens
     length = tokens.size
@@ -276,13 +310,7 @@ def run_to_completion(
     if len(conds) != len(weights):
         raise ShapeMismatch(f"{len(conds)} conditions vs {len(weights)} weights")
     weights = tuple(map(float, weights))  # hashable, for the memo key
-    if sched.mode == MODE_AUTOREGRESSIVE:
-        order = list(range(length))
-    elif sched.order_policy == ORDER_RANDOM:
-        order = rng.permutation(length).tolist()
-    else:
-        order = None
     stats = RunStats()
     for _ in range(math.ceil(length / sched.tokens_per_step)):
-        tokens = composed_step(tokens, model, conds, weights, sched, rng, order, stats)
+        tokens = composed_step(tokens, model, conds, weights, sched, order, uniforms, stats)
     return tokens, stats

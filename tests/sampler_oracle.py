@@ -5,9 +5,11 @@ next to the vector, draws each token with one searchsorted on that CDF and
 writes the draws into one copy of the tokens. This module keeps the earlier
 formulation: the memo holds the composed log vector alone, every draw
 recomputes np.exp(logp).cumsum(), and the successor grid is built with
-with_fixed, which refuses to overwrite a fixed slot. Tests check the fast
-path against it token for token, counter for counter and generator state for
-generator state.
+with_fixed, which refuses to overwrite a fixed slot. A run's draws follow the
+package's contract: one row of uniforms, slot p's token drawn at the row's
+p-th entry, and in random order L order keys after them whose stable argsort
+is the order. Tests check the fast path against it token for token and
+counter for counter.
 """
 
 from __future__ import annotations
@@ -45,11 +47,26 @@ def with_fixed(tokens: np.ndarray, positions: Sequence[int], values: Sequence[in
     return tokens
 
 
-def sample_token(logp: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from a log-probability vector."""
+def draw_run(
+    sched: SamplerSchedule, length: int, rng: np.random.Generator
+) -> tuple[list[int] | None, np.ndarray]:
+    """One run's (order, uniforms) from one row of rng.random: L uniforms,
+    then, in masked random order only, L order keys."""
+    keyed = sched.mode == MODE_MASKED and sched.order_policy != ORDER_MAX_CONFIDENCE
+    row = rng.random(2 * length if keyed else length)
+    if sched.mode == MODE_AUTOREGRESSIVE:
+        order = list(range(length))
+    elif keyed:
+        order = [int(p) for p in np.argsort(row[length:], kind="stable")]
+    else:
+        order = None
+    return order, row[:length]
+
+
+def sample_token(logp: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw from a log-probability vector at the uniform u."""
     cum = np.exp(logp).cumsum()
-    u = rng.random() * cum[-1]
-    idx = int(cum.searchsorted(u, side="right"))
+    idx = int(cum.searchsorted(u * cum[-1], side="right"))
     return min(idx, logp.size - 1)
 
 
@@ -111,11 +128,12 @@ def composed_step(
     conds: Sequence,
     weights: Sequence[float],
     sched: SamplerSchedule,
-    rng: np.random.Generator,
     order: Sequence[int] | None,
+    uniforms: Sequence[float],
     stats: RunStats,
 ) -> np.ndarray:
-    """Advance one step of a run: query, compose, select, draw."""
+    """Advance one step of a run: query, compose, select, and draw each
+    selected slot p at uniforms[p]."""
     if len(conds) != len(weights):
         raise ShapeMismatch(f"{len(conds)} conditions vs {len(weights)} weights")
     masked = [p for p, v in enumerate(tokens.tolist()) if v == MASK]
@@ -139,9 +157,9 @@ def composed_step(
     selected = select_positions(masked, sched, order, composed_all)
 
     values = []
-    for pos in selected:  # ascending position order fixes rng consumption
+    for pos in selected:
         dist = composed_all[pos] if composed_all is not None else composed_at(pos)
-        values.append(sample_token(dist, rng))
+        values.append(sample_token(dist, uniforms[pos]))
     new_tokens = with_fixed(tokens, selected, values)
     stats.steps += 1
     return new_tokens

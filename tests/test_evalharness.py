@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import maskcompose
-from maskcompose import evalharness, sampler
+from maskcompose import evalharness
 from maskcompose.errors import AllMassZero, EmptyIntersection, ValidationError
 from maskcompose.countmodel import fit_count_model
 from maskcompose.evalharness import (
@@ -34,6 +34,7 @@ from maskcompose.sampler import (
     ORDER_MAX_CONFIDENCE,
     MaskedState,
     SamplerSchedule,
+    draw_runs,
     run_to_completion,
 )
 from maskcompose.worlds import (
@@ -77,15 +78,13 @@ class TestMetrics:
         cond = object_at_cell(0, 0)
         sched = SamplerSchedule(temperature=1.0)
         rng = np.random.default_rng(1)
-        from maskcompose.sampler import MaskedState, run_to_completion
 
-        samples = np.stack([
-            run_to_completion(
-                MaskedState.fully_masked(4), model, [cond], [1.0], sched,
-                np.random.default_rng(int(rng.integers(2**63 - 1))),
-            )[0]
-            for _ in range(5000)
-        ])
+        def one_run(seed):
+            (order,), (uniforms,) = draw_runs(sched, 4, np.random.default_rng(seed), 1)
+            initial = MaskedState.fully_masked(4)
+            return run_to_completion(initial, model, [cond], [1.0], sched, order, uniforms)[0]
+
+        samples = np.stack([one_run(int(rng.integers(2**63 - 1))) for _ in range(5000)])
         marg = world.enumerate_posterior([cond]).marginals()
         assert tv_to_marginals(samples, marg) <= 0.03
 
@@ -401,8 +400,10 @@ class TestFidelity:
 
 
 class TestArmGenerator:
-    """Every run of an arm draws from the generator handed to sample_arm, in
-    place, one run after the other."""
+    """An arm draws its runs' uniforms and order keys up front, as one
+    rng.random((n, width)) block, and run i is a function of row i."""
+
+    N = 300  # more than one chunk of rows
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -415,37 +416,51 @@ class TestArmGenerator:
         )
         return exact_conditional_model(world), world.length, [object_at_cell(0, 0)], [1.0], sched
 
-    def test_every_step_draws_from_the_arms_generator(self, case, monkeypatch):
-        seen = []
-        real = sampler.composed_step
+    @staticmethod
+    def schedules(case):
+        """The case's own schedule (width L) and random order (width 2L)."""
+        sched = case[4]
+        return {"max_confidence": (sched, case[1]),
+                "random": (SamplerSchedule(tokens_per_step=3, temperature=1.0), 2 * case[1])}
 
-        def spy(tokens, model, conds, weights, sched, rng, order, stats):
-            seen.append(rng)
-            return real(tokens, model, conds, weights, sched, rng, order, stats)
-
-        monkeypatch.setattr(sampler, "composed_step", spy)
+    @pytest.mark.parametrize("order", ["max_confidence", "random"])
+    def test_an_arm_consumes_exactly_its_block(self, case, order):
+        model, length, conds, weights, _ = case
+        sched, width = self.schedules(case)[order]
         rng = np.random.default_rng(0)
-        _, aborts = evalharness.sample_arm(*case, rng, 20)
-        assert len(seen) >= 20 * 3 - 2 * aborts  # three steps per completed run
-        assert all(r is rng for r in seen)
+        _, aborts = evalharness.sample_arm(model, length, conds, weights, sched, rng, self.N)
+        fresh = np.random.default_rng(0)
+        fresh.random((self.N, width))
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        if order == "max_confidence":
+            assert aborts > 0
 
-    def test_arm_equals_a_hand_loop_over_one_generator(self, case):
-        model, length, conds, weights, sched = case
-        rng = np.random.default_rng(0)
-        block, aborts = evalharness.sample_arm(model, length, conds, weights, sched, rng, 50)
-        hand = np.random.default_rng(0)
+    @pytest.mark.parametrize("order", ["max_confidence", "random"])
+    def test_each_run_is_a_function_of_its_row(self, case, order):
+        model, length, conds, weights, _ = case
+        sched, width = self.schedules(case)[order]
+        block, aborts = evalharness.sample_arm(
+            model, length, conds, weights, sched, np.random.default_rng(0), self.N
+        )
+        rows = np.random.default_rng(0).random((self.N, width))
         initial = MaskedState.fully_masked(length)
         grids, hand_aborts = [], 0
-        for _ in range(50):
+        for row in rows:
+            if width == 2 * length:
+                run_order = np.argsort(row[length:], kind="stable").tolist()
+            else:
+                run_order = None
             try:
-                grids.append(
-                    run_to_completion(initial, model, conds, weights, sched, hand)[0].tolist()
+                tokens, _ = run_to_completion(
+                    initial, model, conds, weights, sched, run_order, row[:length].tolist()
                 )
+                grids.append(tokens.tolist())
             except AllMassZero:
                 hand_aborts += 1
-        assert aborts == hand_aborts > 0
+        assert aborts == hand_aborts
         assert block.tolist() == grids
-        assert rng.bit_generator.state == hand.bit_generator.state
+        if order == "max_confidence":
+            assert aborts > 0
 
 
 class TestEvaluationCountLaw:
@@ -457,8 +472,8 @@ class TestEvaluationCountLaw:
         real = evalharness.run_to_completion
 
         def install(which=lambda conds: True):
-            def run(initial, model, conds, weights, sched, rng):
-                tokens, stats = real(initial, model, conds, weights, sched, rng)
+            def run(initial, model, conds, weights, sched, order, uniforms):
+                tokens, stats = real(initial, model, conds, weights, sched, order, uniforms)
                 if which(conds):
                     stats.evaluations += 1
                 return tokens, stats

@@ -28,6 +28,7 @@ from maskcompose.sampler import (
     SamplerSchedule,
     composed_step,
     count_evaluations,
+    draw_runs,
     run_to_completion,
     sample_token,
 )
@@ -77,11 +78,20 @@ def masked(length):
 
 
 def step(tokens, model, conds, weights, sched, order=None):
-    """One composed_step with a fresh generator and counter; weights become
-    the float tuple run_to_completion hands every step."""
+    """One composed_step with uniforms from a fresh generator and a fresh
+    counter; weights become the float tuple run_to_completion hands every
+    step."""
     return composed_step(
-        tokens, model, conds, tuple(map(float, weights)), sched, np.random.default_rng(0),
-        order, RunStats(),
+        tokens, model, conds, tuple(map(float, weights)), sched, order,
+        np.random.default_rng(0).random(tokens.size).tolist(), RunStats(),
+    )
+
+
+def run(model, length, conds, weights, sched, rng):
+    """run_to_completion on the one row draw_runs(sched, length, rng, 1) draws."""
+    (order,), (uniforms,) = draw_runs(sched, length, rng, 1)
+    return run_to_completion(
+        MaskedState.fully_masked(length), model, conds, weights, sched, order, uniforms
     )
 
 
@@ -157,10 +167,7 @@ class TestEvaluationCount:
         sched = SamplerSchedule(tokens_per_step=tokens_per_step)
         model = uniform_model(length, 3)
         conds = [f"c{i}" for i in range(n)]
-        tokens, stats = run_to_completion(
-            MaskedState.fully_masked(length), model, conds, [1.0] * n, sched,
-            np.random.default_rng(3),
-        )
+        tokens, stats = run(model, length, conds, [1.0] * n, sched, np.random.default_rng(3))
         assert stats.evaluations == count_evaluations(sched, length, n)
         assert stats.evaluations == model.calls
         assert stats.steps == math.ceil(length / tokens_per_step)
@@ -171,9 +178,7 @@ class TestRunLoop:
     def test_single_step_when_tokens_per_step_covers_grid(self):
         model = uniform_model(4, 2)
         sched = SamplerSchedule(tokens_per_step=4)
-        tokens, stats = run_to_completion(
-            MaskedState.fully_masked(4), model, ["a"], [1.0], sched, np.random.default_rng(1)
-        )
+        tokens, stats = run(model, 4, ["a"], [1.0], sched, np.random.default_rng(1))
         assert stats.steps == 1
         assert stats.evaluations == 2
         assert tokens.shape == (4,)
@@ -190,38 +195,31 @@ class TestRunLoop:
 
     def test_requires_fully_masked_initial(self):
         partial = MaskedState(oracle.with_fixed(masked(3), [0], [1]))
+        (order,), (uniforms,) = draw_runs(SamplerSchedule(), 3, np.random.default_rng(0), 1)
         with pytest.raises(ValueError):
             run_to_completion(
-                partial, uniform_model(3, 2), [], [], SamplerSchedule(), np.random.default_rng(0)
+                partial, uniform_model(3, 2), [], [], SamplerSchedule(), order, uniforms
             )
 
     def test_mismatched_weights_raise(self):
         model = uniform_model(2, 2)
         with pytest.raises(ShapeMismatch):
-            run_to_completion(
-                MaskedState.fully_masked(2), model, ["a"], [], SamplerSchedule(),
-                np.random.default_rng(0),
-            )
+            run(model, 2, ["a"], [], SamplerSchedule(), np.random.default_rng(0))
         assert model.calls == 0  # refused before the first step
 
     def test_determinism_same_seed_same_tokens(self):
         model = TableModel(np.array([[0.7, 0.2, 0.1]] * 6))
         sched = SamplerSchedule(tokens_per_step=2)
-        a, _ = run_to_completion(
-            MaskedState.fully_masked(6), model, [], [], sched, np.random.default_rng(42)
-        )
-        b, _ = run_to_completion(
-            MaskedState.fully_masked(6), model, [], [], sched, np.random.default_rng(42)
-        )
+        a, _ = run(model, 6, [], [], sched, np.random.default_rng(42))
+        b, _ = run(model, 6, [], [], sched, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_different_seeds_eventually_differ(self):
         model = uniform_model(8, 4)
         outs = set()
         for seed in range(6):
-            tokens, _ = run_to_completion(
-                MaskedState.fully_masked(8), model, [], [],
-                SamplerSchedule(tokens_per_step=2), np.random.default_rng(seed),
+            tokens, _ = run(
+                model, 8, [], [], SamplerSchedule(tokens_per_step=2), np.random.default_rng(seed)
             )
             outs.add(tokens.tobytes())
         assert len(outs) > 1
@@ -239,14 +237,13 @@ class TestRunLoop:
         tables = rng.dirichlet(np.ones(3), size=length)
         model = TableModel(tables)
         sched = SamplerSchedule(tokens_per_step=tokens_per_step, order_policy=policy)
-        run_rng = np.random.default_rng(seed)
-        order = run_rng.permutation(length) if policy == ORDER_RANDOM else None
+        (order,), (uniforms,) = draw_runs(sched, length, np.random.default_rng(seed), 1)
         tokens = masked(length)
         stats = RunStats()
         while (tokens == MASK).any():
             remaining = int((tokens == MASK).sum())
             given, prev = tokens, tokens.copy()
-            tokens = composed_step(given, model, [], (), sched, run_rng, order, stats)
+            tokens = composed_step(given, model, [], (), sched, order, uniforms, stats)
             # the step leaves its input as it was and answers a fresh array
             assert np.array_equal(given, prev) and not np.shares_memory(tokens, given)
             was_fixed = prev != MASK
@@ -276,9 +273,10 @@ class TestArrayContract:
                 return super().predict(tokens, condition)
 
         initial = MaskedState.fully_masked(length)
+        (order,), (uniforms,) = draw_runs(sched, length, np.random.default_rng(3), 1)
         tokens, stats = run_to_completion(
             initial, Recorder(tables, {"a": tables[::-1]}), conds, [1.0, -0.5], sched,
-            np.random.default_rng(3),
+            order, uniforms,
         )
         assert len(seen) == math.ceil(length / sched.tokens_per_step) * (len(conds) + 1)
         assert len(seen) == stats.evaluations
@@ -294,8 +292,8 @@ class TestSampling:
         logp = np.log(np.array([0.0, 1.0, 0.0]) + 1e-300)
         logp[1] = 0.0
         cdf = np.exp(logp).cumsum()
-        for _ in range(50):
-            assert sample_token(cdf, rng) == 1
+        for u in rng.random(50).tolist():
+            assert sample_token(cdf, u) == 1
 
     @pytest.mark.parametrize("cdf, u, token", [
         ([0.0, 0.25, 1.0, 1.0], 0.0, 1),  # a leading zero-mass token is skipped
@@ -303,11 +301,7 @@ class TestSampling:
         ([0.0, 0.75, 3.0], np.nextafter(1.0, 0.0), 2),  # an unnormalized total
     ])
     def test_sample_token_edges_of_the_unit_interval(self, cdf, u, token):
-        class FixedUniform:
-            def random(self):
-                return u
-
-        assert sample_token(np.array(cdf), FixedUniform()) == token
+        assert sample_token(np.array(cdf), u) == token
 
     def test_sample_token_frequencies_within_four_sigma(self):
         """2e5 draws from a fixed CDF, one token of mass 1e-12: every token's
@@ -317,7 +311,8 @@ class TestSampling:
         probs = np.diff(cdf, prepend=0.0) / cdf[-1]
         rng = np.random.default_rng(2024)
         n = 200_000
-        counts = np.bincount([sample_token(cdf, rng) for _ in range(n)], minlength=p.size)
+        counts = np.bincount([sample_token(cdf, u) for u in rng.random(n).tolist()],
+                             minlength=p.size)
         assert counts.size == p.size
         sigma = np.sqrt(probs * (1.0 - probs) / n)
         assert np.all(np.abs(counts / n - probs) <= 4.0 * sigma), counts
@@ -328,9 +323,8 @@ class TestSampling:
         hits = 0
         n = 10_000
         for seed in range(n):
-            tokens, _ = run_to_completion(
-                MaskedState.fully_masked(1), model, [], [],
-                SamplerSchedule(temperature=1.0), np.random.default_rng(seed),
+            tokens, _ = run(
+                model, 1, [], [], SamplerSchedule(temperature=1.0), np.random.default_rng(seed)
             )
             hits += int(tokens[0] == 1)
         assert abs(hits / n - 0.5) <= 0.01
@@ -343,9 +337,8 @@ class TestSampling:
         for temp in (1.0, 0.25):
             wins = 0
             for seed in range(2_000):
-                tokens, _ = run_to_completion(
-                    MaskedState.fully_masked(1), hot, [], [],
-                    SamplerSchedule(temperature=temp), np.random.default_rng(seed),
+                tokens, _ = run(
+                    hot, 1, [], [], SamplerSchedule(temperature=temp), np.random.default_rng(seed)
                 )
                 wins += int(tokens[0] == 0)
             rates[temp] = wins / 2_000
@@ -374,9 +367,9 @@ class TestSampling:
         model = TableModel(base, cond_tables=cond)
         ones = 0
         for seed in range(500):
-            tokens, _ = run_to_completion(
-                MaskedState.fully_masked(1), model, ["flip"], [2.0],
-                SamplerSchedule(temperature=1.0), np.random.default_rng(seed),
+            tokens, _ = run(
+                model, 1, ["flip"], [2.0], SamplerSchedule(temperature=1.0),
+                np.random.default_rng(seed),
             )
             ones += int(tokens[0] == 1)
         assert ones / 500 > 0.9
@@ -437,9 +430,9 @@ class TestComposedMemo:
             entries.append(COMPOSED(*args))
             return entries[-1]
 
-        def spy_draw(cdf, rng):
+        def spy_draw(cdf, u):
             cdfs.append(cdf)
-            return sample_token(cdf, rng)
+            return sample_token(cdf, u)
 
         monkeypatch.setattr(sampler, "_composed", spy_composed)
         monkeypatch.setattr(sampler, "sample_token", spy_draw)
@@ -461,8 +454,8 @@ class TestComposedMemo:
                 runs = []
                 for _ in range(2):  # the first pass fills the memo, the second reads it
                     runs.append([
-                        run_to_completion(
-                            MaskedState.fully_masked(4), model, ["c"], [-0.5],
+                        run(
+                            model, 4, ["c"], [-0.5],
                             SamplerSchedule(order_policy=policy, temperature=temp),
                             np.random.default_rng(seed),
                         )[0].tolist()
@@ -593,40 +586,34 @@ def fresh_memos():
         sampler._memo, oracle.memo = saved
 
 
-def run_order(sched, length, rng):
-    """The unmasking order run_to_completion fixes before the first step."""
-    if sched.mode == MODE_AUTOREGRESSIVE:
-        return list(range(length))
-    if sched.order_policy == ORDER_RANDOM:
-        return rng.permutation(length).tolist()
-    return None
-
-
 def lockstep_run(model, conds, weights, sched, length, seed):
-    """Run composed_step and the oracle's step side by side from one seed and
-    check, after every step, equal tokens, RunStats and generator state.
+    """Run composed_step and the oracle's step side by side on one run's
+    draws and check, after every step, equal tokens and RunStats.
 
-    composed_step gets the order run_to_completion fixes; the oracle selects
-    by mode as it always did. Returns the tokens and the final generator
-    state, or None when both abort at the same step.
+    composed_step gets the order and uniforms of draw_runs' one row; the
+    oracle draws its own row with oracle.draw_run, which must agree, and
+    selects by mode as it always did. Returns the tokens, or None when both
+    abort at the same step.
     """
     rngs = [np.random.default_rng(seed) for _ in range(2)]
-    order = run_order(sched, length, rngs[0])
-    oracle_order = None
-    if sched.mode == MODE_MASKED and sched.order_policy == ORDER_RANDOM:
-        oracle_order = rngs[1].permutation(length).tolist()
-        assert order == oracle_order
+    (order,), (uniforms,) = draw_runs(sched, length, rngs[0], 1)
+    oracle_order, oracle_uniforms = oracle.draw_run(sched, length, rngs[1])
+    assert order == oracle_order
+    assert uniforms == oracle_uniforms.tolist()
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
     states = [masked(length)] * 2
     stats = [RunStats(), RunStats()]
-    steppers = ((composed_step, order), (oracle.composed_step, oracle_order))
+    steppers = (
+        (composed_step, order, uniforms),
+        (oracle.composed_step, oracle_order, oracle_uniforms),
+    )
     weights = tuple(map(float, weights))
     while (states[1] == MASK).any():
         outcomes = []
-        for i, (stepper, stepper_order) in enumerate(steppers):
+        for i, (stepper, stepper_order, stepper_uniforms) in enumerate(steppers):
             try:
-                states[i] = stepper(states[i], model, conds, weights, sched, rngs[i],
-                                    stepper_order, stats[i])
+                states[i] = stepper(states[i], model, conds, weights, sched, stepper_order,
+                                    stepper_uniforms, stats[i])
                 outcomes.append(None)
             except AllMassZero:
                 outcomes.append(AllMassZero)
@@ -636,9 +623,8 @@ def lockstep_run(model, conds, weights, sched, length, seed):
         assert states[0].dtype == states[1].dtype
         assert states[0].tolist() == states[1].tolist()
         assert stats[0] == stats[1]
-        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
     assert not (states[0] == MASK).any()
-    return states[0].tolist(), rngs[0].bit_generator.state
+    return states[0].tolist()
 
 
 def oracle_case(model_name, prompt, order, tokens_per_step, temperature):
@@ -693,40 +679,79 @@ class TestStepMatchesOracle:
     @settings(max_examples=60, deadline=None)
     def test_whole_run_matches(self, model_name, prompt, order, tokens_per_step, temperature,
                                seed):
-        """run_to_completion(..., sched, default_rng(seed)) gives the oracle's tokens and
-        final generator state, and draws only the random order's permutation
-        before its first step: nothing in autoregressive order."""
+        """run_to_completion on draw_runs' row for default_rng(seed) gives
+        the oracle's tokens, and every step gets that row's order and
+        uniforms."""
         model, conds, weights, sched = oracle_case(
             model_name, prompt, order, tokens_per_step, temperature
         )
-        first_step, step_rngs = [], set()
+        seen = []
 
-        def spy(tokens, model, conds, weights, sched, rng, order, stats):
-            if not first_step:
-                first_step.append((rng, rng.bit_generator.state))
-            step_rngs.add(id(rng))
-            return composed_step(tokens, model, conds, weights, sched, rng, order, stats)
+        def spy(tokens, model, conds, weights, sched, order, uniforms, stats):
+            seen.append((order, uniforms))
+            return composed_step(tokens, model, conds, weights, sched, order, uniforms, stats)
 
+        (run_order,), (uniforms,) = draw_runs(sched, 4, np.random.default_rng(seed), 1)
         with fresh_memos():
             expect = lockstep_run(model, conds, weights, sched, 4, seed)
             saved, sampler.composed_step = sampler.composed_step, spy
             try:
                 got = run_to_completion(
-                    MaskedState.fully_masked(4), model, conds, weights, sched, np.random.default_rng(seed)
+                    MaskedState.fully_masked(4), model, conds, weights, sched, run_order, uniforms
                 )
             except AllMassZero:
                 got = None
             finally:
                 sampler.composed_step = saved
-        fresh = np.random.default_rng(seed)
-        if order == ORDER_RANDOM:
-            fresh.permutation(4)
-        (rng, state_at_first_step), = first_step
-        assert state_at_first_step == fresh.bit_generator.state
-        assert step_rngs == {id(rng)}  # one generator for the whole run
+        assert seen and all(o is run_order and u is uniforms for o, u in seen)
         if expect is None:
             assert got is None
         else:
             tokens, stats = got
-            assert (tokens.tolist(), rng.bit_generator.state) == expect
-            assert stats.steps == math.ceil(4 / sched.tokens_per_step)
+            assert tokens.tolist() == expect
+            assert stats.steps == len(seen) == math.ceil(4 / sched.tokens_per_step)
+
+
+class TestDrawRuns:
+    """draw_runs lays out n runs' draws as one rng.random((n, width)) block."""
+
+    @pytest.mark.parametrize("sched, width, order", [
+        (SamplerSchedule(), 8, "keys"),
+        (SamplerSchedule(mode=MODE_AUTOREGRESSIVE), 4, "left to right"),
+        (SamplerSchedule(tokens_per_step=2, order_policy=ORDER_MAX_CONFIDENCE), 4, None),
+    ], ids=["random", "autoregressive", "max_confidence"])
+    def test_rows_are_uniforms_then_order_keys(self, sched, width, order):
+        rng, fresh = np.random.default_rng(5), np.random.default_rng(5)
+        orders, uniforms = draw_runs(sched, 4, rng, 7)
+        block = fresh.random((7, width))
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        assert uniforms == block[:, :4].tolist()
+        if order == "keys":
+            expect = [sorted(range(4), key=lambda p: (row[4 + p], p)) for row in block]
+        elif order == "left to right":
+            expect = [[0, 1, 2, 3]] * 7
+        else:
+            expect = [None] * 7
+        assert orders == expect
+
+    def test_chunks_draw_the_same_doubles(self):
+        sched = SamplerSchedule()
+        rng = np.random.default_rng(9)
+        chunks = [draw_runs(sched, 5, rng, n) for n in (3, 1, 4)]
+        whole = draw_runs(sched, 5, np.random.default_rng(9), 8)
+        assert [x for c in chunks for x in c[0]] == whole[0]
+        assert [x for c in chunks for x in c[1]] == whole[1]
+
+    def test_every_order_of_four_slots_is_equally_likely(self):
+        """At L = 4 in random order each of the 24 orders occurs within
+        4 sigma of 1/24."""
+        n = 48_000
+        orders, _ = draw_runs(SamplerSchedule(), 4, np.random.default_rng(2024), n)
+        counts = {}
+        for order in orders:
+            counts[tuple(order)] = counts.get(tuple(order), 0) + 1
+        assert len(counts) == 24
+        p = 1.0 / 24
+        sigma = math.sqrt(p * (1.0 - p) / n)
+        rates = np.array(list(counts.values())) / n
+        assert np.all(np.abs(rates - p) <= 4.0 * sigma), counts
