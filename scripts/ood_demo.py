@@ -1,14 +1,14 @@
 """Compose past the training distribution and draw what comes back.
 
-Trains a count model on scenes holding at most --train-max objects, then
+Fits one count model on scenes holding at most --train-max objects, then
 asks it to satisfy --n-conditions positional conditions at once, a scene
 density it never saw. Composed generation places every requested object in
 most runs; the same model queried with the conditions as one joint prompt
 falls back to unconditional behavior and almost never does. The world is
 acceptance criterion 5's, one shape in two colors with up to 4 objects, so
-the composed runs can land on many satisfying support grids. Prints ASCII
-grids and the paired satisfaction rates, with the distinct satisfying support
-grids and each arm's off-support share.
+the composed runs can land on many satisfying support grids. Prints, from
+that one model, the paired satisfaction rates with the distinct satisfying
+support grids and each arm's off-support share, then ASCII grids.
 
     python scripts/ood_demo.py --runs 12 --seed 0
 """
@@ -51,9 +51,13 @@ def main(argv=None) -> int:
         args.grid, args.grid, n_shapes=1, n_colors=2,
         max_objects=max(4, args.n_conditions, args.train_max),
     )
+    model = fit_count_model(
+        world, args.n_train, rng_seed=args.seed,
+        training_max_objects=args.train_max,
+    )
     result = run_ood_eval(
-        world, args.train_max, args.n_conditions,
-        n_runs=args.eval_runs, n_train=args.n_train, rng_seed=args.seed,
+        model, world, args.train_max, args.n_conditions,
+        n_runs=args.eval_runs, rng_seed=args.seed,
     )
     conds = [
         c for c in predicate_pool(world)
@@ -73,10 +77,6 @@ def main(argv=None) -> int:
         f"over {result.n_runs} runs\n"
     )
 
-    model = fit_count_model(
-        world, args.n_train, rng_seed=args.seed,
-        training_max_objects=args.train_max,
-    )
     grids, aborts = sample_arm(
         model, world.length, conds, [1.0] * len(conds), SamplerSchedule(),
         np.random.default_rng(args.seed * 1000), args.runs,

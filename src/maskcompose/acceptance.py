@@ -182,9 +182,9 @@ def criterion_ood_composition() -> CriterionResult:
 
     def body():
         world = build_scene_world(3, 3, n_shapes=1, n_colors=2, max_objects=4)
+        model = fit_count_model(world, 30_000, rng_seed=0, training_max_objects=2)
         result = run_ood_eval(
-            world, train_max_objects=2, test_n_conditions=3,
-            n_runs=100, n_train=30_000, rng_seed=0,
+            model, world, train_max_objects=2, test_n_conditions=3, n_runs=100, rng_seed=0
         )
         sep = result.composed_rate - result.baseline_rate
         ok = (

@@ -104,6 +104,15 @@ def _resolve_model(cfg: RunConfig, world, out: str):
     return model
 
 
+def _fit(cfg: RunConfig, world, seed: int, training_max_objects):
+    """A count model fit on the config's model.* keys."""
+    return fit_count_model(
+        world, cfg["model.n_samples"], alpha=cfg["model.alpha"],
+        dropout_prob=cfg["model.dropout_prob"], rng_seed=seed,
+        training_max_objects=training_max_objects,
+    )
+
+
 # commands --------------------------------------------------------------------
 
 def cmd_build_world(cfg: RunConfig) -> int:
@@ -122,14 +131,7 @@ def cmd_fit_model(cfg: RunConfig) -> int:
         )
     out = _out_dir(cfg)
     world = world_from_config(cfg)
-    model = fit_count_model(
-        world,
-        cfg["model.n_samples"],
-        alpha=cfg["model.alpha"],
-        dropout_prob=cfg["model.dropout_prob"],
-        rng_seed=cfg["model.seed"],
-        training_max_objects=cfg["model.training_max_objects"],
-    )
+    model = _fit(cfg, world, cfg["model.seed"], cfg["model.training_max_objects"])
     path = os.path.join(out, "model.dcw1")
     save_count_model(path, model, extra=[_echo_section(cfg, "fit-model")])
     print(f"wrote {path} ({model.n_buckets()} buckets from {model.n_samples} samples)")
@@ -259,16 +261,10 @@ def cmd_eval(cfg: RunConfig) -> int:
         records.extend(rows)
         print(table)
     elif suite == "ood":
+        budget, seed = cfg["eval.train_max_objects"], cfg["schedule.seed"]
         result = run_ood_eval(
-            world,
-            cfg["eval.train_max_objects"],
-            cfg["eval.test_n_conditions"],
-            n_runs=cfg["eval.n_runs"],
-            n_train=cfg["model.n_samples"],
-            sched=sched,
-            rng_seed=cfg["schedule.seed"],
-            alpha=cfg["model.alpha"],
-            dropout_prob=cfg["model.dropout_prob"],
+            _fit(cfg, world, seed, budget), world, budget, cfg["eval.test_n_conditions"],
+            n_runs=cfg["eval.n_runs"], sched=sched, rng_seed=seed,
         )
         records.append(result.to_record())
         print(

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .compose import DEFAULT_TEMPERATURE
+from .countmodel import DEFAULT_ALPHA, DEFAULT_DROPOUT
 from .errors import ValidationError
 from .worlds import (
     ConditionSpec,
@@ -188,10 +189,10 @@ SCHEMA: dict[str, _Field] = {
         30_000, _parse_int, _positive, "count models: training sample count"
     ),
     "model.alpha": _Field(
-        0.5, _parse_float, _non_negative, "count models: Laplace smoothing"
+        DEFAULT_ALPHA, _parse_float, _non_negative, "count models: Laplace smoothing"
     ),
     "model.dropout_prob": _Field(
-        0.1, _parse_float, _unit_interval,
+        DEFAULT_DROPOUT, _parse_float, _unit_interval,
         "count models: probability a training condition is dropped",
     ),
     "model.training_max_objects": _Field(

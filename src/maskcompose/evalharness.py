@@ -38,7 +38,6 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .countmodel import fit_count_model
 from .errors import AllMassZero, EmptyIntersection, ValidationError
 from .sampler import (
     MaskedState,
@@ -348,29 +347,27 @@ class OodResult(_Record):
 
 
 def run_ood_eval(
+    model,
     world: WorldJoint,
     train_max_objects: int,
     test_n_conditions: int,
     n_runs: int = 100,
-    n_train: int = 30_000,
     weight: float = 1.0,
     sched: SamplerSchedule = SamplerSchedule(),
     rng_seed: int = 0,
-    alpha: float = 0.5,
-    dropout_prob: float = 0.1,
 ) -> OodResult:
     """Compose more conditions than any training scene had objects.
 
-    Fits a CountModel on the world restricted to scenes of at most
-    train_max_objects objects. Composed generation (one weight per
-    condition) is paired against the joint-prompt baseline on the same
-    condition set, drawn uniformly among the satisfiable
-    test_n_conditions-subsets of the cell pool. Both arms draw their block
-    from one generator state, so run i of each arm has the same row of
-    uniforms and order keys. A grid off the world's support (more objects
-    than its budget) can still satisfy the set, so each arm also reports
-    its off-support share and its distinct grids that lie in the support and
-    satisfy the set.
+    The caller fits the model on the world restricted to scenes of at most
+    train_max_objects objects; the suite records that budget. Composed
+    generation (one weight per condition) is paired against the
+    joint-prompt baseline on the same condition set, drawn uniformly among
+    the satisfiable test_n_conditions-subsets of the cell pool. Both arms
+    draw their block from one generator state, so run i of each arm has the
+    same row of uniforms and order keys. A grid off the world's support
+    (more objects than its budget) can still satisfy the set, so each arm
+    also reports its off-support share and its distinct grids that lie in
+    the support and satisfy the set.
     """
     if test_n_conditions <= train_max_objects:
         raise ValidationError(
@@ -378,10 +375,6 @@ def run_ood_eval(
         )
     if n_runs < 1:
         raise ValidationError(f"ood eval needs at least one run per arm, got {n_runs}")
-    model = fit_count_model(
-        world, n_train, alpha=alpha, dropout_prob=dropout_prob,
-        rng_seed=rng_seed, training_max_objects=train_max_objects,
-    )
     sets = _satisfiable_sets(world, predicate_pool(world), test_n_conditions)
     conds = list(sets[np.random.default_rng(rng_seed).integers(len(sets))])
     support = _row_keys(world.support()[0])

@@ -157,7 +157,6 @@ class WorldJoint:
     def __init__(self):
         self._support: tuple[np.ndarray, np.ndarray] | None = None
         self._loglik_cache: dict[tuple, np.ndarray] = {}
-        self._prior_marginals: np.ndarray | None = None
 
     @property
     def length(self) -> int:
@@ -240,11 +239,6 @@ class WorldJoint:
             )
         keep = w > 0.0
         return Posterior(grids[keep], w[keep] / total, self.vocab_size)
-
-    def prior_marginals(self) -> np.ndarray:
-        if self._prior_marginals is None:
-            self._prior_marginals = self.enumerate_posterior([]).marginals()
-        return self._prior_marginals
 
     def prior_sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         grids, logp = self.support()

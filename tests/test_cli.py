@@ -381,10 +381,12 @@ class TestOutOfRangeConfigs:
             ("fit-model", FACTORIZED + "model.training_max_objects = 1\n",
              "a factorized world has no object budget"),
             ("eval", FACTORIZED + "eval.suite = ood\n", "a factorized world has no object budget"),
+            ("eval", SMALL_WORLD + "model.n_samples = 200\neval.suite = ood\n"
+             "eval.test_n_conditions = 2\n", "out-of-distribution test needs"),
         ],
         ids=["scene-vocab", "factorized-vocab", "ar-tokens-per-step", "ar-bench-grid",
              "bench-zero-tokens-per-step", "bench-negative-conditions", "bench-conditions-over-pool",
-             "factorized-training-budget", "factorized-ood"],
+             "factorized-training-budget", "factorized-ood", "ood-conditions-within-budget"],
     )
     def test_exits_two_with_an_error_line(self, tmp_path, capsys, command, text, needle):
         cfg = write_cfg(tmp_path, text)

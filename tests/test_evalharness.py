@@ -255,13 +255,14 @@ class TestOodEval:
     def test_requires_more_conditions_than_training_budget(self):
         world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=3)
         with pytest.raises(ValidationError):
-            run_ood_eval(world, train_max_objects=2, test_n_conditions=2)
+            run_ood_eval(exact_conditional_model(world), world, train_max_objects=2,
+                         test_n_conditions=2)
 
     def test_composed_exceeds_baseline_and_is_diverse(self):
         world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=3)
+        model = fit_count_model(world, 15_000, rng_seed=1, training_max_objects=2)
         result = run_ood_eval(
-            world, train_max_objects=2, test_n_conditions=3,
-            n_runs=60, n_train=15_000, rng_seed=1,
+            model, world, train_max_objects=2, test_n_conditions=3, n_runs=60, rng_seed=1
         )
         assert result.composed_rate > result.baseline_rate
         assert result.composed_distinct > 1
@@ -282,11 +283,12 @@ class TestOodEval:
         ],
     )
     def test_only_satisfying_support_grids_count_as_distinct_in_support(
-        self, monkeypatch, token, rate, off_support
+        self, token, rate, off_support
     ):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
-        monkeypatch.setattr(evalharness, "fit_count_model", lambda w, *a, **k: _FillsEveryCell(token))
-        result = run_ood_eval(world, train_max_objects=1, test_n_conditions=2, n_runs=10)
+        result = run_ood_eval(
+            _FillsEveryCell(token), world, train_max_objects=1, test_n_conditions=2, n_runs=10
+        )
         assert (result.composed_rate, result.composed_distinct) == (rate, 1)
         assert (result.composed_distinct_in_support, result.composed_off_support) == (0, off_support)
         assert (result.baseline_distinct_in_support, result.baseline_off_support) == (0, off_support)
@@ -492,8 +494,7 @@ class TestEvaluationCountLaw:
         [
             lambda w, m: fidelity_tv(w, object_at_cell(0, 0), 3, model=m),
             lambda w, m: run_error_eval(m, w, 1, 3),
-            lambda w, m: run_ood_eval(w, train_max_objects=1, test_n_conditions=2, n_runs=3,
-                                      n_train=200),
+            lambda w, m: run_ood_eval(m, w, train_max_objects=1, test_n_conditions=2, n_runs=3),
             lambda w, m: run_negation_eval(m, w, object_at_cell(1, 1), 3, weights=(0.0, 1.0)),
             lambda w, m: run_bench(m, w, (1,), (1,), n_runs=1),
         ],
@@ -515,14 +516,14 @@ class TestEvaluationCountLaw:
 
 class TestZeroRuns:
     """A suite asked for zero runs refuses with a ValidationError before it
-    fits a model, lists condition sets or samples."""
+    lists condition sets or samples."""
 
     @pytest.mark.parametrize(
         "suite",
         [
             lambda w, m: fidelity_tv(w, object_at_cell(0, 0), 0, model=m),
             lambda w, m: run_error_eval(m, w, 1, 0),
-            lambda w, m: run_ood_eval(w, train_max_objects=1, test_n_conditions=2, n_runs=0),
+            lambda w, m: run_ood_eval(m, w, train_max_objects=1, test_n_conditions=2, n_runs=0),
             lambda w, m: run_negation_eval(m, w, object_at_cell(1, 1), 0, weights=(0.0, 1.0)),
             lambda w, m: run_bench(m, w, (1,), (1,), n_runs=0),
         ],
@@ -534,7 +535,7 @@ class TestZeroRuns:
         def refuse(*args, **kwargs):
             raise AssertionError("reached before the run count was checked")
 
-        for name in ("fit_count_model", "_satisfiable_sets", "run_to_completion"):
+        for name in ("_satisfiable_sets", "run_to_completion"):
             monkeypatch.setattr(evalharness, name, refuse)
         with pytest.raises(ValidationError, match="at least one"):
             suite(world, exact_conditional_model(world))
@@ -597,11 +598,9 @@ class TestAbortPolicy:
         assert (report.error_rate, report.aborts, report.tv_distance) == (1.0, 20, 1.0)
         assert report.to_record()["aborts"] == 20
 
-    def test_ood_arms_score_no_aborted_run(self, world, monkeypatch):
-        monkeypatch.setattr(
-            evalharness, "fit_count_model", lambda w, *a, **k: _AlwaysAborts(w.vocab_size)
-        )
-        result = run_ood_eval(world, train_max_objects=1, test_n_conditions=2, n_runs=10)
+    def test_ood_arms_score_no_aborted_run(self, world):
+        model = _AlwaysAborts(world.vocab_size)
+        result = run_ood_eval(model, world, train_max_objects=1, test_n_conditions=2, n_runs=10)
         assert (result.composed_rate, result.composed_distinct, result.composed_aborts) == (0, 0, 10)
         assert (result.baseline_rate, result.baseline_distinct, result.baseline_aborts) == (0, 0, 10)
         assert (result.composed_distinct_in_support, result.composed_off_support) == (0, 0.0)

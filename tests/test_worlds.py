@@ -116,7 +116,7 @@ class TestSceneWorldSupport:
         assert world.vocab_size == VOCAB_CAP == 32768
         grids, _ = world.support()
         assert grids.min() == 0 and grids.max() == VOCAB_CAP - 1
-        assert world.prior_marginals().shape == (1, VOCAB_CAP)
+        assert world.enumerate_posterior([]).marginals().shape == (1, VOCAB_CAP)
         for n_colors in (VOCAB_CAP, 40_000):
             with pytest.raises(StateSpaceTooLarge, match=f"vocabulary of {n_colors + 1} tokens"):
                 build_scene_world(1, 1, n_shapes=1, n_colors=n_colors, max_objects=1)
@@ -175,7 +175,7 @@ class TestSceneWorldPosterior:
 
     def test_prior_marginals_normalize(self):
         world = build_scene_world(3, 3, n_shapes=2, n_colors=2, max_objects=3)
-        marg = world.prior_marginals()
+        marg = world.enumerate_posterior([]).marginals()
         assert marg.shape == (9, 5)
         assert np.allclose(marg.sum(axis=1), 1.0)
         # all cells are exchangeable under the uniform scene prior
@@ -344,7 +344,7 @@ class TestFactorizedWorld:
     def test_prior_marginals_match_tables(self):
         prior = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
         world = build_factorized_world(3, 1, 2, {}, prior_tables=prior)
-        assert np.allclose(world.prior_marginals(), prior, atol=1e-12)
+        assert np.allclose(world.enumerate_posterior([]).marginals(), prior, atol=1e-12)
 
     def test_closed_form_single_condition(self):
         # table ratio [1.8, 0.2] gives kappa = 1/1.8; Bayes returns the table
@@ -392,7 +392,7 @@ class TestFactorizedWorld:
         world = build_factorized_world(1, 1, VOCAB_CAP, {})
         grids, _ = world.support()
         assert grids.min() == 0 and grids.max() == VOCAB_CAP - 1
-        assert np.allclose(world.prior_marginals(), 1.0 / VOCAB_CAP)
+        assert np.allclose(world.enumerate_posterior([]).marginals(), 1.0 / VOCAB_CAP)
         for vocab_size in (VOCAB_CAP + 1, 40_000):
             with pytest.raises(StateSpaceTooLarge, match=f"vocabulary of {vocab_size} tokens"):
                 build_factorized_world(1, 1, vocab_size, {})
