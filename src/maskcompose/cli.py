@@ -104,13 +104,17 @@ def _resolve_model(cfg: RunConfig, world, out: str):
     return model
 
 
-def _fit(cfg: RunConfig, world, seed: int, training_max_objects):
-    """A count model fit on the config's model.* keys."""
-    return fit_count_model(
-        world, cfg["model.n_samples"], alpha=cfg["model.alpha"],
-        dropout_prob=cfg["model.dropout_prob"], rng_seed=seed,
-        training_max_objects=training_max_objects,
-    )
+def _suite_condition(cfg: RunConfig, suite: str):
+    """The one condition the negation or fidelity suite samples, at weight 1."""
+    conds = cfg.conditions()
+    if len(conds) > 1 or (suite == "negation" and not conds):
+        need = "exactly" if suite == "negation" else "at most"
+        raise ValidationError(
+            f"{suite} suite needs {need} one conditions.specs entry, got {len(conds)}"
+        )
+    if any(w != 1.0 for w in cfg.weights()):
+        raise ValidationError(f"{suite} suite samples at weight 1; conditions.weights must be 1.0")
+    return conds[0] if conds else None
 
 
 # commands --------------------------------------------------------------------
@@ -131,7 +135,11 @@ def cmd_fit_model(cfg: RunConfig) -> int:
         )
     out = _out_dir(cfg)
     world = world_from_config(cfg)
-    model = _fit(cfg, world, cfg["model.seed"], cfg["model.training_max_objects"])
+    model = fit_count_model(
+        world, cfg["model.n_samples"], alpha=cfg["model.alpha"],
+        dropout_prob=cfg["model.dropout_prob"], rng_seed=cfg["model.seed"],
+        training_max_objects=cfg["model.training_max_objects"],
+    )
     path = os.path.join(out, "model.dcw1")
     save_count_model(path, model, extra=[_echo_section(cfg, "fit-model")])
     print(f"wrote {path} ({model.n_buckets()} buckets from {model.n_samples} samples)")
@@ -254,17 +262,22 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     world = world_from_config(cfg)
     sched = schedule_from_config(cfg)
+    budget = cfg["model.training_max_objects"]
+    if suite == "ood" and (cfg["model.kind"] == "exact" or budget is None):
+        raise ValidationError(
+            "ood suite needs model.kind = count and a model.training_max_objects budget"
+        )
+    cond = _suite_condition(cfg, suite) if suite in ("negation", "fidelity") else None
+    model = _resolve_model(cfg, world, out)
     records = [_header_record(cfg, "eval")]
     if suite == "error":
-        model = _resolve_model(cfg, world, out)
         rows, table = _eval_error(cfg, world, model, sched)
         records.extend(rows)
         print(table)
     elif suite == "ood":
-        budget, seed = cfg["eval.train_max_objects"], cfg["schedule.seed"]
         result = run_ood_eval(
-            _fit(cfg, world, seed, budget), world, budget, cfg["eval.test_n_conditions"],
-            n_runs=cfg["eval.n_runs"], sched=sched, rng_seed=seed,
+            model, world, budget, cfg["eval.n_components"],
+            n_runs=cfg["eval.n_samples"], sched=sched, rng_seed=cfg["schedule.seed"],
         )
         records.append(result.to_record())
         print(
@@ -277,38 +290,23 @@ def cmd_eval(cfg: RunConfig) -> int:
             f"off-support {result.baseline_off_support:.2f}, {result.baseline_aborts} aborts)"
         )
     elif suite == "negation":
-        conds = cfg.conditions()
-        if not conds:
-            raise ValidationError("negation suite needs one conditions.specs entry")
-        model = _resolve_model(cfg, world, out)
         result = run_negation_eval(
-            model,
-            world,
-            conds[0],
-            cfg["eval.n_samples"],
-            weights=cfg["eval.weight_sweep"],
-            sched=sched,
-            rng_seed=cfg["schedule.seed"],
+            model, world, cond, cfg["eval.n_samples"], weights=cfg["eval.weight_sweep"],
+            sched=sched, rng_seed=cfg["schedule.seed"],
         )
         records.append(result.to_record())
         for w, rate, aborts in zip(result.weights, result.rates, result.aborts):
             print(f"w={w:+.1f}  satisfaction {rate:.4f}  aborts {aborts}")
         print(f"unconditional exact {result.p0_exact:.4f}")
     elif suite == "fidelity":
-        conds = cfg.conditions()
-        model = _resolve_model(cfg, world, out)
         tv = fidelity_tv(
-            world,
-            conds[0] if conds else None,
-            cfg["eval.n_samples"],
-            sched=sched,
-            rng_seed=cfg["schedule.seed"],
-            model=model,
+            world, cond, cfg["eval.n_samples"], sched=sched,
+            rng_seed=cfg["schedule.seed"], model=model,
         )
         records.append(
             {
                 "type": "fidelity",
-                "condition_key": list(conds[0].key()) if conds else None,
+                "condition_key": None if cond is None else list(cond.key()),
                 "n_samples": cfg["eval.n_samples"],
                 "tv": tv,
             }

@@ -197,7 +197,7 @@ SCHEMA: dict[str, _Field] = {
     ),
     "model.training_max_objects": _Field(
         None, _parse_opt_int, lambda v: v is None or v >= 0,
-        "count models: cap objects per training scene (none = world budget)",
+        "count models: cap objects per training scene (none = world budget; ood needs one)",
     ),
     "model.seed": _Field(0, _parse_int, None, "count models: training RNG seed"),
     "schedule.mode": _Field(
@@ -235,18 +235,11 @@ SCHEMA: dict[str, _Field] = {
         "which evaluation to run",
     ),
     "eval.n_components": _Field(
-        2, _parse_int, _non_negative, "error suite: conditions per composed run"
+        2, _parse_int, _non_negative, "error/ood suites: conditions per composed run"
     ),
     "eval.n_samples": _Field(
-        1000, _parse_int, _positive, "error/negation/fidelity: runs per arm"
+        1000, _parse_int, _positive, "error/ood/negation/fidelity: runs per arm"
     ),
-    "eval.train_max_objects": _Field(
-        2, _parse_int, _positive, "ood suite: training scene budget"
-    ),
-    "eval.test_n_conditions": _Field(
-        3, _parse_int, _positive, "ood suite: composed conditions at test time"
-    ),
-    "eval.n_runs": _Field(100, _parse_int, _positive, "ood suite: seeded runs"),
     "eval.weight_sweep": _Field(
         (-3.0, -1.0, 0.0, 1.0, 3.0), _parse_float_list, None,
         "negation suite: concept weights to sweep",

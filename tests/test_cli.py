@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from maskcompose.cli import (
 from maskcompose.codec import read_ppm
 from maskcompose.container import load_count_model, load_world, read_container
 from maskcompose.countmodel import fit_count_model
-from maskcompose.evalharness import TIMING_FIELDS
+from maskcompose.evalharness import TIMING_FIELDS, record_line, run_ood_eval
 from maskcompose.sampler import MaskedState
 from maskcompose.worlds import build_scene_world, object_at_cell
 
@@ -380,21 +381,80 @@ class TestOutOfRangeConfigs:
              "cannot draw 5 distinct conditions from a pool of 4"),
             ("fit-model", FACTORIZED + "model.training_max_objects = 1\n",
              "a factorized world has no object budget"),
-            ("eval", FACTORIZED + "eval.suite = ood\n", "a factorized world has no object budget"),
-            ("eval", SMALL_WORLD + "model.n_samples = 200\neval.suite = ood\n"
-             "eval.test_n_conditions = 2\n", "out-of-distribution test needs"),
+            # the ood pipeline stops at the fit of its budgeted model
+            ("fit-model eval", FACTORIZED + "model.training_max_objects = 2\neval.suite = ood\n",
+             "a factorized world has no object budget"),
+            ("fit-model eval", SMALL_WORLD + "model.n_samples = 200\n"
+             "model.training_max_objects = 2\neval.suite = ood\neval.n_components = 2\n",
+             "out-of-distribution test needs"),
+            ("eval", EXACT + "conditions.specs = object_at_cell:0,0 object_at_cell:1,1\n"
+             "eval.suite = negation\n", "conditions.specs"),
+            ("eval", EXACT + "conditions.specs = object_at_cell:0,0\nconditions.weights = 2.0\n"
+             "eval.suite = negation\n", "conditions.weights"),
+            ("eval", EXACT + "conditions.specs = object_at_cell:0,0 object_at_cell:1,1\n"
+             "eval.suite = fidelity\n", "conditions.specs"),
+            ("eval", EXACT + "conditions.specs = object_at_cell:0,0\nconditions.weights = -1.0\n"
+             "eval.suite = fidelity\n", "conditions.weights"),
         ],
         ids=["scene-vocab", "factorized-vocab", "ar-tokens-per-step", "ar-bench-grid",
              "bench-zero-tokens-per-step", "bench-negative-conditions", "bench-conditions-over-pool",
-             "factorized-training-budget", "factorized-ood", "ood-conditions-within-budget"],
+             "factorized-training-budget", "factorized-ood", "ood-conditions-within-budget",
+             "negation-two-conditions", "negation-weight", "fidelity-two-conditions",
+             "fidelity-weight"],
     )
     def test_exits_two_with_an_error_line(self, tmp_path, capsys, command, text, needle):
         cfg = write_cfg(tmp_path, text)
         out = str(tmp_path / "run")
-        assert main([command, "--config", cfg, "--out", out]) == EXIT_VALIDATION
+        # a pipeline runs its commands in order and must stop at the refusal
+        for cmd in command.split():
+            code = main([cmd, "--config", cfg, "--out", out])
+            if code != EXIT_OK:
+                break
+        assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert needle in err
+
+
+class TestOodSuite:
+    """fit-model then eval --suite ood on configs/ood.cfg, end to end."""
+
+    CFG = Path(__file__).resolve().parents[1] / "configs" / "ood.cfg"
+
+    def run_ood(self, tmp_path, seed=None):
+        out = str(tmp_path / "run")
+        flags = ["--config", str(self.CFG), "--out", out]
+        flags += [] if seed is None else ["--seed", str(seed)]
+        for cmd in ("fit-model", "eval"):
+            assert main([cmd] + flags) == EXIT_OK
+        with open(os.path.join(out, "reports.jsonl")) as fh:
+            header, record = [json.loads(ln) for ln in fh]
+        assert header["type"] == "header"
+        return record
+
+    def test_record_is_criterion_five(self, tmp_path):
+        world = build_scene_world(3, 3, n_shapes=1, n_colors=2, max_objects=4)
+        model = fit_count_model(world, 30_000, rng_seed=0, training_max_objects=2)
+        expected = run_ood_eval(model, world, 2, 3, n_runs=100, rng_seed=0).to_record()
+        assert self.run_ood(tmp_path) == json.loads(record_line(expected))
+
+    def test_seed_flag_changes_the_record(self, tmp_path):
+        first = self.run_ood(tmp_path / "a")
+        reseeded = self.run_ood(tmp_path / "b", seed=1)
+        assert reseeded["type"] == "ood_result"
+        assert reseeded != first
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda t: t + "model.kind = exact\n",
+         lambda t: t.replace("model.training_max_objects = 2", "model.training_max_objects = none")],
+        ids=["exact-model", "no-budget"],
+    )
+    def test_refuses_a_model_without_a_budget(self, tmp_path, capsys, edit):
+        cfg = write_cfg(tmp_path, edit(self.CFG.read_text()))
+        out = str(tmp_path / "run")
+        assert main(["eval", "--config", cfg, "--out", out]) == EXIT_VALIDATION
+        assert "model.training_max_objects" in capsys.readouterr().err
 
 
 class TestBench:

@@ -1,9 +1,12 @@
 """Config parsing: schema defaults, strict keys, the condition DSL."""
 
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from maskcompose import cli, config
 from maskcompose.config import (
     RunConfig,
     SCHEMA,
@@ -214,3 +217,25 @@ class TestSchemaDoc:
         text = describe_schema()
         for key in SCHEMA:
             assert key in text
+
+
+def _config_reads(module) -> set:
+    """The string keys a module reads as cfg["..."] or self.values["..."]."""
+    keys = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)):
+            continue
+        target = node.value
+        if (isinstance(target, ast.Name) and target.id == "cfg") or (
+            isinstance(target, ast.Attribute) and target.attr == "values"
+            and isinstance(target.value, ast.Name) and target.value.id == "self"
+        ):
+            keys.add(node.slice.value)
+    return keys
+
+
+def test_every_schema_key_has_a_reader():
+    # a key nothing reads is a setting that silently does nothing
+    read = _config_reads(cli) | _config_reads(config)
+    assert sorted(set(SCHEMA) - read) == []
