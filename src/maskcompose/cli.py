@@ -263,10 +263,16 @@ def cmd_eval(cfg: RunConfig) -> int:
     world = world_from_config(cfg)
     sched = schedule_from_config(cfg)
     budget = cfg["model.training_max_objects"]
-    if suite == "ood" and (cfg["model.kind"] == "exact" or budget is None):
-        raise ValidationError(
-            "ood suite needs model.kind = count and a model.training_max_objects budget"
-        )
+    if suite == "ood":
+        if cfg["model.kind"] == "exact" or budget is None:
+            raise ValidationError(
+                "ood suite needs model.kind = count and a model.training_max_objects budget"
+            )
+        if cfg["eval.n_components"] <= budget:
+            raise ValidationError(
+                f"ood suite needs eval.n_components ({cfg['eval.n_components']}) > "
+                f"model.training_max_objects ({budget})"
+            )
     cond = _suite_condition(cfg, suite) if suite in ("negation", "fidelity") else None
     model = _resolve_model(cfg, world, out)
     records = [_header_record(cfg, "eval")]

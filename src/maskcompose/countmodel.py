@@ -28,8 +28,10 @@ fallback for a signature no bucket has at that position, or a token's point
 mass, and a row is a condition id or any key the model never saw. Each
 (row, column) holds the table row that answers it and its backoff level.
 Every slot's column comes from one gather of its neighbors' tokens, one sort
-and one np.searchsorted of the codes, and a state's columns are kept for the
-next query, since the sampler asks about each state once per expert; a query
+and one np.searchsorted of the codes. Columns do not depend on the condition,
+so a state's columns are memoized by its bytes in a two-generation memo of
+COLUMNS_MEMO_CAP_BYTES: the n + 1 queries of one sampler visit, and later
+visits to the same state by any run, arm or round, compute them once. A query
 is two takes, its condition's row of columns and then the table rows.
 Fitting counts the codes of all masked training positions with np.unique,
 FIT_CHUNK samples at a time, drawing each chunk's masks as it goes; a
@@ -47,6 +49,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import StateSpaceTooLarge, ValidationError
+from .memo import Memo
 from .sampler import MASK
 from .worlds import UNCONDITIONAL_KEY, SceneWorld, WorldJoint, cond_key
 
@@ -62,6 +65,23 @@ FIT_CHUNK = 1024
 # Backoff levels: 0 full key, 1 signature dropped, 2 condition dropped,
 # 3 both dropped; NO_BUCKET when no populated bucket answers.
 NO_BUCKET = 4
+
+# The columns memo: a state's (L,) columns as int32 bytes, keyed by the
+# state's bytes. An entry is charged both byte strings plus a fixed cost that
+# bounds their two object headers, 66 bytes, and its dict slot, at most 54
+# bytes in a dict of a generation's size. A round of count-3x3 visits
+# 18 000 states, about 4 900 of them distinct. At 1 MiB, about 6 000
+# entries of a 3x3 grid, the memo leaves 6 900-7 700 states a round to
+# compute, and the workload's peak memory moves by less than 1%. A hit is
+# decoded with np.frombuffer: an ndarray value would take 184 bytes of a 3x3
+# grid's columns, against 69 as bytes.
+COLUMNS_MEMO_CAP_BYTES = 1 << 20
+_COLUMNS_ENTRY_BYTES = 120
+
+
+def _columns_charge(key: bytes, value: bytes) -> int:
+    return _COLUMNS_ENTRY_BYTES + len(key) + len(value)
+
 
 # Ends the sorted bucket and column code arrays, so a search never runs off
 # their end. Every (bucket code, token) pair stays below it.
@@ -277,7 +297,7 @@ class CountModel:
         object.__setattr__(self, "_slot_base", np.arange(length) * (k + 1) + 1)
         object.__setattr__(self, "_slot_codes", slot_codes.ravel())
         object.__setattr__(self, "_slot_misses", slot_misses.ravel())
-        object.__setattr__(self, "_last", (None, None))
+        object.__setattr__(self, "_columns", Memo(COLUMNS_MEMO_CAP_BYTES, _columns_charge))
 
     @property
     def length(self) -> int:
@@ -288,13 +308,13 @@ class CountModel:
         column or its position's fallback, a fixed one's point mass. Every
         slot's code comes from one gather, one sort and one searchsorted,
         with no list of masked slots: a fixed slot's code is negative, never
-        a column, and one np.where sends it to its point column. The sampler
-        asks about one state n + 1 times in a row, so the last state's
-        columns are kept."""
+        a column, and one np.where sends it to its point column. Columns do
+        not depend on the condition, so they are memoized by the state's
+        bytes for every later query of that state, as int32 bytes."""
         key = tokens.tobytes()
-        last = self._last  # one read: another thread may replace it
-        if last[0] == key:
-            return last[1]
+        hit = self._columns.get(key)
+        if hit is not None:
+            return np.frombuffer(hit, dtype=np.int32)
         codec = self._codec
         nbrs = tokens.take(codec.index)
         nbrs.sort()
@@ -303,7 +323,7 @@ class CountModel:
         want += self._slot_codes.take(slot)
         at = self._col_codes.searchsorted(want)
         cols = np.where(self._col_codes.take(at) == want, at, self._slot_misses.take(slot))
-        object.__setattr__(self, "_last", (key, cols))
+        self._columns.put(key, cols.astype(np.int32).tobytes())
         return cols
 
     def _lookup(self, tokens: np.ndarray, key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,8 +1,7 @@
-"""A byte-bounded, two-generation memo shared by the sampler and the exact model."""
+"""A byte-bounded, two-generation memo shared by the sampler and both models."""
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Hashable
 
 
@@ -17,8 +16,9 @@ class Memo:
     rest age out within two. `charge(key, value)` is the caller's upper bound
     on the bytes an entry holds, key, slot and object headers included; an
     entry charged more than half the cap is not stored. Charged bytes never
-    exceed the cap. Reads of the current generation take no lock; everything
-    that moves entries does.
+    exceed the cap. A memo is single-threaded: nothing in the package starts
+    a thread, and two threads moving entries at once could lose an update to
+    a generation's byte count.
     """
 
     def __init__(self, cap_bytes: int, charge: Callable[[Hashable, object], int]):
@@ -28,7 +28,6 @@ class Memo:
         self._new: dict = {}
         self._old: dict = {}
         self._new_bytes = self._old_bytes = 0
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._new) + len(self._old)
@@ -46,19 +45,13 @@ class Memo:
         value = self._new.get(key)
         if value is not None:
             return value
-        with self._lock:
-            value = self._old.pop(key, None)
-            if value is None:
-                return None
+        value = self._old.pop(key, None)
+        if value is not None:
             self._old_bytes -= self._charge(key, value)
-            self._insert(key, value)
+            self.put(key, value)
         return value
 
     def put(self, key, value) -> None:
-        with self._lock:
-            self._insert(key, value)
-
-    def _insert(self, key, value) -> None:
         size = self._charge(key, value)
         if size > self._half:
             return

@@ -714,7 +714,7 @@ class ExactConditionalModel:
         state that keeps every token of the last state narrows that
         state's rows by the slots it newly fixed; any other state narrows the
         full support."""
-        last_key, seen, rows = self._last  # one read: another thread may replace it
+        last_key, seen, rows = self._last
         if last_key == key:
             return rows
         cols = self._cols

@@ -384,9 +384,10 @@ class TestOutOfRangeConfigs:
             # the ood pipeline stops at the fit of its budgeted model
             ("fit-model eval", FACTORIZED + "model.training_max_objects = 2\neval.suite = ood\n",
              "a factorized world has no object budget"),
-            ("fit-model eval", SMALL_WORLD + "model.n_samples = 200\n"
+            # refused before the model artifact is looked for
+            ("eval", SMALL_WORLD + "model.n_samples = 200\n"
              "model.training_max_objects = 2\neval.suite = ood\neval.n_components = 2\n",
-             "out-of-distribution test needs"),
+             "eval.n_components (2) > model.training_max_objects (2)"),
             ("eval", EXACT + "conditions.specs = object_at_cell:0,0 object_at_cell:1,1\n"
              "eval.suite = negation\n", "conditions.specs"),
             ("eval", EXACT + "conditions.specs = object_at_cell:0,0\nconditions.weights = 2.0\n"

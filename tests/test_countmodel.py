@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import sys
 
 import countmodel_oracle as oracle
 import numpy as np
@@ -10,6 +11,7 @@ from answer_contract import assert_answer, masked_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskcompose import countmodel
 from maskcompose.countmodel import (
     FIT_CHUNK,
     NO_BUCKET,
@@ -400,9 +402,10 @@ class TestAnswerContract:
                 assert_answer(got, tokens, want, world.vocab_size)
 
 
-class TestStateSlot:
-    """The last state's columns, kept across its queries, change no answer:
-    bytes and backoff levels match the dict lookup and a cold model."""
+class TestColumnsMemo:
+    """A state's columns, memoized by its bytes across its queries and later
+    visits, change no answer: bytes and backoff levels match the dict lookup
+    and a cold model, also after the memo rotates."""
 
     @pytest.mark.parametrize("world_name", sorted(ORACLE_WORLDS))
     @given(seed=st.integers(0, 2**16), repeat=st.integers(1, 3))
@@ -410,7 +413,12 @@ class TestStateSlot:
     def test_interleaved_states_match_oracle_and_cold_model(self, world_name, seed, repeat):
         build, conds = ORACLE_WORLDS[world_name]
         world = build()
-        model = fit_count_model(world, 300, rng_seed=seed)
+        # one entry per generation, so a revisit finds its state's columns in
+        # the current generation, in the old one, or dropped
+        cap = 2 * countmodel._columns_charge(b"s" * 2 * world.length, b"c" * 4 * world.length)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(countmodel, "COLUMNS_MEMO_CAP_BYTES", cap)
+            model = fit_count_model(world, 300, rng_seed=seed)
         counts = dict(model.counts)
         neighbors = neighbor_lists(world.grid_w, world.grid_h)
         # no condition, one condition, a joint prompt and an unseen key
@@ -448,6 +456,31 @@ class TestStateSlot:
                     assert masked_rows(got, states[s]) == want[(s, q)], (s, q)
                     level = model._lookup(states[s], cond_key(queries[q]))[2]
                     assert level.tolist() == levels[(s, q)], (s, q)
+        memo = model._columns
+        assert memo.cap_bytes == cap and memo.charged_bytes <= cap
+        assert len(memo) <= 2 < len(states)
+
+    @pytest.fixture(scope="class")
+    def evaluated(self):
+        """A model's columns memo on count-3x3's world after two of its
+        rounds, each a composed and a joint error eval of 1 000 runs. They
+        visit about 6 600 distinct states, more than the cap's 6 000 entries."""
+        world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=2)
+        model = fit_count_model(world, 30_000, rng_seed=0)
+        for seed, joint in itertools.product((0, 1), (False, True)):
+            run_error_eval(model, world, 2, 1_000, rng_seed=seed, joint_prompt=joint)
+        return model._columns
+
+    def test_charged_bytes_stay_under_the_cap(self, evaluated):
+        assert evaluated.cap_bytes == countmodel.COLUMNS_MEMO_CAP_BYTES
+        # more than one generation's worth: the memo has rotated
+        assert evaluated.cap_bytes // 2 < evaluated.charged_bytes <= evaluated.cap_bytes
+
+    def test_each_charge_covers_its_key_and_value(self, evaluated):
+        held = evaluated.items()
+        assert held
+        for key, value in held:
+            assert countmodel._columns_charge(key, value) >= sys.getsizeof(key) + sys.getsizeof(value)
 
 
 class TestBackoffLevels:
