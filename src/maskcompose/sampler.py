@@ -20,6 +20,7 @@ row, and a step draws nothing from a generator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -107,18 +108,19 @@ def count_evaluations(sched: SamplerSchedule, length: int, n_conditions: int) ->
     return math.ceil(length / sched.tokens_per_step) * (n_conditions + 1)
 
 
-def sample_token(cdf: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw: one searchsorted of the uniform u in [0, 1) scaled
+def sample_token(cdf: Sequence[float], u: float) -> int:
+    """Inverse-CDF draw: one bisect_right of the uniform u in [0, 1) scaled
     to the total mass.
 
-    cdf is the float64 running sum of a composed vector's probabilities,
-    np.exp(logp).cumsum(), as the composed-vector memo holds it; the draw
-    stays in float64 so that rounding cannot shift mass between tokens.
-    u < 1 keeps the scaled uniform below the total; the clip to K - 1 guards
-    the index all the same.
+    cdf is the running sum of a composed vector's probabilities,
+    np.exp(logp).cumsum(), as a sequence of Python floats, the form the
+    composed-vector memo holds it in. bisect_right makes the float64
+    comparisons np.searchsorted(cdf, u * cdf[-1], side="right") makes, on the
+    same doubles, so rounding cannot shift mass between tokens and a zero-mass
+    token, a flat step, is never drawn. u < 1 keeps the scaled uniform below
+    the total; the clip to K - 1 guards the index all the same.
     """
-    idx = int(cdf.searchsorted(u * cdf[-1], side="right"))
-    return min(idx, cdf.size - 1)
+    return min(bisect_right(cdf, u * cdf[-1]), len(cdf) - 1)
 
 
 def draw_runs(
@@ -149,34 +151,41 @@ def draw_runs(
 
 # Composed vectors, temperature applied, keyed by the content of their inputs:
 # temperature, weights and each expert vector's dtype and bytes. Each entry is
-# one read-only (2, K) float64 array: row 0 is the composed log vector, which
-# ranks positions by confidence, and row 1 its CDF, np.exp(row 0).cumsum(),
-# which a draw searches. So a hit recomputes neither. One array rather than a
-# pair of them keeps one object header per entry.
+# draw-ready: the pair (cdf, peak), where cdf is the vector's CDF
+# np.exp(v).cumsum() as a tuple of Python floats, which a draw bisects, and
+# peak is v.max() as a float, which ranks positions by confidence. So a hit
+# recomputes neither, and a step calls no numpy method on an entry: a draw
+# from a 3-entry CDF, clip included, took 0.35 us as a bisect of the tuple
+# and 1.5 us as a searchsorted of the same doubles as an array (2-core Xeon).
 # Experts hand back the same few vectors run after run (20 000 masked fidelity
 # runs on the 2x2 world compose 8 distinct inputs), so most steps find their
-# entry here. An entry is charged its array's bytes, both rows, plus a fixed
-# cost per entry and per expert vector, an upper bound on what its key, dict
-# slot and object headers take; the two-generation memo keeps the entries
-# that keep being asked for within _MEMO_CAP_BYTES. Being
-# keyed by content, one memo can serve every caller in the process without
-# changing a result. The cap is sized so that one generation, half of it,
-# holds the largest working set measured (distinct entries, charged bytes):
+# entry here. An entry is charged _MEMO_FLOAT_BYTES per CDF float, the float
+# and its tuple slot, plus a fixed cost per entry and per expert vector, an
+# upper bound on what its key, dict slot and the other object headers take;
+# the two-generation memo keeps the entries that keep being asked for within
+# _MEMO_CAP_BYTES. Being keyed by content, one memo can serve every caller in
+# the process without changing a result. Working sets measured (distinct
+# entries, charged bytes):
 # - count-3x3 of the benchmark, a composed and a joint error eval of 1000
-#   grids each: 2 738 entries, 1.37 MiB a round; 3 862 and 1.94 MiB over 40
+#   grids each: 2 770 entries, 1.47 MiB a round; 3 885 and 2.07 MiB over 40
 #   rounds on different seeds;
-# - criterion 4, 10 000 grids an arm on the same world: 3 636, 1.82 MiB;
-# - exact-3x3: 244, 0.15 MiB; fidelity-2x2: 19, 0.008 MiB.
+# - criterion 4, 10 000 grids an arm on the same world: 3 632, 1.93 MiB;
+# - exact-3x3: 241, 0.17 MiB; fidelity-2x2: 19, 0.009 MiB.
+# One generation, half the cap, holds each of them but the 40-round set,
+# which is 3% over it: over those rounds the memo rotates, and 19 of the
+# 3 904 vectors composed were ones composed before.
 # At 2 MiB a generation held 1 MiB, so count-3x3 composed about 1.5k of its
 # vectors again whenever a round was rerun.
 _MEMO_CAP_BYTES = 1 << 22
 _MEMO_ENTRY_BYTES = 256
 _MEMO_VECTOR_BYTES = 64
+_MEMO_FLOAT_BYTES = 32
 
 
-def _composed_charge(key: tuple, entry: np.ndarray) -> int:
+def _composed_charge(key: tuple, entry: tuple) -> int:
     vectors = key[3::2]  # the key ends in (dtype, bytes) pairs, one per vector
-    return _MEMO_ENTRY_BYTES + entry.nbytes + sum(len(v) + _MEMO_VECTOR_BYTES for v in vectors)
+    return (_MEMO_ENTRY_BYTES + _MEMO_FLOAT_BYTES * len(entry[0])
+            + sum(len(v) + _MEMO_VECTOR_BYTES for v in vectors))
 
 
 _memo = Memo(_MEMO_CAP_BYTES, _composed_charge)
@@ -187,11 +196,13 @@ def _composed(
     conds: Sequence[np.ndarray],
     weights: tuple,
     temperature: float,
-) -> np.ndarray:
+) -> tuple[tuple[float, ...], float]:
     """compose_logits at one position, then the temperature, through the memo.
 
-    Returns a read-only (2, K) float64 array: row 0 is the composed log
-    vector v with the temperature applied, row 1 its CDF np.exp(v).cumsum().
+    Returns the draw-ready entry (cdf, peak) of the composed log vector v,
+    temperature applied: cdf is np.exp(v).cumsum() as a tuple of K Python
+    floats, which sample_token bisects, and peak is v.max() as a float, which
+    ranks the position in max-confidence order. Both are immutable.
     """
     key = [temperature, weights, uncond.dtype, uncond.tobytes()]
     for c in conds:
@@ -203,8 +214,7 @@ def _composed(
     logp = compose_logits(uncond, conds, weights)
     if temperature != 1.0:
         logp = normalize_logits(logp / temperature)
-    entry = np.array((logp, np.exp(logp).cumsum()))
-    entry.flags.writeable = False
+    entry = (tuple(np.exp(logp).cumsum().tolist()), float(logp.max()))
     _memo.put(key, entry)
     return entry
 
@@ -213,19 +223,19 @@ def _select_positions(
     n_open: int,
     take: int,
     order: Sequence[int] | None,
-    composed: dict[int, np.ndarray] | None,
+    composed: dict[int, tuple] | None,
 ) -> list[int]:
     """The first `take` of the n_open open slots in the run's order, ascending.
 
     A run that starts fully masked fixes its order front to back, so the
     open slots are its last n_open; the state must come from such a run.
 
-    order None ranks the keys of composed, the masked positions, by the max
-    of row 0 of each memo entry, highest first; the keys ascend and sorted
+    order None ranks the keys of composed, the masked positions, by the peak
+    of each memo entry (cdf, peak), highest first; the keys ascend and sorted
     is stable, so ties go to the lower index. composed is read only then.
     """
     if order is None:
-        ranked = sorted(composed, key=lambda p: -composed[p][0].max())
+        ranked = sorted(composed, key=lambda p: -composed[p][1])
         return sorted(ranked[:take])
     done = len(order) - n_open
     return sorted(order[done : done + take])
@@ -252,10 +262,11 @@ def composed_step(
     needs only the count of open slots, or None for max-confidence order,
     which lists and composes every masked position to rank them; uniforms
     is the run's row of L draw uniforms; stats is the run's counter.
-    Composed vectors and their CDFs come from a memo keyed by the content of
-    the expert vectors, weights and temperature, so equal inputs give the
-    same read-only entry; each selected position p takes one sample_token
-    draw from its CDF at uniforms[p].
+    Each position's draw-ready entry, its composed vector's CDF and peak,
+    comes from a memo keyed by the content of the expert vectors, weights
+    and temperature, so equal inputs give the same immutable entry; each
+    selected position p takes one sample_token draw from its CDF at
+    uniforms[p].
     """
     values = tokens.tolist()
     n_open = values.count(MASK)
@@ -280,7 +291,7 @@ def composed_step(
             entry = composed[pos]
         else:
             entry = _composed(uncond[pos], [d[pos] for d in per_cond], weights, temperature)
-        tokens[pos] = sample_token(entry[1], uniforms[pos])
+        tokens[pos] = sample_token(entry[0], uniforms[pos])
     stats.steps += 1
     return tokens
 

@@ -68,13 +68,19 @@ class ConditionSpec:
     relation: (relation, subject_attr_kind, subject_attr_id,
                object_attr_kind, object_attr_id)
     cell_table: (name,) referring to a table set registered on the world
+
+    key() is computed once, at construction, and kept outside the dataclass
+    fields, so ==, hash, repr and asdict see only kind and payload.
     """
 
     kind: str
     payload: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "_key", (self.kind,) + tuple(self.payload))
+
     def key(self) -> tuple:
-        return (self.kind,) + tuple(self.payload)
+        return self._key
 
 
 def object_at_cell(col: int, row: int) -> ConditionSpec:

@@ -1,11 +1,13 @@
 """Reference sampler step: compose, select and draw with no cached CDF.
 
-The package's composed_step keeps each composed vector's CDF in the memo
-next to the vector, draws each token with one searchsorted on that CDF and
-writes the draws into one copy of the tokens. This module keeps the earlier
-formulation: the memo holds the composed log vector alone, every draw
-recomputes np.exp(logp).cumsum(), and the successor grid is built with
-with_fixed, which refuses to overwrite a fixed slot. A run's draws follow the
+The package's composed_step keeps in the memo each composed vector's CDF, as
+a tuple of Python floats, and its max, ranks by the max, draws each token
+with one bisect_right on that CDF and writes the draws into one copy of the
+tokens. This module keeps the earlier formulation: the memo holds the
+composed log vector alone, ranking takes the max of that array, every draw
+recomputes np.exp(logp).cumsum() and takes one searchsorted on it, and the
+successor grid is built with with_fixed, which refuses to overwrite a fixed
+slot. A run's draws follow the
 package's contract: one row of uniforms, slot p's token drawn at the row's
 p-th entry, and in random order L order keys after them whose stable argsort
 is the order. Tests check the fast path against it token for token and

@@ -82,8 +82,10 @@ def test_tracer_sees_the_evaluation_count_law(order):
     assert tracer.off_support == []
     assert tracer.model_calls == tracer.law_evaluations > 0
     assert tracer.calls["worlds.predict"] == tracer.law_evaluations
-    for span in ("sampler.step", "sampler.select", "sampler.draw"):
-        assert tracer.calls[span] > 0, span
+    # every run fixes each of the L slots with one draw, and every step
+    # selects once
+    assert tracer.calls["sampler.draw"] == tracer.calls["sampler.run"] * WORLD.length
+    assert tracer.calls["sampler.select"] == tracer.calls["sampler.step"] > 0
 
 
 @pytest.mark.parametrize("order", sorted(SCHEDULES))

@@ -68,6 +68,20 @@ class TableModel:
 COMPOSED = sampler._composed
 
 
+def entry_of(logp):
+    """The memo entry _composed keeps for the composed log vector logp: its
+    CDF np.exp(logp).cumsum() as a tuple of floats, and its peak as a float."""
+    logp = np.asarray(logp, dtype=np.float64)
+    return tuple(np.exp(logp).cumsum().tolist()), float(logp.max())
+
+
+def entry_bytes(entry):
+    """The bytes an entry holds: the pair, the CDF tuple and every float."""
+    cdf, peak = entry
+    return (sys.getsizeof(entry) + sys.getsizeof(cdf) + sum(map(sys.getsizeof, cdf))
+            + sys.getsizeof(peak))
+
+
 def uniform_model(length, k):
     return TableModel(np.full((length, k), 1.0 / k))
 
@@ -291,23 +305,41 @@ class TestSampling:
         rng = np.random.default_rng(0)
         logp = np.log(np.array([0.0, 1.0, 0.0]) + 1e-300)
         logp[1] = 0.0
-        cdf = np.exp(logp).cumsum()
+        cdf = entry_of(logp)[0]
         for u in rng.random(50).tolist():
             assert sample_token(cdf, u) == 1
 
     @pytest.mark.parametrize("cdf, u, token", [
-        ([0.0, 0.25, 1.0, 1.0], 0.0, 1),  # a leading zero-mass token is skipped
-        ([0.0, 0.25, 1.0, 1.0], np.nextafter(1.0, 0.0), 2),  # so is a trailing one
-        ([0.0, 0.75, 3.0], np.nextafter(1.0, 0.0), 2),  # an unnormalized total
+        ((0.0, 0.25, 1.0, 1.0), 0.0, 1),  # a leading zero-mass token is skipped
+        ((0.0, 0.25, 1.0, 1.0), np.nextafter(1.0, 0.0), 2),  # so is a trailing one
+        ((0.0, 0.75, 3.0), np.nextafter(1.0, 0.0), 2),  # an unnormalized total
     ])
     def test_sample_token_edges_of_the_unit_interval(self, cdf, u, token):
-        assert sample_token(np.array(cdf), u) == token
+        assert sample_token(cdf, u) == token
+
+    @given(
+        masses=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-300, 1e3)), min_size=1, max_size=8
+        ).filter(any),
+        u=st.one_of(
+            st.just(0.0), st.just(np.nextafter(1.0, 0.0)),
+            st.floats(0.0, 1.0, exclude_max=True),
+        ),
+    )
+    def test_sample_token_draws_as_searchsorted(self, masses, u):
+        """bisect_right on the tuple CDF is searchsorted(side="right") on its
+        float64 array, clipped to K - 1, and never lands on a zero-mass token."""
+        cdf = tuple(np.cumsum(masses).tolist())
+        expect = np.searchsorted(np.asarray(cdf), u * cdf[-1], side="right")
+        token = sample_token(cdf, u)
+        assert token == min(int(expect), len(cdf) - 1)
+        assert masses[token] > 0.0
 
     def test_sample_token_frequencies_within_four_sigma(self):
         """2e5 draws from a fixed CDF, one token of mass 1e-12: every token's
         rate lies within 4 sigma of its probability."""
         p = np.array([0.5, 1e-12, 0.3, 0.15, 0.05])
-        cdf = np.exp(np.log(p)).cumsum()
+        cdf = entry_of(np.log(p))[0]
         probs = np.diff(cdf, prepend=0.0) / cdf[-1]
         rng = np.random.default_rng(2024)
         n = 200_000
@@ -395,19 +427,21 @@ class TestSelectPositions:
     ):
         masked_slots = sorted(data.draw(st.sets(st.integers(0, length - 1), min_size=1)))
         take = data.draw(st.integers(1, len(masked_slots)))
-        # three levels of confidence, so that most draws have ties
-        peaks = data.draw(st.lists(st.sampled_from([0.5, 0.7, 0.9]),
-                                   min_size=len(masked_slots), max_size=len(masked_slots)))
-        composed = {}
-        for p, peak in zip(masked_slots, peaks):
-            logp = np.log([peak, 1.0 - peak])
-            composed[p] = np.array((logp, np.exp(logp).cumsum()))
-        expect = sorted(sorted(masked_slots, key=lambda p: (-composed[p][0].max(), p))[:take])
+        # three levels of confidence, so that most draws have ties, each on a
+        # drawn token, so that no CDF entry orders the positions as the peak does
+        n = len(masked_slots)
+        peaks = data.draw(st.lists(st.sampled_from([0.5, 0.7, 0.9]), min_size=n, max_size=n))
+        shifts = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        logps = {
+            p: np.roll(np.log([peak, (1.0 - peak) / 2, (1.0 - peak) / 2]), shift)
+            for p, peak, shift in zip(masked_slots, peaks, shifts)
+        }
+        composed = {p: entry_of(logp) for p, logp in logps.items()}
+        expect = sorted(sorted(masked_slots, key=lambda p: (-logps[p].max(), p))[:take])
         assert sampler._select_positions(len(masked_slots), take, None, composed) == expect
 
     def test_max_confidence_ties_go_to_the_lower_index(self):
-        logp = np.log([0.5, 0.5])
-        flat = np.array((logp, np.exp(logp).cumsum()))
+        flat = entry_of(np.log([0.5, 0.5]))
         composed = {1: flat, 3: flat, 4: flat, 6: flat}
         assert sampler._select_positions(4, 2, None, composed) == [1, 3]
 
@@ -422,8 +456,8 @@ class TestComposedMemo:
 
     @staticmethod
     def drawn_from(monkeypatch, uncond, cond, weight, temperature):
-        """The memo entry composed_step draws one position's token from:
-        row 0 the composed vector, row 1 the CDF handed to sample_token."""
+        """The memo entry composed_step draws one position's token from: the
+        CDF handed to sample_token, and the composed vector's peak."""
         entries, cdfs = [], []
 
         def spy_composed(*args):
@@ -442,8 +476,8 @@ class TestComposedMemo:
             SamplerSchedule(temperature=temperature), order=[0],
         )
         (entry,), (cdf,) = entries, cdfs
-        assert entry.shape == (2, len(uncond))
-        assert np.shares_memory(cdf, entry) and np.array_equal(cdf, entry[1])
+        assert len(entry) == 2 and len(entry[0]) == len(uncond)
+        assert cdf is entry[0]
         return entry
 
     def test_warm_memo_gives_cold_tokens(self):
@@ -483,51 +517,56 @@ class TestComposedMemo:
             if a["temperature"] != 1.0:
                 expect = normalize_logits(expect / a["temperature"])
             entry = self.drawn_from(monkeypatch, **a)
-            assert np.array_equal(entry[0], expect), change
-            assert np.array_equal(entry[1], np.exp(expect).cumsum()), change
+            assert entry[0] == tuple(np.exp(expect).cumsum().tolist()), change
+            assert entry[1] == expect.max(), change
             got.append(entry)
         # every variant composes to a different vector, so a stale hit would show
-        assert len({v[0].tobytes() for v in got}) == len(variants)
-        assert len({v[1].tobytes() for v in got}) == len(variants)
+        assert len({v[0] for v in got}) == len(variants)
+        assert len({v[1] for v in got}) == len(variants)
         again = self.drawn_from(monkeypatch, **base)
         assert again is got[0]  # a hit hands back the stored entry
 
-    def test_returned_vector_is_read_only(self, monkeypatch):
+    def test_returned_entry_is_immutable(self, monkeypatch):
         entry = self.drawn_from(monkeypatch, [0.5, 0.5], [0.2, 0.8], 1.0, 1.0)
-        assert not entry.flags.writeable
-        for row in (entry[0], entry[1]):  # the composed vector and its CDF
-            assert not row.flags.writeable
-            with pytest.raises(ValueError):
-                row[0] = 0.0
+        cdf, peak = entry
+        assert type(entry) is tuple and type(cdf) is tuple and type(peak) is float
+        assert all(type(x) is float for x in cdf)
+        for held in (entry, cdf):  # the pair and the CDF it draws from
+            with pytest.raises(TypeError):
+                held[0] = 0.0
 
-    def test_stays_under_byte_cap(self, monkeypatch):
-        self.check_byte_cap(monkeypatch, 5)
+    def test_stays_under_byte_cap(self):
+        self.check_byte_cap(5)
 
-    def test_stays_under_byte_cap_with_long_vectors(self, monkeypatch):
-        # here the entry's array outweighs the fixed costs, so a charge that
-        # left out a row would let the memo hold more than the cap
-        self.check_byte_cap(monkeypatch, 64)
+    def test_stays_under_byte_cap_with_long_vectors(self):
+        # here the entry's floats outweigh the fixed costs, so a charge that
+        # left them out would let the memo hold more than the cap
+        self.check_byte_cap(64)
 
-    def check_byte_cap(self, monkeypatch, k):
-        rng = np.random.default_rng(0)
-        # twice as many distinct entries as the cap holds, whatever the cap
+    @staticmethod
+    def check_byte_cap(k):
+        """Fill the memo through _composed with twice as many distinct
+        entries as the cap holds, whatever the cap."""
         vector = (np.dtype(np.float64), np.zeros(k).tobytes())
-        charge = sampler._composed_charge((1.0, (1.0,)) + vector * 2, np.zeros((2, k)))
+        charge = sampler._composed_charge((1.0, (1.0,)) + vector * 2, entry_of(np.zeros(k)))
         n = 2 * (sampler._MEMO_CAP_BYTES // charge)
-        for _ in range(n):
-            self.drawn_from(monkeypatch, rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k)),
-                            1.0, 1.0)
+        experts = np.log(np.random.default_rng(0).dirichlet(np.ones(k), size=(n, 2)))
+        for uncond, cond in experts:
+            sampler._composed(uncond, [cond], (1.0,), 1.0)
         memo = sampler._memo
         assert 0 < len(memo) < n
         assert memo.charged_bytes <= sampler._MEMO_CAP_BYTES
         # what the entries really take: dicts, keys, their bytes, and each
-        # entry's array, whose size counts both rows, vector and CDF
-        assert all(out.shape == (2, k) and out.base is None for _, out in memo.items())
-        held = sys.getsizeof(memo._new) + sys.getsizeof(memo._old) + sum(
-            sys.getsizeof(key) + sum(sys.getsizeof(x) for x in key if isinstance(x, bytes))
-            + sys.getsizeof(out)
-            for key, out in memo.items()
-        )
+        # entry's pair, CDF tuple and floats
+        assert all(len(entry[0]) == k for _, entry in memo.items())
+        live = {
+            key: sys.getsizeof(key) + sum(sys.getsizeof(x) for x in key if isinstance(x, bytes))
+            + entry_bytes(entry)
+            for key, entry in memo.items()
+        }
+        assert all(sampler._composed_charge(key, entry) >= live[key]
+                   for key, entry in memo.items())
+        held = sys.getsizeof(memo._new) + sys.getsizeof(memo._old) + sum(live.values())
         assert held <= sampler._MEMO_CAP_BYTES
 
 

@@ -1,6 +1,9 @@
 """World enumeration, posterior oracles and the exact conditional model."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import sys
 import tracemalloc
 
@@ -55,6 +58,30 @@ class TestConditionKeys:
         a, b = object_at_cell(0, 0), object_at_cell(1, 1)
         assert cond_key((a, b)) == cond_key((b, a))
         assert cond_key((a, b))[0] == "joint"
+
+    @pytest.mark.parametrize("spec", [
+        object_at_cell(2, 1),
+        attribute_present("color", 1),
+        relation("left_of", ("shape", 0), ("color", 1)),
+        cell_table("c0"),
+        ConditionSpec("object_at_cell", [0, 1]),  # a list payload keys as a tuple
+    ])
+    def test_spec_key_is_kept_outside_the_fields(self, spec):
+        """key() is computed once, at construction; equality, hashing, repr
+        and asdict see only kind and payload, and copies keep the key."""
+        key = (spec.kind,) + tuple(spec.payload)
+        assert spec.key() == key and spec.key() is spec.key()
+        assert dataclasses.asdict(spec) == {"kind": spec.kind, "payload": spec.payload}
+        assert repr(spec) == f"ConditionSpec(kind={spec.kind!r}, payload={spec.payload!r})"
+        twin = ConditionSpec(spec.kind, spec.payload)
+        assert twin == spec and twin.key() == key
+        if isinstance(spec.payload, tuple):
+            assert hash(twin) == hash(spec) == hash((spec.kind, spec.payload))
+        for clone in (dataclasses.replace(spec), copy.deepcopy(spec),
+                      pickle.loads(pickle.dumps(spec))):
+            assert clone == spec and clone.key() == key
+        moved = dataclasses.replace(spec, payload=(7,))
+        assert moved.key() == (spec.kind, 7)
 
     def test_relation_constructor_validates(self):
         with pytest.raises(ValueError):
