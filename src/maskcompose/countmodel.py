@@ -26,13 +26,15 @@ one precomputed log-probability row each. The backoff chain is resolved
 then, once: a column is a distinct (position, signature) of a live bucket, a
 fallback for a signature no bucket has at that position, or a token's point
 mass, and a row is a condition id or any key the model never saw. Each
-(row, column) holds the table row that answers it and its backoff level.
-Every slot's column comes from one gather of its neighbors' tokens, one sort
-and one np.searchsorted of the codes. Columns do not depend on the condition,
-so a state's columns are memoized by its bytes in a two-generation memo of
-COLUMNS_MEMO_CAP_BYTES: the n + 1 queries of one sampler visit, and later
-visits to the same state by any run, arm or round, compute them once. A query
-is two takes, its condition's row of columns and then the table rows.
+(row, column) holds the table row that answers it and its backoff level,
+and the answers are joined once into one (rows, columns, K) array. Every
+slot's column comes from one gather of its neighbors' tokens, one sort and
+one np.searchsorted of the codes. Columns do not depend on the condition.
+The last state's columns are kept, which answers the 2nd to (n + 1)th
+queries of one sampler visit; a visit's first query looks them up by the
+state's bytes in a two-generation memo of COLUMNS_MEMO_CAP_BYTES, so later
+visits to the same state by any run, arm or round compute them once. A
+query is one take: its condition's answers at the state's columns.
 Fitting counts the codes of all masked training positions with np.unique,
 FIT_CHUNK samples at a time, drawing each chunk's masks as it goes; a
 sample is one grid row and one condition index, never a Python object.
@@ -72,9 +74,11 @@ NO_BUCKET = 4
 # bytes in a dict of a generation's size. A round of count-3x3 visits
 # 18 000 states, about 4 900 of them distinct. At 1 MiB, about 6 000
 # entries of a 3x3 grid, the memo leaves 6 900-7 700 states a round to
-# compute, and the workload's peak memory moves by less than 1%. A hit is
-# decoded with np.frombuffer: an ndarray value would take 184 bytes of a 3x3
-# grid's columns, against 69 as bytes.
+# compute, and the workload's peak memory moves by less than 1%. A larger
+# cap computes fewer, but pays in peak memory, whose bound is 3%: on a
+# 2-core Xeon, 2 MiB gave count-3x3 +10% grids/s for +2.5-3.3% peak RSS,
+# and 3 MiB +16% for +3.5%. A hit is decoded with np.frombuffer: an ndarray
+# value would take 184 bytes of a 3x3 grid's columns, against 69 as bytes.
 COLUMNS_MEMO_CAP_BYTES = 1 << 20
 _COLUMNS_ENTRY_BYTES = 120
 
@@ -173,9 +177,10 @@ class CountModel:
 
     counts maps (pos, signature, condition key) to a length-K count row; the
     model keeps a read-only copy, and `counts` reads that copy back. predict
-    answers a read-only (L, K) array of rows gathered from one table: the
-    condition's row of the resolved backoff table maps each of the state's
-    (L,) columns to the table row that answers it.
+    answers a read-only (L, K) array gathered in one take from the prejoined
+    answers: the condition's (columns, K) answers at the state's (L,)
+    columns. The resolved backoff table and its levels, from which the
+    answers are joined, stay for _lookup.
     """
 
     grid_w: int
@@ -277,10 +282,13 @@ class CountModel:
             hit = (lookup.take(at) == want) & may_hit
             np.copyto(resolved[:, :n_cols], at, where=hit)
             np.copyto(levels, level, where=hit)
-        resolved.flags.writeable = levels.flags.writeable = False
+        # each (row, column)'s answer, joined once: a query gathers its rows
+        answers = table[resolved]
+        resolved.flags.writeable = levels.flags.writeable = answers.flags.writeable = False
         object.__setattr__(self, "_rows", cond_ids)
         object.__setattr__(self, "_resolved", resolved)
         object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_answers", answers)
         object.__setattr__(self, "_col_codes", np.append(distinct, _CODE_END))
         # per (position p, token t or MASK) at p * (K + 1) + t + 1: the code a
         # slot's signature rank is added to, and the column it takes when that
@@ -298,32 +306,41 @@ class CountModel:
         object.__setattr__(self, "_slot_codes", slot_codes.ravel())
         object.__setattr__(self, "_slot_misses", slot_misses.ravel())
         object.__setattr__(self, "_columns", Memo(COLUMNS_MEMO_CAP_BYTES, _columns_charge))
+        object.__setattr__(self, "_last", (None, None))
 
     @property
     def length(self) -> int:
         return self.grid_w * self.grid_h
 
     def _state_columns(self, tokens: np.ndarray) -> np.ndarray:
-        """Each position's column (L,): a masked one's (position, signature)
-        column or its position's fallback, a fixed one's point mass. Every
-        slot's code comes from one gather, one sort and one searchsorted,
-        with no list of masked slots: a fixed slot's code is negative, never
-        a column, and one np.where sends it to its point column. Columns do
-        not depend on the condition, so they are memoized by the state's
-        bytes for every later query of that state, as int32 bytes."""
+        """Each position's column (L,), read-only: a masked one's (position,
+        signature) column or its position's fallback, a fixed one's point
+        mass. Every slot's code comes from one gather, one sort and one
+        searchsorted, with no list of masked slots: a fixed slot's code is
+        negative, never a column, and one np.where sends it to its point
+        column. Columns do not depend on the condition. The sampler asks
+        about one state n + 1 times in a row, so the last state's columns
+        are kept; a state's first query looks in the memo, which holds
+        columns by the state's bytes, as int32 bytes, for later visits."""
         key = tokens.tobytes()
+        last = self._last
+        if last[0] == key:
+            return last[1]
         hit = self._columns.get(key)
         if hit is not None:
-            return np.frombuffer(hit, dtype=np.int32)
-        codec = self._codec
-        nbrs = tokens.take(codec.index)
-        nbrs.sort()
-        want = codec.sorted_ranks(nbrs)
-        slot = tokens + self._slot_base
-        want += self._slot_codes.take(slot)
-        at = self._col_codes.searchsorted(want)
-        cols = np.where(self._col_codes.take(at) == want, at, self._slot_misses.take(slot))
-        self._columns.put(key, cols.astype(np.int32).tobytes())
+            cols = np.frombuffer(hit, dtype=np.int32)
+        else:
+            codec = self._codec
+            nbrs = tokens.take(codec.index)
+            nbrs.sort()
+            want = codec.sorted_ranks(nbrs)
+            slot = tokens + self._slot_base
+            want += self._slot_codes.take(slot)
+            at = self._col_codes.searchsorted(want)
+            cols = np.where(self._col_codes.take(at) == want, at, self._slot_misses.take(slot))
+            cols.flags.writeable = False
+            self._columns.put(key, cols.astype(np.int32).tobytes())
+        object.__setattr__(self, "_last", (key, cols))
         return cols
 
     def _lookup(self, tokens: np.ndarray, key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -337,8 +354,8 @@ class CountModel:
     def predict(self, tokens: np.ndarray, condition=None) -> np.ndarray:
         cols = self._state_columns(tokens)
         row = self._rows.get(cond_key(condition), len(self._rows))
-        out = self._table.take(self._resolved[row].take(cols), axis=0)
-        out.flags.writeable = False
+        out = self._answers[row].take(cols, axis=0)
+        out.setflags(write=False)  # half the cost of setting out.flags.writeable
         return out
 
     def n_buckets(self) -> int:

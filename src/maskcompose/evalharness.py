@@ -46,7 +46,7 @@ from .sampler import (
     draw_runs,
     run_to_completion,
 )
-from .worlds import WorldJoint, cond_key, object_at_cell
+from .worlds import JointPrompt, WorldJoint, cond_key, object_at_cell
 
 TIMING_FIELDS = ("wall_time_per_sample", "wall_per_run")
 
@@ -275,7 +275,7 @@ def run_error_eval(
     one multinomial draw gives every set its run count, and each set with
     runs is sampled as one arm. The draw and the arms share one generator.
     A run errs if any condition of its set is unsatisfied or if it aborts.
-    joint_prompt=True concatenates each set into one opaque condition, the
+    joint_prompt=True asks each set as one opaque JointPrompt, the
     non-composed baseline; it changes the per-sample evaluation count from
     (n+1) to 2 model queries per step.
     """
@@ -295,7 +295,7 @@ def run_error_eval(
     for conds, n in zip(sets, counts):
         if not n:
             continue
-        run_conds = [conds] if joint else conds
+        run_conds = [JointPrompt(conds)] if joint else conds
         weights = [weight] * len(run_conds)
         grids, _ = sample_arm(model, length, run_conds, weights, sched, rng, int(n))
         if conds:
@@ -381,7 +381,7 @@ def run_ood_eval(
     arms = {}
     for arm, run_conds, weights in (
         ("composed", conds, [weight] * len(conds)),
-        ("baseline", [tuple(conds)], [weight]),
+        ("baseline", [JointPrompt(conds)], [weight]),
     ):
         grids, aborts = sample_arm(
             model, world.length, run_conds, weights, sched,

@@ -109,18 +109,35 @@ def cell_table(name: str) -> ConditionSpec:
     return ConditionSpec(KIND_CELL_TABLE, (str(name),))
 
 
+class JointPrompt(tuple):
+    """A tuple of specs asked as one opaque joint prompt.
+
+    key() is order independent, so {a, b} and {b, a} address the same
+    counts, and, like a ConditionSpec's, it is computed once, at
+    construction. The prompt equals and hashes as the plain tuple of its
+    specs; copies and pickles keep its type and key.
+    """
+
+    def __new__(cls, specs=()):
+        self = super().__new__(cls, specs)
+        self._key = ("joint",) + tuple(sorted(c.key() for c in self))
+        return self
+
+    def key(self) -> tuple:
+        return self._key
+
+
 def cond_key(condition) -> tuple:
     """Canonical hashable key for None, one spec, or a set of specs.
 
-    A tuple of specs is treated as one opaque joint prompt; its key is order
-    independent so {a, b} and {b, a} address the same counts.
+    A set of specs is one opaque joint prompt, keyed as JointPrompt keys it;
+    a JointPrompt hands back the key it keeps.
     """
     if condition is None:
         return UNCONDITIONAL_KEY
-    if isinstance(condition, ConditionSpec):
+    if isinstance(condition, (ConditionSpec, JointPrompt)):
         return condition.key()
-    keys = sorted(c.key() for c in condition)
-    return ("joint",) + tuple(keys)
+    return JointPrompt(condition).key()
 
 
 def _iter_conditions(condition) -> tuple:

@@ -16,6 +16,7 @@ from maskcompose.countmodel import (
     FIT_CHUNK,
     NO_BUCKET,
     CountModel,
+    _KeyCodes,
     fit_count_model,
     neighbor_lists,
 )
@@ -401,21 +402,40 @@ class TestAnswerContract:
                 )
                 assert_answer(got, tokens, want, world.vocab_size)
 
+    @pytest.mark.parametrize("world_name", sorted(SAMPLED_WORLDS))
+    def test_answers_are_the_resolved_rows_joined_once(self, world_name):
+        build, _ = SAMPLED_WORLDS[world_name]
+        world = build()
+        for model in (fit_count_model(world, 300, rng_seed=0),
+                      CountModel(grid_w=world.grid_w, grid_h=world.grid_h,
+                                 vocab_size=world.vocab_size)):
+            joined = model._table[model._resolved]
+            assert model._answers.shape == joined.shape
+            assert model._answers.dtype == joined.dtype == np.float64
+            assert model._answers.tobytes() == joined.tobytes()
+            assert not model._answers.flags.writeable
+
 
 class TestColumnsMemo:
-    """A state's columns, memoized by its bytes across its queries and later
-    visits, change no answer: bytes and backoff levels match the dict lookup
-    and a cold model, also after the memo rotates."""
+    """A state's columns, kept for the rest of its visit and memoized by its
+    bytes across later visits, change no answer: bytes and backoff levels
+    match the dict lookup and a cold model, also after the memo rotates or
+    when it holds nothing."""
 
     @pytest.mark.parametrize("world_name", sorted(ORACLE_WORLDS))
+    @pytest.mark.parametrize("entries", [0, 1])
     @given(seed=st.integers(0, 2**16), repeat=st.integers(1, 3))
     @settings(max_examples=4, deadline=None)
-    def test_interleaved_states_match_oracle_and_cold_model(self, world_name, seed, repeat):
+    def test_interleaved_states_match_oracle_and_cold_model(
+        self, world_name, entries, seed, repeat
+    ):
         build, conds = ORACLE_WORLDS[world_name]
         world = build()
-        # one entry per generation, so a revisit finds its state's columns in
-        # the current generation, in the old one, or dropped
-        cap = 2 * countmodel._columns_charge(b"s" * 2 * world.length, b"c" * 4 * world.length)
+        # a generation holds `entries` states: with none, only the last state
+        # is kept; with one, a revisit finds its state's columns in the
+        # current generation, in the old one, or dropped
+        charge = countmodel._columns_charge(b"s" * 2 * world.length, b"c" * 4 * world.length)
+        cap = charge + 2 * entries * charge
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(countmodel, "COLUMNS_MEMO_CAP_BYTES", cap)
             model = fit_count_model(world, 300, rng_seed=seed)
@@ -445,20 +465,66 @@ class TestColumnsMemo:
             assert masked_rows(got, states[s]) == want[(s, q)], (s, q)
         for s, q in pairs:
             assert cold._lookup(states[s], cond_key(queries[q]))[2].tolist() == levels[(s, q)]
-        # every state is visited twice in shuffled order; a visit asks each
-        # query `repeat` times in a row, the queries in shuffled order, which
-        # is the sampler's pattern of n + 1 queries per state
+        # every state is visited twice in shuffled order, and after each
+        # visit the state before it is visited again: the last state is
+        # another one, and the memo may hold it. A visit asks each query
+        # `repeat` times in a row, the queries in shuffled order, which is
+        # the sampler's pattern of n + 1 queries per state; each query after
+        # the first hands over the state's bytes in a new array.
         rng = np.random.default_rng(seed)
-        for s in rng.permutation(np.repeat(np.arange(len(states)), 2)).tolist():
+        order = rng.permutation(np.repeat(np.arange(len(states)), 2)).tolist()
+        visits = [order[0]] + [s for pair in zip(order[1:], order) for s in pair]
+        for s in visits:
+            tokens = states[s]
             for q in rng.permutation(len(queries)).tolist():
                 for _ in range(repeat):
-                    got = model.predict(states[s], queries[q])
+                    got = model.predict(tokens, queries[q])
                     assert masked_rows(got, states[s]) == want[(s, q)], (s, q)
-                    level = model._lookup(states[s], cond_key(queries[q]))[2]
+                    level = model._lookup(tokens, cond_key(queries[q]))[2]
                     assert level.tolist() == levels[(s, q)], (s, q)
+                    tokens = tokens.copy()
         memo = model._columns
         assert memo.cap_bytes == cap and memo.charged_bytes <= cap
-        assert len(memo) <= 2 < len(states)
+        assert len(memo) <= 2 * entries < len(states)
+
+    def test_a_visit_finds_its_columns_once(self):
+        """The n + 1 queries of one visit compute or decode the state's
+        columns once: a first visit computes them, a revisit after another
+        state decodes them from the memo, and the other n queries of either
+        reuse the last state's columns, which are read-only."""
+        build, conds = ORACLE_WORLDS["scene 2x2"]
+        world = build()
+        model = fit_count_model(world, 300, rng_seed=0)
+        counted = {"computed": 0, "decoded": 0}
+        codec, memo = model._codec, model._columns
+
+        def computed(nbrs):
+            counted["computed"] += 1
+            return _KeyCodes.sorted_ranks(codec, nbrs)
+
+        class Spy:
+            def get(self, key):
+                hit = memo.get(key)
+                counted["decoded"] += hit is not None
+                return hit
+
+            def put(self, key, value):
+                memo.put(key, value)
+
+        codec.sorted_ranks = computed
+        object.__setattr__(model, "_columns", Spy())
+        first = np.array([MASK, 0, MASK, 1], dtype=np.int16)
+        other = np.array([MASK] * 4, dtype=np.int16)
+        for state, found in ((first, "computed"), (other, "computed"), (first, "decoded")):
+            before = dict(counted)
+            for cond in [None] + conds:
+                answer = model.predict(state.copy(), cond)
+                assert not model._last[1].flags.writeable
+                assert model._last[0] == state.tobytes()
+                assert answer.tobytes() == dataclasses.replace(model).predict(state, cond).tobytes()
+            assert {k: counted[k] - before[k] for k in counted} == {
+                k: int(k == found) for k in counted
+            }
 
     @pytest.fixture(scope="class")
     def evaluated(self):

@@ -38,10 +38,13 @@ from maskcompose.sampler import (
     run_to_completion,
 )
 from maskcompose.worlds import (
+    ConditionSpec,
+    JointPrompt,
     attribute_present,
     build_factorized_world,
     build_random_factorized_world,
     build_scene_world,
+    cond_key,
     exact_conditional_model,
     object_at_cell,
 )
@@ -149,6 +152,35 @@ class TestErrorEval:
         assert composed.error_rate < baseline.error_rate
         assert composed.evaluations_per_sample == 27
         assert baseline.evaluations_per_sample == 18
+
+    def test_joint_arms_ask_one_joint_prompt_per_set(self):
+        """The error suite's joint arm and the ood suite's baseline hand the
+        model a JointPrompt: one object per condition set, whose key is the
+        plain tuple's."""
+        world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=2)
+        model = exact_conditional_model(world)
+        asked = []
+
+        class Recorder:
+            vocab_size = model.vocab_size
+
+            def predict(self, tokens, condition=None):
+                if condition is not None and not isinstance(condition, ConditionSpec):
+                    asked.append(condition)
+                return model.predict(tokens, condition)
+
+        for suite in (
+            lambda: run_error_eval(Recorder(), world, 2, 30, rng_seed=1, joint_prompt=True),
+            lambda: run_ood_eval(Recorder(), world, train_max_objects=1, test_n_conditions=2,
+                                 n_runs=5),
+        ):
+            asked.clear()
+            suite()
+            assert asked and all(type(c) is JointPrompt and len(c) == 2 for c in asked)
+            by_key = {}
+            for c in asked:
+                assert by_key.setdefault(c.key(), c) is c
+                assert c.key() == cond_key(tuple(c))
 
     def test_deterministic_reports_modulo_timing(self):
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)

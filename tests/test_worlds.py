@@ -34,6 +34,7 @@ from maskcompose.worlds import (
     EXACT_MEMO_CAP_BYTES,
     VOCAB_CAP,
     ConditionSpec,
+    JointPrompt,
     attribute_present,
     build_factorized_world,
     build_random_factorized_world,
@@ -82,6 +83,26 @@ class TestConditionKeys:
             assert clone == spec and clone.key() == key
         moved = dataclasses.replace(spec, payload=(7,))
         assert moved.key() == (spec.kind, 7)
+
+    @pytest.mark.parametrize("specs", [
+        (object_at_cell(0, 0), object_at_cell(1, 1)),
+        (relation("above", ("shape", 1), ("color", 0)), cell_table("c0"),
+         attribute_present("color", 1)),
+        (object_at_cell(2, 1),),
+        (),
+    ])
+    def test_joint_prompt_keeps_its_key(self, specs):
+        """A joint prompt's key is computed once, at construction, and equals
+        cond_key of the plain tuple in every order; the prompt equals, hashes
+        and pickles as that tuple, and copies keep the key."""
+        key = ("joint",) + tuple(sorted(spec.key() for spec in specs))
+        prompt = JointPrompt(specs)
+        assert prompt.key() == key and prompt.key() is prompt.key() is cond_key(prompt)
+        for order in itertools.permutations(specs):
+            assert cond_key(order) == key and JointPrompt(order).key() == key
+        assert prompt == specs and hash(prompt) == hash(specs)
+        for clone in (copy.deepcopy(prompt), pickle.loads(pickle.dumps(prompt))):
+            assert type(clone) is JointPrompt and clone == prompt and clone.key() == key
 
     def test_relation_constructor_validates(self):
         with pytest.raises(ValueError):
