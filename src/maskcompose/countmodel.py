@@ -76,9 +76,10 @@ NO_BUCKET = 4
 # entries of a 3x3 grid, the memo leaves 6 900-7 700 states a round to
 # compute, and the workload's peak memory moves by less than 1%. A larger
 # cap computes fewer, but pays in peak memory, whose bound is 3%: on a
-# 2-core Xeon, 2 MiB gave count-3x3 +10% grids/s for +2.5-3.3% peak RSS,
-# and 3 MiB +16% for +3.5%. A hit is decoded with np.frombuffer: an ndarray
-# value would take 184 bytes of a 3x3 grid's columns, against 69 as bytes.
+# 2-core Xeon, 2 MiB gave count-3x3 +10-14% grids/s for +1.5-3.3% peak RSS
+# over two series, and 3 MiB +16% for +3.5%, too close to the bound to take.
+# A hit is decoded with np.frombuffer: an ndarray value would take 184 bytes
+# of a 3x3 grid's columns, against 69 as bytes.
 COLUMNS_MEMO_CAP_BYTES = 1 << 20
 _COLUMNS_ENTRY_BYTES = 120
 
