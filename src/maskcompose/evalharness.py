@@ -8,12 +8,12 @@ image distance). Evaluation counts are checked against the exact law
 steps * (n + 1) on every run; a mismatch is an error, never a statistic.
 
 Every caller samples through one loop, sample_arm: the suites here, the
-sample command, scripts/ood_demo.py and the eval-count-law criterion. An arm
-draws its runs' uniforms and order keys up front, one row per run, as one
-float64 block from the arm's one generator, and run i is a function of row
-i. Under its abort policy a run that ends in AllMassZero gives no grid,
-stays in its arm's run count and adds to no hit or distinct count: an error
-where conditions are scored, mass off the support in a joint TV. Each result
+sample command and the eval-count-law criterion. An arm draws its runs'
+uniforms and order keys up front, one row per run, as one float64 block
+from the arm's one generator, and run i is a function of row i. Under its
+abort policy a run that ends in AllMassZero gives no grid, stays in its
+arm's run count and adds to no hit or distinct count: an error where
+conditions are scored, mass off the support in a joint TV. Each result
 reports its aborts per arm.
 
 Condition sets come from one list: every satisfiable k-subset of the pool,
@@ -424,9 +424,6 @@ class NegationResult(_Record):
 
     def rate_at(self, w: float) -> float:
         return self.rates[self.weights.index(w)]
-
-    def sigma_at(self, w: float) -> float:
-        return self.sigmas[self.weights.index(w)]
 
     def monotone_violations(self) -> tuple[int, int]:
         """(soft, hard) adjacent decreases; hard ones exceed the pair's

@@ -20,9 +20,9 @@ from maskcompose.cli import (
 from maskcompose.codec import read_ppm
 from maskcompose.container import load_count_model, load_world, read_container
 from maskcompose.countmodel import fit_count_model
-from maskcompose.evalharness import TIMING_FIELDS, record_line, run_ood_eval
-from maskcompose.sampler import MaskedState
-from maskcompose.worlds import build_scene_world, object_at_cell
+from maskcompose.evalharness import TIMING_FIELDS, record_line, run_negation_eval, run_ood_eval
+from maskcompose.sampler import MaskedState, SamplerSchedule
+from maskcompose.worlds import build_scene_world, exact_conditional_model, object_at_cell
 
 SMALL_WORLD = (
     "world.grid_w = 2\n"
@@ -456,6 +456,26 @@ class TestOodSuite:
         out = str(tmp_path / "run")
         assert main(["eval", "--config", cfg, "--out", out]) == EXIT_VALIDATION
         assert "model.training_max_objects" in capsys.readouterr().err
+
+
+class TestNegationSuite:
+    """eval on configs/negation.cfg, end to end."""
+
+    CFG = Path(__file__).resolve().parents[1] / "configs" / "negation.cfg"
+
+    def test_record_is_the_sweep_of_the_config(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["eval", "--config", str(self.CFG), "--out", out]) == EXIT_OK
+        with open(os.path.join(out, "reports.jsonl")) as fh:
+            header, record = [json.loads(ln) for ln in fh]
+        assert header["type"] == "header"
+        world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=4)
+        expected = run_negation_eval(
+            exact_conditional_model(world), world, object_at_cell(0, 0), 2000,
+            weights=(-3.0, -1.0, 0.0, 1.0, 3.0),
+            sched=SamplerSchedule(temperature=1.0), rng_seed=0,
+        ).to_record()
+        assert record == json.loads(record_line(expected))
 
 
 class TestBench:

@@ -349,7 +349,7 @@ class TestNegationEval:
         )
         assert result.p0_exact == pytest.approx(0.5)
         assert result.rate_at(-1.0) <= result.p0_measured / 2
-        assert abs(result.rate_at(0.0) - result.p0_exact) <= result.sigma_at(0.0) + 0.02
+        assert abs(result.rate_at(0.0) - result.p0_exact) <= result.sigmas[result.weights.index(0.0)] + 0.02
         assert result.rate_at(3.0) >= result.rate_at(-3.0)
         soft, hard = result.monotone_violations()
         assert hard == 0

@@ -1,11 +1,18 @@
-"""README's library example runs as written, and its config table is current."""
+"""README's library example runs as written, its config table is current,
+and its Quick start commands name configs that load."""
 
 import re
+import shlex
 from pathlib import Path
 
-from maskcompose.config import describe_schema
+import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+from maskcompose.cli import build_parser
+from maskcompose.config import describe_schema, load_config
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 
 
 def test_library_use_example_runs():
@@ -21,3 +28,27 @@ def test_config_reference_matches_schema():
     block = re.search(r"```\n(.*?)```", section, re.S)
     assert block is not None, "README's Config reference section has no table block"
     assert block.group(1) == describe_schema() + "\n"
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_every_config_loads(path):
+    # load only: factorized_exact.cfg's eval alone takes seconds
+    load_config(str(path))
+
+
+def test_quick_start_commands_parse_and_name_a_config():
+    section = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    commands = [
+        shlex.split(line)
+        for block in re.findall(r"```\n(.*?)```", section, re.S)
+        for line in block.splitlines()
+        if line.startswith("python -m maskcompose ")
+    ]
+    assert commands, "README's Quick start has no python -m maskcompose line"
+    named = set()
+    for argv in commands:
+        args = build_parser().parse_args(argv[3:])
+        assert (ROOT / args.config).is_file(), " ".join(argv)
+        named.add(args.config)
+    assert {"configs/ood.cfg", "configs/negation.cfg"} <= named
