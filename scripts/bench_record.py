@@ -4,6 +4,9 @@
 
 Measures the checkout that holds this script and writes one JSON object:
 
+- commit and dirty: `git rev-parse HEAD` of the checkout, and whether its
+  worktree had uncommitted changes when the run began; both null when git
+  cannot tell;
 - machine: platform, CPU model and count, Python and numpy versions;
 - criteria: each acceptance criterion's elapsed time, budget and
   elapsed/budget, run in this process in the order of run_acceptance();
@@ -38,6 +41,19 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 def _env() -> dict:
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": f"{SRC}:{path}" if path else str(SRC)}
+
+
+def revision() -> dict:
+    """The commit measured and whether the worktree differs from it."""
+    def git(*args) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    try:
+        return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+    except (OSError, subprocess.CalledProcessError):
+        return {"commit": None, "dirty": None}
 
 
 def machine() -> dict:
@@ -117,7 +133,7 @@ def main(argv=None) -> int:
     ap.add_argument("--json", required=True, type=Path, help="where to write the record")
     args = ap.parse_args(argv)
 
-    record = {"machine": machine(), "criteria": criteria()}
+    record = {**revision(), "machine": machine(), "criteria": criteria()}
     record["headroom_flagged"] = [c["name"] for c in record["criteria"] if c["flagged"]]
     record["tier1"] = tier1()
     record["perfbench"] = perfbench()

@@ -6,7 +6,8 @@ writes: DCW1 artifacts carry a trailing "config" text section, samples.txt
 starts with commented key=value lines, report streams open with a header
 record. Reruns with the same config and seed produce byte-identical files;
 wall-clock fields are stripped from report files so timing noise never leaks
-into them.
+into them. A command that reads model.dcw1 parses its echo back and refuses
+an artifact fit under other world keys or other keys of the fitted law.
 
 Exit codes: 0 success, 2 config or input validation, 3 sampling failure
 (impossible condition sets and kin), 4 property-suite failure.
@@ -22,10 +23,13 @@ import numpy as np
 
 from .codec import decode, encode, learn_codebook_from_images, write_ppm
 from .config import (
+    SCHEMA,
     RunConfig,
     config_lines,
     config_record,
+    format_condition,
     load_config,
+    parse_config_text,
     schedule_from_config,
     world_from_config,
 )
@@ -33,6 +37,7 @@ from .container import (
     Section,
     load_codebook,
     load_count_model,
+    read_container,
     save_codebook,
     save_count_model,
     save_world,
@@ -57,7 +62,7 @@ from .evalharness import (
     sample_arm,
     strip_timing,
 )
-from .worlds import SceneWorld, exact_conditional_model, render_tokens_to_image
+from .worlds import ConditionSpec, SceneWorld, exact_conditional_model, render_tokens_to_image
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -88,6 +93,27 @@ def _write_reports(path: str, records: list[dict]):
             fh.write(record_line(strip_timing(rec)) + "\n")
 
 
+# the keys an artifact must share with the config that reads it: the world,
+# and every model key that changes the fitted law (model.seed does not, so
+# `sample --seed` may reseed the runs)
+_FIT_KEYS = [key for key in SCHEMA if key.startswith("world.")] + [
+    "model.n_samples", "model.alpha", "model.dropout_prob", "model.training_max_objects",
+]
+
+
+def _fit_config(path: str) -> RunConfig:
+    """The config that fit-model echoed into the model artifact at path."""
+    echo = [s for s in read_container(path) if s.name == "config"]
+    if not echo:
+        raise ValidationError(f"model artifact {path} has no config echo; run fit-model again")
+    try:
+        return parse_config_text(echo[0].data.decode("utf-8"))
+    except (UnicodeDecodeError, ValidationError) as exc:
+        raise ValidationError(
+            f"model artifact {path}: config echo: {exc}; run fit-model again"
+        ) from None
+
+
 def _resolve_model(cfg: RunConfig, world, out: str):
     if cfg["model.kind"] == "exact":
         return exact_conditional_model(world)
@@ -95,12 +121,14 @@ def _resolve_model(cfg: RunConfig, world, out: str):
     if not os.path.exists(path):
         raise ValidationError(f"missing model artifact {path}; run fit-model first")
     model = load_count_model(path)
-    if (model.grid_w, model.grid_h, model.vocab_size) != (
-        world.grid_w, world.grid_h, world.vocab_size,
-    ):
-        raise ValidationError(
-            f"model artifact {path} was fit on a different world shape"
-        )
+    fit = _fit_config(path)
+    for key in _FIT_KEYS:
+        if fit[key] != cfg[key]:
+            was, now = config_record(fit)[key], config_record(cfg)[key]
+            raise ValidationError(
+                f"model artifact {path} was fit with {key} = {was}, "
+                f"but the config has {key} = {now}; run fit-model again"
+            )
     return model
 
 
@@ -286,6 +314,9 @@ def cmd_eval(cfg: RunConfig) -> int:
             n_runs=cfg["eval.n_samples"], sched=sched, rng_seed=cfg["schedule.seed"],
         )
         records.append(result.to_record())
+        # the drawn set as a config line, for a sample run on the same set
+        drawn = [ConditionSpec(key[0], key[1:]) for key in result.condition_keys]
+        print(f"conditions.specs = {' '.join(format_condition(c) for c in drawn)}")
         print(
             f"composed rate {result.composed_rate:.3f} "
             f"(2sig {result.composed_two_sigma:.3f}, "

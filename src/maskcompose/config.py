@@ -5,7 +5,7 @@ starting with `#`, blank lines ignored. Every key has a documented default;
 a key outside the schema, a duplicate key, or an out-of-range value raises
 ValidationError naming the offender. The canonical echo of a parsed config
 (config_lines) is written into every artifact and report header so a run can
-be reproduced from its outputs alone.
+be reproduced from its outputs alone, and parse_config_text reads it back.
 
 Conditions use a compact one-token syntax, space separated in the
 `conditions.specs` value:
@@ -164,9 +164,6 @@ SCHEMA: dict[str, _Field] = {
     "world.n_colors": _Field(1, _parse_int, _positive, "scene worlds: distinct colors"),
     "world.max_objects": _Field(
         3, _parse_int, _non_negative, "scene worlds: object budget per scene"
-    ),
-    "world.relational": _Field(
-        False, _parse_bool, None, "scene worlds: enable relation conditions"
     ),
     "world.vocab_size": _Field(
         3, _parse_int, lambda v: v >= 2, "factorized worlds: tokens per cell"
@@ -362,7 +359,6 @@ def world_from_config(cfg: RunConfig) -> WorldJoint:
             n_shapes=cfg["world.n_shapes"],
             n_colors=cfg["world.n_colors"],
             max_objects=cfg["world.max_objects"],
-            relational=cfg["world.relational"],
         )
     return build_random_factorized_world(
         cfg["world.grid_w"],

@@ -210,9 +210,7 @@ def load_world(path: str) -> WorldJoint:
         kind = head.meta.get("kind")
         if kind == "scene":
             dims = ("grid_w", "grid_h", "n_shapes", "n_colors", "max_objects")
-            return SceneWorld(
-                *(_field(head, k, int) for k in dims), relational=_field(head, "relational", bool)
-            )
+            return SceneWorld(*(_field(head, k, int) for k in dims))
         if kind == "factorized":
             world = FactorizedWorld(
                 *(_field(head, k, int) for k in ("grid_w", "grid_h", "vocab_size")),

@@ -26,8 +26,9 @@ one precomputed log-probability row each. The backoff chain is resolved
 then, once: a column is a distinct (position, signature) of a live bucket, a
 fallback for a signature no bucket has at that position, or a token's point
 mass, and a row is a condition id or any key the model never saw. Each
-(row, column) holds the table row that answers it and its backoff level,
-and the answers are joined once into one (rows, columns, K) array. Every
+(row, column) finds the table row that answers it, and the answers are
+joined once into one (rows, columns, K) array; the model keeps that array
+and each (row, column)'s backoff level, not the table. Every
 slot's column comes from one gather of its neighbors' tokens, one sort and
 one np.searchsorted of the codes. Columns do not depend on the condition.
 The last state's columns are kept, which answers the 2nd to (n + 1)th
@@ -180,8 +181,7 @@ class CountModel:
     model keeps a read-only copy, and `counts` reads that copy back. predict
     answers a read-only (L, K) array gathered in one take from the prejoined
     answers: the condition's (columns, K) answers at the state's (L,)
-    columns. The resolved backoff table and its levels, from which the
-    answers are joined, stay for _lookup.
+    columns. The backoff level of each (row, column) stays for _lookup.
     """
 
     grid_w: int
@@ -252,8 +252,6 @@ class CountModel:
                 miss = np.log((np.zeros(k, dtype=np.int64) + self.alpha) / empty)
         # one row per bucket, the smoothed empty row, then the point masses
         table = np.vstack([logp, miss, np.where(np.eye(k, dtype=bool), 0.0, -np.inf)])
-        table.flags.writeable = False
-        object.__setattr__(self, "_table", table)
 
         # columns: each distinct (position, signature rank) of a live bucket,
         # then one fallback per position for a signature no bucket has, then
@@ -285,9 +283,8 @@ class CountModel:
             np.copyto(levels, level, where=hit)
         # each (row, column)'s answer, joined once: a query gathers its rows
         answers = table[resolved]
-        resolved.flags.writeable = levels.flags.writeable = answers.flags.writeable = False
+        levels.flags.writeable = answers.flags.writeable = False
         object.__setattr__(self, "_rows", cond_ids)
-        object.__setattr__(self, "_resolved", resolved)
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_answers", answers)
         object.__setattr__(self, "_col_codes", np.append(distinct, _CODE_END))
@@ -344,13 +341,13 @@ class CountModel:
         object.__setattr__(self, "_last", (key, cols))
         return cols
 
-    def _lookup(self, tokens: np.ndarray, key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Masked positions, the table row answering every position, and the
-        backoff level that answered each masked one (NO_BUCKET: the empty row)."""
+    def _lookup(self, tokens: np.ndarray, key: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Masked positions and the backoff level that answered each one
+        (NO_BUCKET: the empty row)."""
         cols = self._state_columns(tokens)
         masked = (tokens == MASK).nonzero()[0]
         row = self._rows.get(key, len(self._rows))
-        return masked, self._resolved[row].take(cols), self._levels[row].take(cols[masked])
+        return masked, self._levels[row].take(cols[masked])
 
     def predict(self, tokens: np.ndarray, condition=None) -> np.ndarray:
         cols = self._state_columns(tokens)

@@ -262,7 +262,6 @@ def run_error_eval(
     world: WorldJoint,
     n_components: int,
     n_samples: int,
-    weight: float = 1.0,
     sched: SamplerSchedule = SamplerSchedule(),
     rng_seed: int = 0,
     joint_prompt: bool = False,
@@ -296,8 +295,7 @@ def run_error_eval(
         if not n:
             continue
         run_conds = [JointPrompt(conds)] if joint else conds
-        weights = [weight] * len(run_conds)
-        grids, _ = sample_arm(model, length, run_conds, weights, sched, rng, int(n))
+        grids, _ = sample_arm(model, length, run_conds, [1.0] * len(run_conds), sched, rng, int(n))
         if conds:
             errors += len(grids) - _hits(world, grids, conds)
         mixture += len(grids) * world.enumerate_posterior(conds).marginals()
@@ -352,7 +350,6 @@ def run_ood_eval(
     train_max_objects: int,
     test_n_conditions: int,
     n_runs: int = 100,
-    weight: float = 1.0,
     sched: SamplerSchedule = SamplerSchedule(),
     rng_seed: int = 0,
 ) -> OodResult:
@@ -360,7 +357,7 @@ def run_ood_eval(
 
     The caller fits the model on the world restricted to scenes of at most
     train_max_objects objects; the suite records that budget. Composed
-    generation (one weight per condition) is paired against the
+    generation (weight 1 per condition) is paired against the
     joint-prompt baseline on the same condition set, drawn uniformly among
     the satisfiable test_n_conditions-subsets of the cell pool. Both arms
     draw their block from one generator state, so run i of each arm has the
@@ -379,12 +376,9 @@ def run_ood_eval(
     conds = list(sets[np.random.default_rng(rng_seed).integers(len(sets))])
     support = _row_keys(world.support()[0])
     arms = {}
-    for arm, run_conds, weights in (
-        ("composed", conds, [weight] * len(conds)),
-        ("baseline", [JointPrompt(conds)], [weight]),
-    ):
+    for arm, run_conds in (("composed", conds), ("baseline", [JointPrompt(conds)])):
         grids, aborts = sample_arm(
-            model, world.length, run_conds, weights, sched,
+            model, world.length, run_conds, [1.0] * len(run_conds), sched,
             np.random.default_rng(rng_seed + 1), n_runs,
         )
         rows = _row_keys(grids)
@@ -511,11 +505,10 @@ def run_bench(
     n_runs: int = 5,
     sched: SamplerSchedule = SamplerSchedule(),
     rng_seed: int = 0,
-    pool: Sequence | None = None,
 ) -> list[BenchRow]:
     """Timing and exact evaluation counts over a schedule grid; an aborted
     run is timed like a completed one."""
-    pool = list(pool) if pool is not None else predicate_pool(world)
+    pool = predicate_pool(world)
     for n in n_conditions_grid:
         if n > len(pool):
             raise ValidationError(

@@ -302,7 +302,6 @@ class SceneWorld(WorldJoint):
         n_shapes: int = 2,
         n_colors: int = 2,
         max_objects: int = 3,
-        relational: bool = False,
     ):
         super().__init__()
         if min(grid_w, grid_h, n_shapes, n_colors) < 1 or max_objects < 0:
@@ -312,7 +311,6 @@ class SceneWorld(WorldJoint):
         self.n_shapes = int(n_shapes)
         self.n_colors = int(n_colors)
         self.max_objects = int(max_objects)
-        self.relational = bool(relational)
         self.vocab_size = 1 + self.n_shapes * self.n_colors
         _check_vocab(self.vocab_size)
         self.n_states = sum(
@@ -341,19 +339,11 @@ class SceneWorld(WorldJoint):
             "n_shapes": self.n_shapes,
             "n_colors": self.n_colors,
             "max_objects": self.max_objects,
-            "relational": self.relational,
         }
 
     def restrict(self, max_objects: int) -> "SceneWorld":
         """Same geometry and vocabulary, smaller object budget."""
-        return SceneWorld(
-            self.grid_w,
-            self.grid_h,
-            self.n_shapes,
-            self.n_colors,
-            max_objects,
-            self.relational,
-        )
+        return SceneWorld(self.grid_w, self.grid_h, self.n_shapes, self.n_colors, max_objects)
 
     def _build_support(self):
         """Every scene, one block per object count m, in a fixed order.
@@ -398,10 +388,6 @@ class SceneWorld(WorldJoint):
         if cond.kind == KIND_ATTRIBUTE:
             return self._has_attribute(grids, *cond.payload).any(axis=-1)
         if cond.kind == KIND_RELATION:
-            if not self.relational:
-                raise ValidationError(
-                    f"condition {cond.key()} needs a relational scene world"
-                )
             rel, sk, si, ok, oi = cond.payload
             # cells with a subject strictly before them, masked to the targets
             after_subject = self._has_attribute(grids, sk, si) @ self._order[rel]
@@ -414,13 +400,12 @@ class SceneWorld(WorldJoint):
             for r in range(self.grid_h)
             for c in range(self.grid_w)
         ]
-        if self.relational:
-            attrs = [("shape", i) for i in range(self.n_shapes)] + [
-                ("color", i) for i in range(self.n_colors)
-            ]
-            for rel in RELATIONS:
-                for sa, oa in itertools.permutations(attrs, 2):
-                    pool.append(relation(rel, sa, oa))
+        attrs = [("shape", i) for i in range(self.n_shapes)] + [
+            ("color", i) for i in range(self.n_colors)
+        ]
+        for rel in RELATIONS:
+            for sa, oa in itertools.permutations(attrs, 2):
+                pool.append(relation(rel, sa, oa))
         return pool
 
     def _training_cells(self, grids: np.ndarray, rng) -> np.ndarray:
@@ -609,9 +594,8 @@ def build_scene_world(
     n_shapes: int = 2,
     n_colors: int = 2,
     max_objects: int = 3,
-    relational: bool = False,
 ) -> SceneWorld:
-    return SceneWorld(grid_w, grid_h, n_shapes, n_colors, max_objects, relational)
+    return SceneWorld(grid_w, grid_h, n_shapes, n_colors, max_objects)
 
 
 def build_factorized_world(

@@ -97,8 +97,6 @@ def satisfies(world, grid: np.ndarray, cond: ConditionSpec) -> bool:
         pick = 0 if attr_kind == "shape" else 1
         return any(o[2 + pick] == attr_id for o in objects_of(world, grid))
     if cond.kind == KIND_RELATION:
-        if not world.relational:
-            raise ValidationError("relation conditions need a relational world")
         rel, sk, si, ok, oi = cond.payload
         objs = objects_of(world, grid)
         subjects = [o for o in objs if o[2 if sk == "shape" else 3] == si]

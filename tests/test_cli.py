@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maskcompose import evalharness
+from maskcompose import cli, evalharness
 from maskcompose.cli import (
     EXIT_OK,
     EXIT_SAMPLING,
@@ -18,11 +18,17 @@ from maskcompose.cli import (
     main,
 )
 from maskcompose.codec import read_ppm
-from maskcompose.container import load_count_model, load_world, read_container
+from maskcompose.config import config_record, parse_config_text
+from maskcompose.container import load_count_model, load_world, read_container, save_count_model
 from maskcompose.countmodel import fit_count_model
 from maskcompose.evalharness import TIMING_FIELDS, record_line, run_negation_eval, run_ood_eval
 from maskcompose.sampler import MaskedState, SamplerSchedule
-from maskcompose.worlds import build_scene_world, exact_conditional_model, object_at_cell
+from maskcompose.worlds import (
+    build_scene_world,
+    exact_conditional_model,
+    object_at_cell,
+    relation,
+)
 
 SMALL_WORLD = (
     "world.grid_w = 2\n"
@@ -112,6 +118,24 @@ class TestSample:
             assert fields["satisfied"] == ("1" if sat[0] else "0")
             rows += 1
         assert rows == 8
+
+    def test_relation_on_a_scene_world(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            SMALL_WORLD.replace("world.n_colors = 1", "world.n_colors = 2")
+            + "model.kind = exact\nsample.n_runs = 16\n"
+            "conditions.specs = relation:left_of,color,0,color,1\n",
+        )
+        out = str(tmp_path / "run")
+        assert main(["sample", "--config", cfg, "--out", out]) == EXIT_OK
+        world = build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=2)
+        cond = relation("left_of", ("color", 0), ("color", 1))
+        rows = [ln for ln in open(os.path.join(out, "samples.txt")) if not ln.startswith("#")]
+        assert len(rows) == 16
+        for line in rows:
+            fields = dict(part.split("=") for part in line.split())
+            tokens = np.array([int(t) for t in fields["tokens"].split(",")], np.int16)
+            assert fields["satisfied"] == ("1" if world.predicate(tokens, cond) else "0")
 
     def test_header_echoes_config(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_WORLD + "model.kind = exact\n")
@@ -311,6 +335,67 @@ class TestEval:
         assert digest_dir(out) == first
 
 
+class TestArtifactKeys:
+    """A model artifact answers for the keys that made it: eval and sample
+    refuse one fit under other world or fit keys, naming the key and both
+    values. model.seed is not compared."""
+
+    FIT = SMALL_WORLD + "model.n_samples = 200\neval.n_samples = 10\nsample.n_runs = 2\n"
+    # one changed value per compared key
+    CHANGED = {
+        "world.kind": "factorized",
+        "world.grid_w": "3",
+        "world.grid_h": "3",
+        "world.n_shapes": "2",
+        "world.n_colors": "2",
+        "world.max_objects": "3",
+        "world.vocab_size": "4",
+        "world.n_tables": "3",
+        "world.cells_per_table": "2",
+        "world.table_seed": "1",
+        "model.n_samples": "300",
+        "model.alpha": "1.0",
+        "model.dropout_prob": "0.2",
+        "model.training_max_objects": "1",
+    }
+
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fitted")
+        out = str(root / "run")
+        assert main(["fit-model", "--config", write_cfg(root, self.FIT), "--out", out]) == EXIT_OK
+        return out
+
+    def test_every_compared_key_has_a_case(self):
+        assert sorted(self.CHANGED) == sorted(cli._FIT_KEYS)
+
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    @pytest.mark.parametrize("key", sorted(CHANGED))
+    def test_a_changed_key_exits_two(self, tmp_path, capsys, fitted, command, key):
+        kept = [ln for ln in self.FIT.splitlines() if not ln.startswith(f"{key} =")]
+        cfg = write_cfg(tmp_path, "\n".join(kept + [f"{key} = {self.CHANGED[key]}"]) + "\n")
+        before = digest_dir(fitted)
+        assert main([command, "--config", cfg, "--out", fitted]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        fit_value = config_record(parse_config_text(self.FIT))[key]
+        assert f"{key} = {fit_value}," in err and f"{key} = {self.CHANGED[key]};" in err
+        assert digest_dir(fitted) == before
+
+    def test_a_new_seed_still_samples(self, tmp_path, fitted):
+        cfg = write_cfg(tmp_path, self.FIT)
+        assert main(["sample", "--config", cfg, "--out", fitted, "--seed", "7"]) == EXIT_OK
+        assert main(["eval", "--config", cfg, "--out", fitted, "--seed", "7"]) == EXIT_OK
+
+    def test_an_artifact_without_its_config_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
+        save_count_model(str(out / "model.dcw1"), fit_count_model(world, 200))
+        cfg = write_cfg(tmp_path, self.FIT)
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        assert "no config echo" in capsys.readouterr().err
+
+
 class TestUnevaluableConditions:
     """A condition the world cannot evaluate is a bad config: exit 2 and one
     error line naming the condition and the world kind, not a traceback."""
@@ -326,18 +411,6 @@ class TestUnevaluableConditions:
         assert err.startswith("error: ")
         for needle in needles:
             assert needle in err
-
-    def test_relation_sample_on_non_relational_scene_world(self, tmp_path, capsys):
-        cfg = write_cfg(
-            tmp_path,
-            SMALL_WORLD + "model.kind = exact\n"
-            "conditions.specs = relation:left_of,shape,0,color,1\n",
-        )
-        out = str(tmp_path / "run")
-        self.assert_validation_exit(
-            capsys, ["sample", "--config", cfg, "--out", out],
-            "'relation', 'left_of'", "relational scene world",
-        )
 
     @pytest.mark.parametrize(
         "spec, needle",
@@ -433,11 +506,19 @@ class TestOodSuite:
         assert header["type"] == "header"
         return record
 
-    def test_record_is_criterion_five(self, tmp_path):
+    def test_record_is_criterion_five(self, tmp_path, capsys):
         world = build_scene_world(3, 3, n_shapes=1, n_colors=2, max_objects=4)
         model = fit_count_model(world, 30_000, rng_seed=0, training_max_objects=2)
         expected = run_ood_eval(model, world, 2, 3, n_runs=100, rng_seed=0).to_record()
         assert self.run_ood(tmp_path) == json.loads(record_line(expected))
+        # the drawn set is printed as a config line that a sample run can take
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("conditions.specs = "))
+        assert line == (
+            "conditions.specs = object_at_cell:0,1 object_at_cell:0,2 object_at_cell:1,2"
+        )
+        specs = parse_config_text(line).conditions()
+        assert [list(c.key()) for c in specs] == expected["condition_keys"]
 
     def test_seed_flag_changes_the_record(self, tmp_path):
         first = self.run_ood(tmp_path / "a")

@@ -102,7 +102,7 @@ class TestArraySections:
 
 class TestWorldArtifacts:
     def test_scene_world_roundtrip(self, tmp_path):
-        world = build_scene_world(3, 2, n_shapes=2, n_colors=1, max_objects=2, relational=True)
+        world = build_scene_world(3, 2, n_shapes=2, n_colors=1, max_objects=2)
         path = str(tmp_path / "w.dcw")
         save_world(path, world)
         back = load_world(path)
@@ -237,7 +237,7 @@ LOADERS = {
 def artifacts(tmp_path_factory):
     """Valid artifact bytes of each kind, and a scratch path to write corrupt copies to."""
     root = tmp_path_factory.mktemp("artifacts")
-    world = build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=2, relational=True)
+    world = build_scene_world(2, 2, n_shapes=1, n_colors=2, max_objects=2)
     rng = np.random.default_rng(0)
     savers = {
         "scene": lambda p: save_world(p, world),

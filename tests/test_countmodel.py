@@ -230,10 +230,10 @@ class TestFrozenTables:
         )
         tokens = MaskedState.fully_masked(1).tokens
         assert model.predict(tokens, cond)[0].tobytes() == model.predict(tokens)[0].tobytes()
-        _, _, level = model._lookup(tokens, cond_key(cond))
+        _, level = model._lookup(tokens, cond_key(cond))
         assert level.tolist() == [2]
         empty = CountModel(grid_w=1, grid_h=1, vocab_size=2)
-        assert empty._lookup(tokens, cond_key(None))[2].tolist() == [NO_BUCKET]
+        assert empty._lookup(tokens, cond_key(None))[1].tolist() == [NO_BUCKET]
 
     def test_key_space_beyond_int64_is_refused(self):
         with pytest.raises(StateSpaceTooLarge):
@@ -307,7 +307,7 @@ class TestOracleEquivalence:
                 assert masked_rows(got, tokens) == {p: v.tobytes() for p, v in want.items()}, (
                     values, cond
                 )
-                masked, _, level = model._lookup(tokens, cond_key(cond))
+                masked, level = model._lookup(tokens, cond_key(cond))
                 expected = [
                     oracle.bucket(
                         counts, p, oracle.signature(neighbors, tokens, p), cond_key(cond)
@@ -367,11 +367,11 @@ class TestUnseenConditionRow:
         for values in itertools.product(range(MASK, world.vocab_size), repeat=world.length):
             tokens = np.array(values, dtype=np.int16)
             plain = masked_rows(model.predict(tokens), tokens)
-            base = model._lookup(tokens, UNCONDITIONAL_KEY)[2].tolist()
+            base = model._lookup(tokens, UNCONDITIONAL_KEY)[1].tolist()
             want = [v if v == NO_BUCKET else v + 2 for v in base]
             for cond in unseen:
                 assert masked_rows(model.predict(tokens, cond), tokens) == plain, (values, cond)
-                assert model._lookup(tokens, cond_key(cond))[2].tolist() == want, (values, cond)
+                assert model._lookup(tokens, cond_key(cond))[1].tolist() == want, (values, cond)
 
 
 class TestAnswerContract:
@@ -409,10 +409,12 @@ class TestAnswerContract:
         for model in (fit_count_model(world, 300, rng_seed=0),
                       CountModel(grid_w=world.grid_w, grid_h=world.grid_h,
                                  vocab_size=world.vocab_size)):
-            joined = model._table[model._resolved]
-            assert model._answers.shape == joined.shape
-            assert model._answers.dtype == joined.dtype == np.float64
-            assert model._answers.tobytes() == joined.tobytes()
+            # one answer row per (row, column): the columns with a backoff
+            # level, then one point-mass column per token
+            n_rows, n_cols = model._levels.shape
+            k = world.vocab_size
+            assert model._answers.shape == (n_rows, n_cols + k, k)
+            assert model._answers.dtype == np.float64
             assert not model._answers.flags.writeable
 
 
@@ -464,7 +466,7 @@ class TestColumnsMemo:
             got = cold.predict(states[s], queries[q])
             assert masked_rows(got, states[s]) == want[(s, q)], (s, q)
         for s, q in pairs:
-            assert cold._lookup(states[s], cond_key(queries[q]))[2].tolist() == levels[(s, q)]
+            assert cold._lookup(states[s], cond_key(queries[q]))[1].tolist() == levels[(s, q)]
         # every state is visited twice in shuffled order, and after each
         # visit the state before it is visited again: the last state is
         # another one, and the memo may hold it. A visit asks each query
@@ -480,7 +482,7 @@ class TestColumnsMemo:
                 for _ in range(repeat):
                     got = model.predict(tokens, queries[q])
                     assert masked_rows(got, states[s]) == want[(s, q)], (s, q)
-                    level = model._lookup(tokens, cond_key(queries[q]))[2]
+                    level = model._lookup(tokens, cond_key(queries[q]))[1]
                     assert level.tolist() == levels[(s, q)], (s, q)
                     tokens = tokens.copy()
         memo = model._columns
@@ -571,6 +573,6 @@ class TestBackoffLevels:
         for tokens, cond in queries:
             if cond is not None:
                 kind = "single" if isinstance(cond, ConditionSpec) else "joint"
-                levels[kind].update(model._lookup(tokens, cond_key(cond))[2].tolist())
+                levels[kind].update(model._lookup(tokens, cond_key(cond))[1].tolist())
         assert levels["single"] == {0, 1}
         assert levels["joint"] == {2, 3}

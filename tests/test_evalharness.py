@@ -115,16 +115,28 @@ class TestReports:
         assert "0.1000" in text
 
 
+class _Unconditional:
+    """The exact model's unconditional answer to every query: at weight 1
+    each condition's log-ratio is zero, so composing it samples the prior."""
+
+    def __init__(self, world):
+        self._model = exact_conditional_model(world)
+        self.vocab_size = world.vocab_size
+
+    def predict(self, tokens, condition=None):
+        return self._model.predict(tokens)
+
+
 class TestErrorEval:
     def test_weights_off_reduces_to_prior_rate(self):
         # under the uniform 16-scene prior a cell is empty with rate one half,
         # and one of two cells with rate three quarters: a run errs unless
         # every condition of its set holds
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=4)
-        model = exact_conditional_model(world)
+        model = _Unconditional(world)
         for n_components, prior_error in ((1, 0.5), (2, 0.75)):
             report = run_error_eval(
-                model, world, n_components=n_components, n_samples=800, weight=0.0,
+                model, world, n_components=n_components, n_samples=800,
                 sched=SamplerSchedule(temperature=1.0), rng_seed=5,
             )
             assert abs(report.error_rate - prior_error) <= report.two_sigma + 0.05
@@ -193,12 +205,12 @@ class TestErrorEval:
         """Known satisfaction probability one half: the measured rate lands
         inside three sigma in almost every seeded trial."""
         world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=4)
-        model = exact_conditional_model(world)
+        model = _Unconditional(world)
         n = 200
         bad = 0
         for seed in range(60):
             r = run_error_eval(
-                model, world, 1, n, weight=0.0,
+                model, world, 1, n,
                 sched=SamplerSchedule(temperature=1.0), rng_seed=seed,
             )
             if abs(r.error_rate - 0.5) > 3 * math.sqrt(0.25 / n):

@@ -1,5 +1,5 @@
 """README's library example runs as written, its config table is current,
-and its Quick start commands name configs that load."""
+and its Quick start commands name configs that load and echo back."""
 
 import re
 import shlex
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from maskcompose.cli import build_parser
-from maskcompose.config import describe_schema, load_config
+from maskcompose.config import config_lines, describe_schema, load_config, parse_config_text
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -34,6 +34,13 @@ def test_config_reference_matches_schema():
 def test_every_config_loads(path):
     # load only: factorized_exact.cfg's eval alone takes seconds
     load_config(str(path))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_every_config_echo_parses_back(path):
+    # the echo that artifacts carry is what a later command compares with
+    cfg = load_config(str(path))
+    assert parse_config_text("\n".join(config_lines(cfg))) == cfg
 
 
 def test_quick_start_commands_parse_and_name_a_config():

@@ -208,18 +208,13 @@ class TestSceneWorldPosterior:
     def test_relation_condition(self):
         # 1x2 strip, two shapes, one color, at most two objects: exactly one
         # scene has a shape-0 object strictly left of a shape-1 object
-        world = build_scene_world(2, 1, n_shapes=2, n_colors=1, max_objects=2, relational=True)
+        world = build_scene_world(2, 1, n_shapes=2, n_colors=1, max_objects=2)
         cond = relation("left_of", ("shape", 0), ("shape", 1))
         post = world.enumerate_posterior([cond])
         assert post.grids.shape == (1, 2)
         assert list(post.grids[0]) == [1, 2]
         with pytest.raises(EmptyIntersection):
             world.enumerate_posterior([relation("above", ("shape", 0), ("shape", 1))])
-
-    def test_relation_needs_relational_world(self):
-        world = build_scene_world(2, 1, n_shapes=2, n_colors=1, max_objects=2)
-        with pytest.raises(ValidationError, match="relational scene world"):
-            world.enumerate_posterior([relation("left_of", ("shape", 0), ("shape", 1))])
 
     def test_prior_marginals_normalize(self):
         world = build_scene_world(3, 3, n_shapes=2, n_colors=2, max_objects=3)
@@ -258,24 +253,22 @@ class TestSceneWorldPosterior:
 
 
 SCENE_WORLDS = {
-    "1x1": (1, 1, 2, 2, 1, False),
-    "2x2": (2, 2, 2, 1, 2, False),
-    "3x1-relational": (3, 1, 2, 1, 3, True),
-    "2x3-relational": (2, 3, 2, 2, 3, True),
-    "3x3": (3, 3, 2, 1, 3, False),
-    "2x2-saturated": (2, 2, 1, 2, 6, False),  # max_objects >= L
+    "1x1": (1, 1, 2, 2, 1),
+    "2x2": (2, 2, 2, 1, 2),
+    "3x1-relational": (3, 1, 2, 1, 3),
+    "2x3-relational": (2, 3, 2, 2, 3),
+    "3x3": (3, 3, 2, 1, 3),
+    "2x2-saturated": (2, 2, 1, 2, 6),  # max_objects >= L
 }
 
 
 def _checked_conditions(world) -> list:
-    """The world's pool, every attribute (one id past the last included) and,
-    on relational worlds, a relation between an attribute and itself."""
+    """The world's pool, every attribute (one id past the last included) and
+    a relation between an attribute and itself."""
     attrs = [("shape", i) for i in range(world.n_shapes + 1)]
     attrs += [("color", i) for i in range(world.n_colors + 1)]
     conds = world.condition_pool() + [attribute_present(k, i) for k, i in attrs]
-    if world.relational:
-        conds += [relation(rel, ("shape", 0), ("shape", 0)) for rel in ("left_of", "above")]
-    return conds
+    return conds + [relation(rel, ("shape", 0), ("shape", 0)) for rel in ("left_of", "above")]
 
 
 class TestSceneOracleEquivalence:
@@ -379,7 +372,7 @@ class TestSceneTrainingPairs:
         assert rng.random() == loop_rng.random()
 
     def test_condition_pool_contents(self):
-        world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2, relational=True)
+        world = build_scene_world(2, 2, n_shapes=1, n_colors=1, max_objects=2)
         pool = world.condition_pool()
         kinds = {c.kind for c in pool}
         assert kinds == {"object_at_cell", "relation"}
@@ -590,7 +583,6 @@ def _same_answer(got, want) -> bool:
 
 
 def _oracle_worlds():
-    relational = build_scene_world(3, 1, n_shapes=2, n_colors=1, max_objects=3, relational=True)
     factorized = build_random_factorized_world(2, 2, 3, n_conditions=2, seed=5)
     return {
         "scene-2x2": (
@@ -603,7 +595,7 @@ def _oracle_worlds():
             [object_at_cell(0, 0), object_at_cell(1, 1)],
         ),
         "scene-3x1": (
-            relational,
+            build_scene_world(3, 1, n_shapes=2, n_colors=1, max_objects=3),
             [relation("left_of", ("shape", 0), ("shape", 1)), object_at_cell(2, 0)],
         ),
         "factorized-2x2": (factorized, [cell_table("c0"), cell_table("c1")]),
