@@ -7,7 +7,8 @@ starts with commented key=value lines, report streams open with a header
 record. Reruns with the same config and seed produce byte-identical files;
 wall-clock fields are stripped from report files so timing noise never leaks
 into them. A command that reads model.dcw1 parses its echo back and refuses
-an artifact fit under other world keys or other keys of the fitted law.
+an artifact fit under other world keys or other keys of the fitted law; a
+key the schema retired loads only at the value whose behaviour was kept.
 
 Exit codes: 0 success, 2 config or input validation, 3 sampling failure
 (impossible condition sets and kin), 4 property-suite failure.
@@ -77,8 +78,11 @@ def _echo_section(cfg: RunConfig, command: str) -> Section:
     return Section("config", {"format": "keyvalue"}, text.encode("utf-8"))
 
 
-def _header_record(cfg: RunConfig, command: str) -> dict:
-    return {"type": "header", "command": command, "config": config_record(cfg)}
+def _header_record(cfg: RunConfig, command: str, model_seed=None) -> dict:
+    """A report stream's first record: the command, the model artifact's
+    seed (None without an artifact) and the config."""
+    return {"type": "header", "command": command, "model_seed": model_seed,
+            "config": config_record(cfg)}
 
 
 def _out_dir(cfg: RunConfig) -> str:
@@ -99,15 +103,44 @@ def _write_reports(path: str, records: list[dict]):
 _FIT_KEYS = [key for key in SCHEMA if key.startswith("world.")] + [
     "model.n_samples", "model.alpha", "model.dropout_prob", "model.training_max_objects",
 ]
+# what _fit_config reads from an echo: the compared keys and the seed the
+# report header names
+_ECHO_KEYS = _FIT_KEYS + ["model.seed"]
+# keys the schema no longer has, each with the value whose behaviour was kept
+# when it went: an echo that carries one at that value was fit as today
+_RETIRED_KEYS = {"world.relational": "false"}
 
 
 def _fit_config(path: str) -> RunConfig:
-    """The config that fit-model echoed into the model artifact at path."""
+    """The _ECHO_KEYS of the config that fit-model echoed into the model
+    artifact at path; any other schema key of the echo is not read. A retired
+    key at another value than its kept one, a key the schema never had, or a
+    missing _ECHO_KEYS key refuses the artifact."""
     echo = [s for s in read_container(path) if s.name == "config"]
     if not echo:
         raise ValidationError(f"model artifact {path} has no config echo; run fit-model again")
     try:
-        return parse_config_text(echo[0].data.decode("utf-8"))
+        kept, found = [], set()
+        for raw in echo[0].data.decode("utf-8").splitlines():
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in _RETIRED_KEYS:
+                if value != _RETIRED_KEYS[key]:
+                    raise ValidationError(
+                        f"{key} = {value}, which was retired; only "
+                        f"{key} = {_RETIRED_KEYS[key]} still loads"
+                    )
+            elif key not in SCHEMA:
+                raise ValidationError(f"unknown config key {key!r}")
+            elif key in _ECHO_KEYS:
+                kept.append(line)
+                found.add(key)
+        missing = [key for key in _ECHO_KEYS if key not in found]
+        if missing:
+            raise ValidationError(f"no {missing[0]} line")
+        return parse_config_text("\n".join(kept))
     except (UnicodeDecodeError, ValidationError) as exc:
         raise ValidationError(
             f"model artifact {path}: config echo: {exc}; run fit-model again"
@@ -115,8 +148,10 @@ def _fit_config(path: str) -> RunConfig:
 
 
 def _resolve_model(cfg: RunConfig, world, out: str):
+    """The model the config asks for, and the seed its artifact was fit
+    with (None for the exact model, which has no artifact)."""
     if cfg["model.kind"] == "exact":
-        return exact_conditional_model(world)
+        return exact_conditional_model(world), None
     path = os.path.join(out, "model.dcw1")
     if not os.path.exists(path):
         raise ValidationError(f"missing model artifact {path}; run fit-model first")
@@ -129,7 +164,7 @@ def _resolve_model(cfg: RunConfig, world, out: str):
                 f"model artifact {path} was fit with {key} = {was}, "
                 f"but the config has {key} = {now}; run fit-model again"
             )
-    return model
+    return model, fit["model.seed"]
 
 
 def _suite_condition(cfg: RunConfig, suite: str):
@@ -216,7 +251,7 @@ def cmd_sample(cfg: RunConfig) -> int:
             raise EmptyIntersection(
                 f"no state satisfies the condition set: {keys}"
             ) from None
-    model = _resolve_model(cfg, world, out)
+    model, _ = _resolve_model(cfg, world, out)
     sched = schedule_from_config(cfg)
 
     codebook = None
@@ -302,8 +337,8 @@ def cmd_eval(cfg: RunConfig) -> int:
                 f"model.training_max_objects ({budget})"
             )
     cond = _suite_condition(cfg, suite) if suite in ("negation", "fidelity") else None
-    model = _resolve_model(cfg, world, out)
-    records = [_header_record(cfg, "eval")]
+    model, model_seed = _resolve_model(cfg, world, out)
+    records = [_header_record(cfg, "eval", model_seed)]
     if suite == "error":
         rows, table = _eval_error(cfg, world, model, sched)
         records.extend(rows)
@@ -357,7 +392,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_bench(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     world = world_from_config(cfg)
-    model = _resolve_model(cfg, world, out)
+    model, model_seed = _resolve_model(cfg, world, out)
     sched = schedule_from_config(cfg)
     rows = run_bench(
         model,
@@ -368,7 +403,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         sched=sched,
         rng_seed=cfg["schedule.seed"],
     )
-    records = [_header_record(cfg, "bench")] + [r.to_record() for r in rows]
+    records = [_header_record(cfg, "bench", model_seed)] + [r.to_record() for r in rows]
     _write_reports(os.path.join(out, "bench.jsonl"), records)
     print(f"{'s':>4}{'n_cond':>8}{'steps':>7}{'evals':>7}{'aborts':>8}{'ms/run':>10}")
     for r in rows:

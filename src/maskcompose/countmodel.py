@@ -35,7 +35,8 @@ The last state's columns are kept, which answers the 2nd to (n + 1)th
 queries of one sampler visit; a visit's first query looks them up by the
 state's bytes in a two-generation memo of COLUMNS_MEMO_CAP_BYTES, so later
 visits to the same state by any run, arm or round compute them once. A
-query is one take: its condition's answers at the state's columns.
+query is one take: its condition's (columns, K) answers, bound once per
+condition key at freeze time, at the state's columns.
 Fitting counts the codes of all masked training positions with np.unique,
 FIT_CHUNK samples at a time, drawing each chunk's masks as it goes; a
 sample is one grid row and one condition index, never a Python object.
@@ -69,19 +70,20 @@ FIT_CHUNK = 1024
 # 3 both dropped; NO_BUCKET when no populated bucket answers.
 NO_BUCKET = 4
 
-# The columns memo: a state's (L,) columns as int32 bytes, keyed by the
-# state's bytes. An entry is charged both byte strings plus a fixed cost that
-# bounds their two object headers, 66 bytes, and its dict slot, at most 54
-# bytes in a dict of a generation's size. A round of count-3x3 visits
-# 18 000 states, about 4 900 of them distinct. At 1 MiB, about 6 000
-# entries of a 3x3 grid, the memo leaves 6 900-7 700 states a round to
-# compute, and the workload's peak memory moves by less than 1%. A larger
-# cap computes fewer, but pays in peak memory, whose bound is 3%: on a
-# 2-core Xeon, 2 MiB gave count-3x3 +10-14% grids/s for +1.5-3.3% peak RSS
-# over two series, and 3 MiB +16% for +3.5%, too close to the bound to take.
-# A hit is decoded with np.frombuffer: an ndarray value would take 184 bytes
-# of a 3x3 grid's columns, against 69 as bytes.
-COLUMNS_MEMO_CAP_BYTES = 1 << 20
+# The columns memo: a state's (L,) columns as bytes of the narrowest unsigned
+# integer that holds every column index, keyed by the state's bytes; uint8
+# for count-3x3's model, whose 131 columns fit, uint16 past 256 columns. A
+# hit is decoded once per visit into the intp array the visit's n + 1
+# gathers index with. An entry is charged both byte strings plus a fixed
+# cost that bounds their two object headers, 66 bytes, and its dict slot, at
+# most 54 bytes in a dict of a generation's size: 147 bytes for a 3x3 grid,
+# so a generation holds about 7 100 states. A round of count-3x3 visits
+# 18 000 states, about 5 000 of them distinct, 0.70 MiB charged; over 40
+# rounds the memo holds 1.22 MiB. At this cap, rounds 2-12 of count-3x3 at
+# seed 0 compute 539-1 652 states' columns each, 778 on average, most of
+# them states no earlier round visited. Ten alternating benchmark pairs at
+# 1.5 and at 2 MiB settled the cap; the series are in CHANGES.md.
+COLUMNS_MEMO_CAP_BYTES = 1 << 21
 _COLUMNS_ENTRY_BYTES = 120
 
 
@@ -286,7 +288,9 @@ class CountModel:
         levels.flags.writeable = answers.flags.writeable = False
         object.__setattr__(self, "_rows", cond_ids)
         object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "_answers", answers)
+        # each condition key's (columns, K) answers, bound once for predict
+        object.__setattr__(self, "_tables", {key: answers[row] for key, row in cond_ids.items()})
+        object.__setattr__(self, "_unseen", answers[-1])
         object.__setattr__(self, "_col_codes", np.append(distinct, _CODE_END))
         # per (position p, token t or MASK) at p * (K + 1) + t + 1: the code a
         # slot's signature rank is added to, and the column it takes when that
@@ -303,6 +307,8 @@ class CountModel:
         object.__setattr__(self, "_slot_base", np.arange(length) * (k + 1) + 1)
         object.__setattr__(self, "_slot_codes", slot_codes.ravel())
         object.__setattr__(self, "_slot_misses", slot_misses.ravel())
+        # the narrowest integer that holds every column index, for the memo
+        object.__setattr__(self, "_col_dtype", np.min_scalar_type(n_cols + k - 1))
         object.__setattr__(self, "_columns", Memo(COLUMNS_MEMO_CAP_BYTES, _columns_charge))
         object.__setattr__(self, "_last", (None, None))
 
@@ -319,14 +325,16 @@ class CountModel:
         column. Columns do not depend on the condition. The sampler asks
         about one state n + 1 times in a row, so the last state's columns
         are kept; a state's first query looks in the memo, which holds
-        columns by the state's bytes, as int32 bytes, for later visits."""
+        columns by the state's bytes, at the narrowest integer width, for
+        later visits, and decodes a hit once into intp columns."""
         key = tokens.tobytes()
         last = self._last
         if last[0] == key:
             return last[1]
         hit = self._columns.get(key)
         if hit is not None:
-            cols = np.frombuffer(hit, dtype=np.int32)
+            cols = np.frombuffer(hit, dtype=self._col_dtype).astype(np.intp)
+            cols.setflags(write=False)
         else:
             codec = self._codec
             nbrs = tokens.take(codec.index)
@@ -337,7 +345,7 @@ class CountModel:
             at = self._col_codes.searchsorted(want)
             cols = np.where(self._col_codes.take(at) == want, at, self._slot_misses.take(slot))
             cols.flags.writeable = False
-            self._columns.put(key, cols.astype(np.int32).tobytes())
+            self._columns.put(key, cols.astype(self._col_dtype).tobytes())
         object.__setattr__(self, "_last", (key, cols))
         return cols
 
@@ -351,8 +359,11 @@ class CountModel:
 
     def predict(self, tokens: np.ndarray, condition=None) -> np.ndarray:
         cols = self._state_columns(tokens)
-        row = self._rows.get(cond_key(condition), len(self._rows))
-        out = self._answers[row].take(cols, axis=0)
+        if condition is None:
+            table = self._tables[UNCONDITIONAL_KEY]
+        else:
+            table = self._tables.get(cond_key(condition), self._unseen)
+        out = table.take(cols, axis=0)
         out.setflags(write=False)  # half the cost of setting out.flags.writeable
         return out
 

@@ -150,42 +150,42 @@ def draw_runs(
 
 
 # Composed vectors, temperature applied, keyed by the content of their inputs:
-# temperature, weights and each expert vector's dtype and bytes. Each entry is
-# draw-ready: the pair (cdf, peak), where cdf is the vector's CDF
-# np.exp(v).cumsum() as a tuple of Python floats, which a draw bisects, and
-# peak is v.max() as a float, which ranks positions by confidence. So a hit
+# temperature, weights, the vectors' dtype and one byte string, the n + 1
+# expert vectors' bytes joined. Every vector is float64 (ConditionalModel)
+# and the weights fix n, so the joined string tells every input apart with
+# one object header for all n + 1 vectors. Each entry is draw-ready: the pair
+# (cdf, peak), where cdf is the vector's CDF np.exp(v).cumsum() as a tuple of
+# Python floats, which a draw bisects, and peak is v.max() as a float, which
+# ranks positions by confidence. So a hit
 # recomputes neither, and a step calls no numpy method on an entry: a draw
 # from a 3-entry CDF, clip included, took 0.35 us as a bisect of the tuple
 # and 1.5 us as a searchsorted of the same doubles as an array (2-core Xeon).
 # Experts hand back the same few vectors run after run (20 000 masked fidelity
 # runs on the 2x2 world compose 8 distinct inputs), so most steps find their
 # entry here. An entry is charged _MEMO_FLOAT_BYTES per CDF float, the float
-# and its tuple slot, plus a fixed cost per entry and per expert vector, an
-# upper bound on what its key, dict slot and the other object headers take;
-# the two-generation memo keeps the entries that keep being asked for within
-# _MEMO_CAP_BYTES. Being keyed by content, one memo can serve every caller in
-# the process without changing a result. Working sets measured (distinct
-# entries, charged bytes):
+# and its tuple slot, the joined string's length, and a fixed cost per entry
+# and per key string, an upper bound on what the key tuple, dict slot and
+# the other object headers take; the two-generation memo keeps the entries
+# that keep being asked for within _MEMO_CAP_BYTES. Being keyed by content,
+# one memo can serve every caller in the process without changing a result.
+# Working sets measured (distinct entries, charged bytes):
 # - count-3x3 of the benchmark, a composed and a joint error eval of 1000
-#   grids each: 2 770 entries, 1.47 MiB a round; 3 885 and 2.07 MiB over 40
+#   grids each: 2 770 entries, 1.14 MiB a round; 3 885 and 1.60 MiB over 40
 #   rounds on different seeds;
-# - criterion 4, 10 000 grids an arm on the same world: 3 632, 1.93 MiB;
-# - exact-3x3: 241, 0.17 MiB; fidelity-2x2: 19, 0.009 MiB.
-# One generation, half the cap, holds each of them but the 40-round set,
-# which is 3% over it: over those rounds the memo rotates, and 19 of the
-# 3 904 vectors composed were ones composed before.
-# At 2 MiB a generation held 1 MiB, so count-3x3 composed about 1.5k of its
-# vectors again whenever a round was rerun.
+# - criterion 4, 10 000 grids an arm on the same world: 3 632, 1.50 MiB;
+# - exact-3x3: 241, 0.14 MiB; fidelity-2x2: 19, 0.008 MiB.
+# One generation, half the cap, holds each of them; half of 2 MiB would not
+# hold count-3x3's round.
 _MEMO_CAP_BYTES = 1 << 22
 _MEMO_ENTRY_BYTES = 256
-_MEMO_VECTOR_BYTES = 64
+_MEMO_KEY_BYTES = 64
 _MEMO_FLOAT_BYTES = 32
 
 
 def _composed_charge(key: tuple, entry: tuple) -> int:
-    vectors = key[3::2]  # the key ends in (dtype, bytes) pairs, one per vector
+    # the key ends in one byte string, the n + 1 vectors' bytes joined
     return (_MEMO_ENTRY_BYTES + _MEMO_FLOAT_BYTES * len(entry[0])
-            + sum(len(v) + _MEMO_VECTOR_BYTES for v in vectors))
+            + _MEMO_KEY_BYTES + len(key[3]))
 
 
 _memo = Memo(_MEMO_CAP_BYTES, _composed_charge)
@@ -204,10 +204,8 @@ def _composed(
     floats, which sample_token bisects, and peak is v.max() as a float, which
     ranks the position in max-confidence order. Both are immutable.
     """
-    key = [temperature, weights, uncond.dtype, uncond.tobytes()]
-    for c in conds:
-        key += (c.dtype, c.tobytes())
-    key = tuple(key)
+    key = (temperature, weights, uncond.dtype,
+           b"".join([uncond.tobytes(), *[c.tobytes() for c in conds]]))
     entry = _memo.get(key)
     if entry is not None:
         return entry

@@ -446,7 +446,8 @@ class FactorizedWorld(WorldJoint):
     the likelihood never exceeds one. Bayes then gives the product measure
     P(z | c) with table rows swapped in at the condition's cells, so the true
     multi-condition posterior for disjoint cell sets is exactly the
-    per-position product-of-experts combination.
+    per-position product-of-experts combination. On a cell that several
+    conditions claim, their likelihood ratios multiply.
     """
 
     def __init__(
@@ -555,13 +556,29 @@ class FactorizedWorld(WorldJoint):
         )
 
     def conditional_tables(self, condition) -> np.ndarray:
-        """Exact per-position marginals P(z_p | condition) in closed form."""
-        out = self.prior_tables.copy()
+        """Exact per-position marginals P(z_p | condition) in closed form.
+
+        A cell that one condition claims takes its table. Where several
+        claim a cell, their likelihood ratios multiply: the cell's law is
+        prior_p * prod_i (q_i / prior_p), normalized.
+        """
+        claims: dict[int, list[np.ndarray]] = {}
         for cond in _iter_conditions(condition):
             if cond.kind != KIND_CELL_TABLE:
                 raise ValueError("closed-form tables exist only for cell_table conditions")
             for p, row in self._tables_for(cond).items():
-                out[p] = row
+                claims.setdefault(p, []).append(row)
+        out = self.prior_tables.copy()
+        for p, rows in claims.items():
+            if len(rows) == 1:
+                out[p] = rows[0]
+                continue
+            prior = self.prior_tables[p]
+            law = prior * np.prod([row / prior for row in rows], axis=0)
+            total = law.sum()
+            if not total > 0.0:
+                raise EmptyIntersection(f"no token of cell {p} satisfies all conditions together")
+            out[p] = law / total
         return out
 
     def condition_pool(self) -> list[ConditionSpec]:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,13 @@ from maskcompose.cli import (
 )
 from maskcompose.codec import read_ppm
 from maskcompose.config import config_record, parse_config_text
-from maskcompose.container import load_count_model, load_world, read_container, save_count_model
+from maskcompose.container import (
+    load_count_model,
+    load_world,
+    read_container,
+    save_count_model,
+    write_container,
+)
 from maskcompose.countmodel import fit_count_model
 from maskcompose.evalharness import TIMING_FIELDS, record_line, run_negation_eval, run_ood_eval
 from maskcompose.sampler import MaskedState, SamplerSchedule
@@ -385,6 +392,50 @@ class TestArtifactKeys:
         cfg = write_cfg(tmp_path, self.FIT)
         assert main(["sample", "--config", cfg, "--out", fitted, "--seed", "7"]) == EXIT_OK
         assert main(["eval", "--config", cfg, "--out", fitted, "--seed", "7"]) == EXIT_OK
+
+    @staticmethod
+    def with_echo(tmp_path, fitted, edit) -> str:
+        """A copy of the fitted run whose model echo's lines went through edit."""
+        out = tmp_path / "edited"
+        shutil.copytree(fitted, out)
+        path = str(out / "model.dcw1")
+        sections = read_container(path)
+        for sec in sections:
+            if sec.name == "config":
+                sec.data = ("\n".join(edit(sec.data.decode().splitlines())) + "\n").encode()
+        write_container(path, sections)
+        return str(out)
+
+    def test_a_retired_key_at_its_kept_value_loads(self, tmp_path, fitted):
+        # what every artifact written before world.relational went carries
+        out = self.with_echo(tmp_path, fitted, lambda ls: ls + ["world.relational = false"])
+        cfg = write_cfg(tmp_path, self.FIT)
+        assert main(["sample", "--config", cfg, "--out", out]) == EXIT_OK
+        assert main(["eval", "--config", cfg, "--out", out]) == EXIT_OK
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda ls: ls + ["world.relational = true"], "world.relational = true"),
+        (lambda ls: ls + ["world.bogus = 1"], "'world.bogus'"),
+        (lambda ls: [ln for ln in ls if not ln.startswith("model.alpha =")], "no model.alpha"),
+    ], ids=["retired key at another value", "unknown key", "missing compared key"])
+    def test_an_echo_it_cannot_vouch_for_exits_two(self, tmp_path, capsys, fitted, edit, needle):
+        out = self.with_echo(tmp_path, fitted, edit)
+        cfg = write_cfg(tmp_path, self.FIT)
+        before = digest_dir(out)
+        assert main(["sample", "--config", cfg, "--out", out]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert needle in err and "run fit-model again" in err
+        assert digest_dir(out) == before
+
+    def test_the_header_names_the_artifact_seed(self, tmp_path, fitted):
+        out = str(tmp_path / "run")
+        shutil.copytree(fitted, out)
+        cfg = write_cfg(tmp_path, self.FIT)
+        assert main(["eval", "--config", cfg, "--out", out, "--seed", "7"]) == EXIT_OK
+        with open(os.path.join(out, "reports.jsonl")) as fh:
+            header = json.loads(fh.readline())
+        assert header["model_seed"] == 0
+        assert header["config"]["schedule.seed"] == "7"
 
     def test_an_artifact_without_its_config_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"

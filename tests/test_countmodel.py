@@ -409,13 +409,18 @@ class TestAnswerContract:
         for model in (fit_count_model(world, 300, rng_seed=0),
                       CountModel(grid_w=world.grid_w, grid_h=world.grid_h,
                                  vocab_size=world.vocab_size)):
-            # one answer row per (row, column): the columns with a backoff
-            # level, then one point-mass column per token
+            # one (columns, K) table per condition key, then the unseen
+            # keys' one: the columns with a backoff level, then one
+            # point-mass column per token, all views of one joined array
             n_rows, n_cols = model._levels.shape
             k = world.vocab_size
-            assert model._answers.shape == (n_rows, n_cols + k, k)
-            assert model._answers.dtype == np.float64
-            assert not model._answers.flags.writeable
+            tables = [*model._tables.values(), model._unseen]
+            assert len(tables) == n_rows
+            assert {t.base is model._unseen.base for t in tables} == {True}
+            for table in tables:
+                assert table.shape == (n_cols + k, k)
+                assert table.dtype == np.float64
+                assert not table.flags.writeable
 
 
 class TestColumnsMemo:
@@ -433,14 +438,17 @@ class TestColumnsMemo:
     ):
         build, conds = ORACLE_WORLDS[world_name]
         world = build()
+        model = fit_count_model(world, 300, rng_seed=seed)
         # a generation holds `entries` states: with none, only the last state
         # is kept; with one, a revisit finds its state's columns in the
-        # current generation, in the old one, or dropped
-        charge = countmodel._columns_charge(b"s" * 2 * world.length, b"c" * 4 * world.length)
+        # current generation, in the old one, or dropped. An entry holds
+        # the state's int16 tokens and its columns at the stored width.
+        width = model._col_dtype.itemsize
+        charge = countmodel._columns_charge(b"s" * 2 * world.length, b"c" * width * world.length)
         cap = charge + 2 * entries * charge
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(countmodel, "COLUMNS_MEMO_CAP_BYTES", cap)
-            model = fit_count_model(world, 300, rng_seed=seed)
+            model = dataclasses.replace(model)
         counts = dict(model.counts)
         neighbors = neighbor_lists(world.grid_w, world.grid_h)
         # no condition, one condition, a joint prompt and an unseen key
@@ -528,14 +536,53 @@ class TestColumnsMemo:
                 k: int(k == found) for k in counted
             }
 
+    def test_wide_columns_keep_wide_entries(self):
+        """A model of more columns than a byte can index stores each state's
+        columns as two-byte entries, and a revisit decodes the columns it
+        computed, point columns above 255 included."""
+        world = build_scene_world(3, 3, n_shapes=2, n_colors=2, max_objects=9)
+        k = world.vocab_size
+        rng = np.random.default_rng(0)
+        # 300 distinct (position, signature) buckets: each its own column
+        counts = {}
+        while len(counts) < 300:
+            p = int(rng.integers(world.length))
+            n_nbrs = len(neighbor_lists(3, 3)[p])
+            sig = tuple(sorted(rng.integers(k, size=rng.integers(n_nbrs + 1)).tolist()))
+            counts[(p, sig, UNCONDITIONAL_KEY)] = rng.integers(1, 5, size=k)
+        model = CountModel(3, 3, k, counts=counts)
+        assert model._col_dtype == np.uint16
+        states = rng.integers(MASK, k, size=(40, world.length)).astype(np.int16)
+        fresh = [dataclasses.replace(model)._state_columns(s).copy() for s in states]
+        assert max(c.max() for c in fresh) > 255
+        for s in states:
+            model._state_columns(s)
+        assert {len(v) for _, v in model._columns.items()} == {2 * world.length}
+        # each state after another one: its columns come from the memo
+        for s, want in zip(states, fresh):
+            model._state_columns(np.full(world.length, MASK, dtype=np.int16))
+            got = model._state_columns(s)
+            assert got.dtype == np.intp and not got.flags.writeable
+            assert np.array_equal(got, want)
+
+    def test_narrow_columns_keep_one_byte_entries(self):
+        build, conds = ORACLE_WORLDS["scene 2x2"]
+        model = fit_count_model(build(), 300, rng_seed=0)
+        assert model._col_dtype == np.uint8
+        model._state_columns(np.array([MASK, 0, MASK, 1], dtype=np.int16))
+        ((key, value),) = model._columns.items()
+        assert len(key) == 2 * 4 and len(value) == 4
+
     @pytest.fixture(scope="class")
     def evaluated(self):
-        """A model's columns memo on count-3x3's world after two of its
+        """A model's columns memo on count-3x3's world after four of its
         rounds, each a composed and a joint error eval of 1 000 runs. They
-        visit about 6 600 distinct states, more than the cap's 6 000 entries."""
+        visit 8 304 distinct states, more than the 7 133 entries of one-byte
+        columns that one generation holds, so the memo has rotated (it did
+        after three rounds, at 7 686)."""
         world = build_scene_world(3, 3, n_shapes=1, n_colors=1, max_objects=2)
         model = fit_count_model(world, 30_000, rng_seed=0)
-        for seed, joint in itertools.product((0, 1), (False, True)):
+        for seed, joint in itertools.product(range(4), (False, True)):
             run_error_eval(model, world, 2, 1_000, rng_seed=seed, joint_prompt=joint)
         return model._columns
 

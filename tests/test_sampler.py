@@ -547,8 +547,9 @@ class TestComposedMemo:
     def check_byte_cap(k):
         """Fill the memo through _composed with twice as many distinct
         entries as the cap holds, whatever the cap."""
-        vector = (np.dtype(np.float64), np.zeros(k).tobytes())
-        charge = sampler._composed_charge((1.0, (1.0,)) + vector * 2, entry_of(np.zeros(k)))
+        # the key of one condition: two vectors' bytes joined
+        key = (1.0, (1.0,), np.dtype(np.float64), np.zeros(k).tobytes() * 2)
+        charge = sampler._composed_charge(key, entry_of(np.zeros(k)))
         n = 2 * (sampler._MEMO_CAP_BYTES // charge)
         experts = np.log(np.random.default_rng(0).dirichlet(np.ones(k), size=(n, 2)))
         for uncond, cond in experts:

@@ -458,6 +458,39 @@ class TestFactorizedWorld:
         assert conds == loop_conds
         assert rng.random() == loop_rng.random()
 
+    def test_shared_cell_multiplies_likelihood_ratios(self):
+        # on a uniform prior the ratios are 2q: 0.6 * 0.6 against 0.4 * 0.4
+        world = build_factorized_world(1, 1, 2, {"a": {0: [0.6, 0.4]}, "b": {0: [0.6, 0.4]}})
+        conds = world.condition_pool()
+        assert np.allclose(world.conditional_tables(conds), [[0.36 / 0.52, 0.16 / 0.52]])
+        assert np.allclose(world.enumerate_posterior(conds).marginals(),
+                           world.conditional_tables(conds), atol=1e-12)
+        # tables with no token in common at their shared cell: no grid is left
+        world = build_factorized_world(1, 1, 2, {"a": {0: [1.0, 0.0]}, "b": {0: [0.0, 1.0]}})
+        conds = world.condition_pool()
+        for ask in (world.enumerate_posterior, world.conditional_tables):
+            with pytest.raises(EmptyIntersection):
+                ask(conds)
+
+    @given(seed=st.integers(0, 10_000), n_conds=st.integers(2, 3), joint=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_overlapping_cells_match_enumeration(self, seed, n_conds, joint):
+        """Conditions that share cells, asked as a list or as one joint
+        prompt: the closed form is the enumerated posterior's marginals."""
+        rng = np.random.default_rng(seed)
+        k = 3
+        prior = rng.dirichlet(np.ones(k), size=4)
+        tables = {}
+        for i in range(n_conds):
+            # every condition claims cell 0, and up to two more
+            cells = {0, *rng.choice(4, size=rng.integers(0, 3), replace=False).tolist()}
+            tables[f"c{i}"] = {p: rng.dirichlet(np.ones(k)) for p in sorted(cells)}
+        world = build_factorized_world(2, 2, k, tables, prior_tables=prior)
+        conds = world.condition_pool()
+        enumerated = world.enumerate_posterior(conds).marginals()
+        closed = world.conditional_tables(JointPrompt(conds) if joint else conds)
+        assert np.abs(closed - enumerated).max() <= 1e-12
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_enumeration_agrees_with_closed_form(self, seed):
